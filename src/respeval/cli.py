@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,9 +30,10 @@ from .ngram_metrics import (
     EmptyHypothesisError,
     LengthMismatchError,
     NistConfig,
-    bleu,
-    ebleu,
-    nist,
+    bleu_from_stats,
+    corpus_stats,
+    ebleu_from_stats,
+    nist_from_stats,
 )
 from .ner import (
     AnnotationParseError,
@@ -133,14 +133,6 @@ def _fmt_cell(value: float | None) -> str:
 
 
 def _score_segment(hyp, refs, resources, args) -> dict[str, float | None]:
-    bleu_cfg = BleuConfig(max_n=args.max_n, smooth=args.smooth)
-    ebleu_cfg = EbleuConfig(
-        synonym_score=args.synonym_score,
-        rare_words_percent=args.rare_words_percent,
-        rare_words_score=args.rare_words_score,
-        max_n=args.max_n,
-        resources=resources,
-    )
     if not hyp:
         scores: dict[str, float | None] = {name: 0.0 for name in METRIC_FIELDS}
         scores["ter"] = 100.0
@@ -162,12 +154,9 @@ def _score_segment(hyp, refs, resources, args) -> dict[str, float | None]:
         ribes(hyp, ref, alpha=args.ribes_alpha, variant=args.ribes_variant).score for ref in refs
     )
     return {
-        "bleu": bleu([hyp], [refs], bleu_cfg).score * 100.0,
-        "nist": nist([hyp], [refs], NistConfig(max_n=args.nist_max_n)),
         "ter": ter_value * 100.0,
         "meteor": meteor_value * 100.0,
         "meteor_pl": None if meteor_pl_value is None else meteor_pl_value * 100.0,
-        "ebleu": ebleu([hyp], [refs], ebleu_cfg).score * 100.0,
         "ribes": ribes_value * 100.0,
     }
 
@@ -219,15 +208,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     }
     report = MetricReport(config=config_echo)
 
-    per_segment: list[dict[str, float | None]] = []
-    for index, (hyp, refs) in enumerate(zip(hyp_corpus, ref_corpus), start=1):
-        scores = _score_segment(hyp, refs, resources, args)
-        per_segment.append(scores)
-        report.segments.append(
-            {"index": index, **{name: _round6(scores[name]) for name in METRIC_FIELDS}}
-        )
-
     bleu_cfg = BleuConfig(max_n=args.max_n, sentence_level=args.sentence_level, smooth=args.smooth)
+    nist_cfg = NistConfig(max_n=args.nist_max_n)
     ebleu_cfg = EbleuConfig(
         synonym_score=args.synonym_score,
         rare_words_percent=args.rare_words_percent,
@@ -236,6 +218,24 @@ def cmd_score(args: argparse.Namespace) -> int:
         resources=resources,
         sentence_level=args.sentence_level,
     )
+    stats = corpus_stats(hyp_corpus, ref_corpus, max(args.max_n, args.nist_max_n), ebleu_cfg)
+
+    def ngram_scores(records) -> dict[str, float]:
+        return {
+            "bleu": bleu_from_stats(records, bleu_cfg).score * 100.0,
+            "nist": nist_from_stats(records, nist_cfg),
+            "ebleu": ebleu_from_stats(records, ebleu_cfg).score * 100.0,
+        }
+
+    per_segment: list[dict[str, float | None]] = []
+    for index, (hyp, refs, seg_stats) in enumerate(zip(hyp_corpus, ref_corpus, stats), start=1):
+        scores = _score_segment(hyp, refs, resources, args)
+        if hyp:
+            scores.update(ngram_scores([seg_stats]))
+        per_segment.append(scores)
+        report.segments.append(
+            {"index": index, **{name: _round6(scores[name]) for name in METRIC_FIELDS}}
+        )
 
     def _mean(name: str) -> float | None:
         values = [seg[name] for seg in per_segment if seg[name] is not None]
@@ -243,17 +243,11 @@ def cmd_score(args: argparse.Namespace) -> int:
             return None
         return sum(values) / len(values)
 
-    aggregate = {
+    report.aggregate = {
         "segments": len(hyp_corpus),
-        "bleu": _round6(bleu(hyp_corpus, ref_corpus, bleu_cfg).score * 100.0),
-        "nist": _round6(nist(hyp_corpus, ref_corpus, NistConfig(max_n=args.nist_max_n))),
-        "ter": _round6(_mean("ter")),
-        "meteor": _round6(_mean("meteor")),
-        "meteor_pl": _round6(_mean("meteor_pl")),
-        "ebleu": _round6(ebleu(hyp_corpus, ref_corpus, ebleu_cfg).score * 100.0),
-        "ribes": _round6(_mean("ribes")),
+        **{name: _round6(value) for name, value in ngram_scores(stats).items()},
+        **{name: _round6(_mean(name)) for name in ("ter", "meteor", "meteor_pl", "ribes")},
     }
-    report.aggregate = aggregate
 
     sys.stdout.write(report.to_text())
     if args.json:
@@ -376,25 +370,39 @@ def cmd_fixture(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _checked(convert, accept, expected: str):
+    """An argparse ``type``: a value failing ``accept`` exits 2 naming the flag."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+ORDER = _checked(int, lambda v: v >= 1, "an integer >= 1")
+SYNONYM_SCORE = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+UNIT_INTERVAL = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+OPEN_UNIT_INTERVAL = _checked(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
+RARE_WORDS_SCORE = _checked(float, lambda v: v >= 1.0, ">= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="respeval",
         description="Score re-speaking/subtitle transcripts and model NER accuracy.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for any randomized subcommand behaviour (reserved; fixed default keeps runs reproducible)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_score = sub.add_parser("score", help="score hypothesis transcript(s) against reference(s)")
     p_score.add_argument("hypothesis", help="hypothesis transcript file (one segment per line)")
     p_score.add_argument("references", nargs="+", help="reference transcript file(s)")
-    p_score.add_argument("--max-n", type=int, default=4, help="n-gram order for BLEU/EBLEU")
-    p_score.add_argument("--nist-max-n", type=int, default=5, help="n-gram order for NIST")
+    p_score.add_argument("--max-n", type=ORDER, default=4, help="n-gram order for BLEU/EBLEU")
+    p_score.add_argument("--nist-max-n", type=ORDER, default=5, help="n-gram order for NIST")
     p_score.add_argument(
         "--sentence-level",
         action="store_true",
@@ -404,12 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--synonyms", help="synonym table: word<TAB>syn1 syn2 ...")
     p_score.add_argument("--stems", help="stem table: word<TAB>stem1 stem2 ...")
     p_score.add_argument("--function-words", help="function word list, one per line")
-    p_score.add_argument("--synonym-score", type=float, default=0.9)
-    p_score.add_argument("--rare-words-percent", type=float, default=0.05)
-    p_score.add_argument("--rare-words-score", type=float, default=1.1)
+    p_score.add_argument("--synonym-score", type=SYNONYM_SCORE, default=0.9)
+    p_score.add_argument("--rare-words-percent", type=UNIT_INTERVAL, default=0.05)
+    p_score.add_argument("--rare-words-score", type=RARE_WORDS_SCORE, default=1.1)
     p_score.add_argument("--meteor-penalty-exp", type=float, default=1.0)
-    p_score.add_argument("--function-word-weight", type=float, default=0.2)
-    p_score.add_argument("--ribes-alpha", type=float, default=0.25)
+    p_score.add_argument("--function-word-weight", type=UNIT_INTERVAL, default=0.2)
+    p_score.add_argument("--ribes-alpha", type=OPEN_UNIT_INTERVAL, default=0.25)
     p_score.add_argument("--ribes-variant", choices=("nkt", "nsr"), default="nkt")
     p_score.add_argument("--no-lowercase", action="store_true", help="keep original casing")
     p_score.add_argument(
@@ -435,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_regress.add_argument("--fixture", choices=FIXTURE_NAMES, help="use a bundled table instead of a CSV")
     p_regress.add_argument("--response", help="response column name (default NER for fixtures)")
     p_regress.add_argument("--candidates", nargs="+", help="candidate predictor columns")
-    p_regress.add_argument("--alpha", type=float, default=0.05, help="significance threshold")
+    p_regress.add_argument("--alpha", type=OPEN_UNIT_INTERVAL, default=0.05, help="significance threshold")
     p_regress.add_argument("--json", help="write models and elimination trace as JSON")
     p_regress.set_defaults(func=cmd_regress)
 
@@ -455,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

@@ -1,9 +1,10 @@
 """N-gram precision metrics: BLEU, NIST and the synonym/rare-word extension EBLEU.
 
-Corpus scores pool clipped matches and totals across segments before dividing
-(the ``sentence_level`` switch averages per-segment scores instead). All
-scorers are pure functions; segments may be evaluated in parallel upstream as
-long as the reduction keeps segment order.
+Each segment's n-grams are counted once into a ``SegmentStats`` record; every
+score reduces a list of records, pooling clipped matches and totals before
+dividing (``sentence_level`` averages one-record scores instead). All scorers
+are pure; segments may be counted in parallel as long as the reduction keeps
+segment order.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .resources import LanguageResources
-from .textcore import TokenSequence, clipped_matches, ngrams
+from .textcore import NGramCounts, TokenSequence, clipped_matches, ngrams
+
+Gram = tuple[str, ...]
 
 
 class EmptyHypothesisError(ValueError):
@@ -61,49 +64,21 @@ def modified_precision(hyp: TokenSequence, refs: Sequence[TokenSequence], n: int
     return matches / total
 
 
-def _validate_corpora(
-    hyp_corpus: Sequence[TokenSequence], ref_corpus: Sequence[Sequence[TokenSequence]]
-) -> None:
-    if len(hyp_corpus) != len(ref_corpus):
-        raise LengthMismatchError(
-            f"corpus length mismatch: {len(hyp_corpus)} hypotheses vs {len(ref_corpus)} reference sets"
-        )
-    if not hyp_corpus:
-        raise EmptyCorpusError("empty corpus")
-    if all(len(h) == 0 for h in hyp_corpus):
-        raise EmptyCorpusError("every hypothesis segment is empty")
-    if any(not refs for refs in ref_corpus):
-        raise EmptyCorpusError("a segment has no reference")
-
-
 @dataclass(frozen=True)
 class BleuConfig:
-    """``max_n`` orders with weights summing to one (uniform by default).
+    """``max_n`` uniformly weighted orders.
 
     ``smooth`` applies add-one smoothing to every defined order;
     ``sentence_level`` averages per-segment scores instead of pooling.
     """
 
     max_n: int = 4
-    weights: tuple[float, ...] | None = None
     sentence_level: bool = False
     smooth: bool = False
 
     def __post_init__(self) -> None:
         if self.max_n < 1:
             raise ValueError("max_n must be >= 1")
-        if self.weights is not None:
-            if len(self.weights) != self.max_n:
-                raise ValueError("need one weight per order")
-            if any(w < 0 for w in self.weights):
-                raise ValueError("weights must be non-negative")
-            if abs(sum(self.weights) - 1.0) > 1e-9:
-                raise ValueError("weights must sum to 1")
-
-    def resolved_weights(self) -> tuple[float, ...]:
-        if self.weights is not None:
-            return self.weights
-        return tuple(1.0 / self.max_n for _ in range(self.max_n))
 
 
 @dataclass(frozen=True)
@@ -115,72 +90,14 @@ class BleuScore:
     ref_length: int
 
 
-def _pooled_counts(
-    hyp_corpus: Sequence[TokenSequence],
-    ref_corpus: Sequence[Sequence[TokenSequence]],
-    max_n: int,
-) -> tuple[list[int], list[int], int, int]:
-    nums = [0] * max_n
-    dens = [0] * max_n
-    c = 0
-    r = 0
-    for hyp, refs in zip(hyp_corpus, ref_corpus):
-        c += len(hyp)
-        r += closest_ref_length(len(hyp), [len(ref) for ref in refs])
-        for n in range(1, max_n + 1):
-            total = len(hyp) - n + 1
-            if total <= 0:
-                continue
-            dens[n - 1] += total
-            nums[n - 1] += clipped_matches(ngrams(hyp, n), [ngrams(ref, n) for ref in refs])
-    return nums, dens, c, r
-
-
-def _combine(
-    precisions: Sequence[float | None], weights: Sequence[float], uniform: bool
-) -> float:
-    defined = [(w, p) for w, p in zip(weights, precisions) if p is not None and w > 0]
-    if not defined:
-        return 0.0
-    if any(p == 0.0 for _, p in defined):
-        return 0.0
-    if uniform:
-        # Plain running log-mean, the same arithmetic the EBLEU cumulation
-        # uses, so the two metrics coincide bit-for-bit when EBLEU's extras
-        # are neutral.
-        log_sum = 0.0
-        for _, p in defined:
-            log_sum += math.log(p)
-        return math.exp(log_sum / len(defined))
-    wsum = sum(w for w, _ in defined)
-    return math.exp(sum(w * math.log(p) for w, p in defined) / wsum)
-
-
 def bleu(
     hyp_corpus: Sequence[TokenSequence],
     ref_corpus: Sequence[Sequence[TokenSequence]],
     config: BleuConfig = BleuConfig(),
 ) -> BleuScore:
-    """Corpus BLEU with brevity penalty; 0 when any weighted order has no match."""
-    _validate_corpora(hyp_corpus, ref_corpus)
-    nums, dens, c, r = _pooled_counts(hyp_corpus, ref_corpus, config.max_n)
-    if config.smooth:
-        nums = [n + 1 if d > 0 else n for n, d in zip(nums, dens)]
-        dens = [d + 1 if d > 0 else d for d in dens]
-    precisions = tuple(n / d if d > 0 else None for n, d in zip(nums, dens))
-    bp = brevity_penalty(c, r)
-    if config.sentence_level:
-        pooled = config.__class__(max_n=config.max_n, weights=config.weights, smooth=config.smooth)
-        score = sum(
-            bleu([h], [refs], pooled).score if h else 0.0
-            for h, refs in zip(hyp_corpus, ref_corpus)
-        ) / len(hyp_corpus)
-    else:
-        score = bp * _combine(precisions, config.resolved_weights(), config.weights is None)
-    return BleuScore(score=score, brevity_penalty=bp, precisions=precisions, hyp_length=c, ref_length=r)
+    """Corpus BLEU with brevity penalty; 0 when any defined order has no match."""
+    return bleu_from_stats(corpus_stats(hyp_corpus, ref_corpus, config.max_n), config)
 
-
-# --- NIST -------------------------------------------------------------------
 
 # Beta makes the length factor exp(beta * ln^2(c/r)) equal 0.5 at ratio 2/3.
 NIST_DEFAULT_BETA = math.log(0.5) / math.log(1.5) ** 2
@@ -209,51 +126,8 @@ def nist(
     the raw hypothesis n-gram count, orders are summed arithmetically, and the
     total is scaled by the length factor ``exp(beta * ln^2 min(c/r, 1))``.
     """
-    _validate_corpora(hyp_corpus, ref_corpus)
+    return nist_from_stats(corpus_stats(hyp_corpus, ref_corpus, config.max_n), config)
 
-    ref_counts: list[Counter] = [Counter() for _ in range(config.max_n + 1)]
-    total_ref_tokens = 0
-    for refs in ref_corpus:
-        for ref in refs:
-            total_ref_tokens += len(ref)
-            for n in range(1, config.max_n + 1):
-                ref_counts[n].update(ngrams(ref, n))
-
-    def info(gram: tuple[str, ...]) -> float:
-        n = len(gram)
-        denom = ref_counts[n][gram]
-        numer = ref_counts[n - 1][gram[:-1]] if n > 1 else total_ref_tokens
-        return math.log2(numer / denom)
-
-    score = 0.0
-    c = 0
-    r_bar = 0.0
-    credits = [0.0] * config.max_n
-    totals = [0] * config.max_n
-    for hyp, refs in zip(hyp_corpus, ref_corpus):
-        c += len(hyp)
-        r_bar += sum(len(ref) for ref in refs) / len(refs)
-        for n in range(1, config.max_n + 1):
-            total = len(hyp) - n + 1
-            if total <= 0:
-                continue
-            totals[n - 1] += total
-            hyp_grams = ngrams(hyp, n)
-            ref_grams = [ngrams(ref, n) for ref in refs]
-            for gram, count in hyp_grams.items():
-                matched = min(count, max(rg.get(gram, 0) for rg in ref_grams))
-                if matched:
-                    credits[n - 1] += matched * info(gram)
-    score = sum(cr / tot for cr, tot in zip(credits, totals) if tot > 0)
-
-    if r_bar <= 0:
-        return 0.0
-    ratio = min(c / r_bar, 1.0)
-    factor = math.exp(config.brevity_beta * math.log(ratio) ** 2)
-    return score * factor
-
-
-# --- EBLEU ------------------------------------------------------------------
 
 EXACT = "exact"
 SYNONYM = "synonym"
@@ -347,20 +221,12 @@ def ebleu_synonym_expand(
     return _annotate(hyp, [ref], resources)
 
 
-def rare_reference_words(
-    ref_corpus: Sequence[Sequence[TokenSequence]], percent: float
-) -> frozenset[str]:
+def rare_reference_words(unigrams: NGramCounts, percent: float) -> frozenset[str]:
     """Trailing ``percent`` of distinct reference words ranked by descending
-    frequency (ties broken lexicographically)."""
-    counts: Counter = Counter()
-    for refs in ref_corpus:
-        for ref in refs:
-            counts.update(ref)
-    ranked = sorted(counts, key=lambda w: (-counts[w], w))
+    frequency (ties broken lexicographically) in ``ngrams``-keyed ``unigrams``."""
+    ranked = sorted(unigrams, key=lambda gram: (-unigrams[gram], gram))
     k = int(len(ranked) * percent)
-    if k == 0:
-        return frozenset()
-    return frozenset(ranked[len(ranked) - k :])
+    return frozenset(word for (word,) in ranked[len(ranked) - k :])
 
 
 def ebleu(
@@ -376,43 +242,125 @@ def ebleu(
     than a perfect score; with empty resources and rare bonus 1 the result
     equals uniform-weight BLEU exactly.
     """
-    _validate_corpora(hyp_corpus, ref_corpus)
-    rare = rare_reference_words(ref_corpus, config.rare_words_percent)
+    return ebleu_from_stats(corpus_stats(hyp_corpus, ref_corpus, config.max_n, config), config)
 
-    nums = [0.0] * config.max_n
-    dens = [0] * config.max_n
-    c = 0
-    r = 0
-    for hyp, refs in zip(hyp_corpus, ref_corpus):
-        c += len(hyp)
-        r += closest_ref_length(len(hyp), [len(ref) for ref in refs])
-        annotated = _annotate(hyp, refs, config.resources)
+
+@dataclass(frozen=True)
+class SegmentStats:
+    """One segment's n-gram counts, from which BLEU, NIST and EBLEU are all
+    reduced. Index ``n - 1`` of each tuple holds order ``n``: ``clipped`` maps
+    each matching hypothesis n-gram to min(its count, its highest count in one
+    reference); ``ref_counts`` sums the references' n-grams (NIST's
+    information weights and EBLEU's rare-word list); ``ebleu_weights`` maps
+    each matching synonym-expanded n-gram to the discount products of its
+    credited occurrences, highest first, before any rare-word bonus."""
+
+    hyp_len: int
+    ref_lens: tuple[int, ...]
+    clipped: tuple[dict[Gram, int], ...]
+    ref_counts: tuple[NGramCounts, ...]
+    ebleu_weights: tuple[dict[Gram, tuple[float, ...]], ...]
+
+
+def segment_stats(
+    hyp: TokenSequence, refs: Sequence[TokenSequence], max_n: int, ebleu: EbleuConfig | None = None
+) -> SegmentStats:
+    """Count the n-grams of ``hyp`` and its (non-empty) ``refs`` once, orders 1
+    to ``max_n``; with ``ebleu``, also weigh orders 1 to ``ebleu.max_n``."""
+    ebleu_n = 0
+    if ebleu is not None:
+        ebleu_n = ebleu.max_n
+        annotated = _annotate(hyp, refs, ebleu.resources)
         effective = [a.token for a in annotated]
         # A miss can never participate in a match; zero keeps it harmless.
         factors = [
-            1.0 if a.status == EXACT else config.synonym_score if a.status == SYNONYM else 0.0
+            1.0 if a.status == EXACT else ebleu.synonym_score if a.status == SYNONYM else 0.0
             for a in annotated
         ]
-        for n in range(1, config.max_n + 1):
-            total = len(hyp) - n + 1
-            if total <= 0:
-                continue
-            dens[n - 1] += total
-            occurrences: dict[tuple[str, ...], list[float]] = {}
-            for i in range(total):
+    clipped, ref_counts, weighted = [], [], []
+    for n in range(1, max(max_n, ebleu_n) + 1):
+        ref_grams = [ngrams(ref, n) for ref in refs]
+        ref_counts.append(ref_grams[0] if len(ref_grams) == 1 else sum(ref_grams, Counter()))
+        clipped.append({
+            gram: matched
+            for gram, count in ngrams(hyp, n).items()
+            if (matched := min(count, max(rg.get(gram, 0) for rg in ref_grams)))
+        })
+        if n <= ebleu_n:
+            occurrences: dict[Gram, list[float]] = {}
+            for i in range(len(hyp) - n + 1):
                 gram = tuple(effective[i : i + n])
-                weight = math.prod(factors[i : i + n])
-                if any(tok in rare for tok in gram):
-                    weight *= config.rare_words_score
-                occurrences.setdefault(gram, []).append(weight)
-            ref_grams = [ngrams(ref, n) for ref in refs]
-            seg_num = 0.0
-            for gram, weights in occurrences.items():
-                matched = min(len(weights), max(rg.get(gram, 0) for rg in ref_grams))
-                if matched:
-                    weights.sort(reverse=True)
-                    seg_num += sum(weights[:matched])
-            nums[n - 1] += min(seg_num, total)
+                occurrences.setdefault(gram, []).append(math.prod(factors[i : i + n]))
+            weighted.append({
+                gram: tuple(sorted(weights, reverse=True)[:matched])
+                for gram, weights in occurrences.items()
+                if (matched := min(len(weights), max(rg.get(gram, 0) for rg in ref_grams)))
+            })
+    lens = tuple(len(ref) for ref in refs)
+    return SegmentStats(len(hyp), lens, tuple(clipped), tuple(ref_counts), tuple(weighted))
+
+
+def corpus_stats(
+    hyp_corpus: Sequence[TokenSequence],
+    ref_corpus: Sequence[Sequence[TokenSequence]],
+    max_n: int,
+    ebleu: EbleuConfig | None = None,
+) -> list[SegmentStats]:
+    """``segment_stats`` of every segment, after checking the corpus shape."""
+    if len(hyp_corpus) != len(ref_corpus):
+        raise LengthMismatchError(
+            f"corpus length mismatch: {len(hyp_corpus)} hypotheses vs {len(ref_corpus)} reference sets"
+        )
+    if not hyp_corpus:
+        raise EmptyCorpusError("empty corpus")
+    if all(len(h) == 0 for h in hyp_corpus):
+        raise EmptyCorpusError("every hypothesis segment is empty")
+    if any(not refs for refs in ref_corpus):
+        raise EmptyCorpusError("a segment has no reference")
+    return [segment_stats(hyp, refs, max_n, ebleu) for hyp, refs in zip(hyp_corpus, ref_corpus)]
+
+
+# A metric's credit for one record at order n, given the records pooled.
+Credit = Callable[[SegmentStats, int], float]
+CreditFor = Callable[[Sequence[SegmentStats]], Credit]
+
+
+def _pooled_ref_counts(stats: Sequence[SegmentStats], max_n: int) -> Sequence[NGramCounts]:
+    """Reference n-gram counts of orders 1 to ``max_n`` summed over ``stats``."""
+    if len(stats) == 1:
+        return stats[0].ref_counts
+    pooled: list[NGramCounts] = [Counter() for _ in range(max_n)]
+    for rec in stats:
+        for total, counts in zip(pooled, rec.ref_counts):
+            total.update(counts)
+    return pooled
+
+
+def _pool(
+    stats: Sequence[SegmentStats],
+    max_n: int,
+    credit_for: CreditFor,
+    smooth: bool = False,
+    sentence_level: bool = False,
+) -> EbleuScore:
+    """Pool ``credit_for(stats)(record, n)`` over the hypothesis n-gram totals
+    per order, clamped per segment to a perfect order, and combine the bases
+    through the running log-mean ``C_i = exp(s / i)``. ``sentence_level`` takes
+    the mean of the one-record scores instead, 0 for an empty hypothesis."""
+    credit = credit_for(stats)
+    nums = [0.0] * max_n
+    dens = [0] * max_n
+    c = r = 0
+    for rec in stats:
+        c += rec.hyp_len
+        r += closest_ref_length(rec.hyp_len, rec.ref_lens)
+        for n in range(1, max_n + 1):
+            total = max(rec.hyp_len - n + 1, 0)
+            dens[n - 1] += total
+            nums[n - 1] += min(credit(rec, n), total)
+    if smooth:
+        nums = [num + 1 if den > 0 else num for num, den in zip(nums, dens)]
+        dens = [den + 1 if den > 0 else den for den in dens]
 
     bases = tuple(min(num / den, 1.0) if den > 0 else None for num, den in zip(nums, dens))
     log_sum = 0.0
@@ -427,26 +375,68 @@ def ebleu(
         cumulative.append(math.exp(log_sum / included) if log_sum > -math.inf else 0.0)
     core = next((cum for cum in reversed(cumulative) if cum is not None), 0.0)
     bp = brevity_penalty(c, r)
-
-    if config.sentence_level:
-        per_segment = config.__class__(
-            synonym_score=config.synonym_score,
-            rare_words_percent=config.rare_words_percent,
-            rare_words_score=config.rare_words_score,
-            max_n=config.max_n,
-            resources=config.resources,
-        )
+    score = max(0.0, min(1.0, bp * core))
+    if sentence_level:
         score = sum(
-            ebleu([h], [refs], per_segment).score if h else 0.0
-            for h, refs in zip(hyp_corpus, ref_corpus)
-        ) / len(hyp_corpus)
-    else:
-        score = max(0.0, min(1.0, bp * core))
-    return EbleuScore(
-        score=score,
-        per_order_base=bases,
-        cumulative=tuple(cumulative),
-        brevity_penalty=bp,
-        hyp_length=c,
-        ref_length=r,
+            _pool([rec], max_n, credit_for, smooth).score if rec.hyp_len else 0.0 for rec in stats
+        ) / len(stats)
+    return EbleuScore(score, bases, tuple(cumulative), bp, c, r)
+
+
+def _clipped_matches(stats: Sequence[SegmentStats]) -> Credit:
+    return lambda rec, n: sum(rec.clipped[n - 1].values())
+
+
+def _ebleu_credit(stats: Sequence[SegmentStats], config: EbleuConfig) -> Credit:
+    rare = rare_reference_words(_pooled_ref_counts(stats, 1)[0], config.rare_words_percent)
+    # The bonus multiplies each weight before summing, once per n-gram.
+    return lambda rec, n: sum(
+        sum(w * (1.0 if rare.isdisjoint(gram) else config.rare_words_score) for w in weights)
+        for gram, weights in rec.ebleu_weights[n - 1].items()
     )
+
+
+def bleu_from_stats(stats: Sequence[SegmentStats], config: BleuConfig = BleuConfig()) -> BleuScore:
+    """BLEU of the segments behind ``stats``: EBLEU with neutral factors."""
+    pooled = _pool(stats, config.max_n, _clipped_matches, config.smooth, config.sentence_level)
+    return BleuScore(
+        pooled.score, pooled.brevity_penalty, pooled.per_order_base, pooled.hyp_length, pooled.ref_length
+    )
+
+
+def ebleu_from_stats(stats: Sequence[SegmentStats], config: EbleuConfig = EbleuConfig()) -> EbleuScore:
+    """EBLEU of the segments behind ``stats``, which must have been counted
+    with an EBLEU config of the same synonym score, resources and ``max_n``."""
+    credit_for = lambda records: _ebleu_credit(records, config)
+    return _pool(stats, config.max_n, credit_for, sentence_level=config.sentence_level)
+
+
+def nist_from_stats(stats: Sequence[SegmentStats], config: NistConfig = NistConfig()) -> float:
+    """NIST of the segments behind ``stats``; see ``nist``."""
+    ref_counts = _pooled_ref_counts(stats, config.max_n)
+    total_ref_tokens = sum(sum(rec.ref_lens) for rec in stats)
+
+    def info(gram: Gram) -> float:
+        n = len(gram)
+        denom = ref_counts[n - 1][gram]
+        numer = ref_counts[n - 2][gram[:-1]] if n > 1 else total_ref_tokens
+        return math.log2(numer / denom)
+
+    c = 0
+    r_bar = 0.0
+    credits = [0.0] * config.max_n
+    totals = [0] * config.max_n
+    for rec in stats:
+        c += rec.hyp_len
+        r_bar += sum(rec.ref_lens) / len(rec.ref_lens)
+        for n in range(1, config.max_n + 1):
+            totals[n - 1] += max(rec.hyp_len - n + 1, 0)
+            for gram, matched in rec.clipped[n - 1].items():
+                credits[n - 1] += matched * info(gram)
+    score = sum(cr / tot for cr, tot in zip(credits, totals) if tot > 0)
+
+    if r_bar <= 0:
+        return 0.0
+    ratio = min(c / r_bar, 1.0)
+    factor = math.exp(config.brevity_beta * math.log(ratio) ** 2)
+    return score * factor

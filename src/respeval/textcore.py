@@ -6,6 +6,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import io
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -107,12 +108,13 @@ def clipped_matches(hyp: NGramCounts, refs: Iterable[NGramCounts]) -> int:
 
 def read_segments(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[TokenSequence]:
     """Read a transcript file: UTF-8, one segment per line, blank lines skipped."""
-    segments: list[TokenSequence] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                segments.append(tokenize(line, config))
-    return segments
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TranscriptError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
+    return [tokenize(line, config) for line in io.StringIO(text, newline=None) if line.strip()]
 
 
 def check_aligned(hyp_count: int, ref_count: int) -> None:

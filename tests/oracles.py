@@ -1,8 +1,9 @@
 """Independent oracles the implementation must agree with.
 
 Everything here is deliberately brute force and shares no code path with the
-package: plain-Python Levenshtein and breadth-first shift search, pairwise
-rank enumeration, cofactor-inverted normal equations, and adaptive Simpson
+package: plain-Python Levenshtein and breadth-first shift search, per-metric
+BLEU / NIST / EBLEU that count n-grams afresh for every score, pairwise rank
+enumeration, cofactor-inverted normal equations, and adaptive Simpson
 quadrature of the t density.
 """
 
@@ -73,6 +74,148 @@ def ter_exhaustive(hyp, ref, max_block: int = 10) -> int:
                 best = min(best, depth + lev(cand, ref_t))
         frontier = nxt
     return best
+
+
+# --- BLEU, NIST and EBLEU, each counting its own n-grams -----------------------
+#
+# Same float arithmetic, in the same order, as the package's reductions over
+# per-segment records, so results compare with ==.
+
+
+def count_ngrams(seq, n):
+    return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
+
+
+def _clip(hyp_grams, ref_grams):
+    return sum(min(c, max(rg.get(g, 0) for rg in ref_grams)) for g, c in hyp_grams.items())
+
+
+def _closest(c, refs):
+    return min((len(ref) for ref in refs), key=lambda rl: (abs(rl - c), rl))
+
+
+def _bp(c, r):
+    if c == 0:
+        return 1.0
+    return 1.0 if c > r else math.exp(1.0 - r / c)
+
+
+def _log_mean(bases):
+    """Running log-mean of the defined bases; 0 when none is defined or any is 0."""
+    defined = [b for b in bases if b is not None]
+    if not defined or 0.0 in defined:
+        return 0.0
+    log_sum = 0.0
+    for b in defined:
+        log_sum += math.log(b)
+    return math.exp(log_sum / len(defined))
+
+
+def bleu_oracle(hyps, refss, max_n, smooth=False, sentence_level=False):
+    if sentence_level:
+        return sum(
+            bleu_oracle([h], [refs], max_n, smooth) if h else 0.0 for h, refs in zip(hyps, refss)
+        ) / len(hyps)
+    nums = [0] * max_n
+    dens = [0] * max_n
+    c = r = 0
+    for hyp, refs in zip(hyps, refss):
+        c += len(hyp)
+        r += _closest(len(hyp), refs)
+        for n in range(1, max_n + 1):
+            total = len(hyp) - n + 1
+            if total > 0:
+                dens[n - 1] += total
+                nums[n - 1] += _clip(count_ngrams(hyp, n), [count_ngrams(ref, n) for ref in refs])
+    if smooth:
+        nums = [x + 1 if d > 0 else x for x, d in zip(nums, dens)]
+        dens = [d + 1 if d > 0 else d for d in dens]
+    return _bp(c, r) * _log_mean([x / d if d > 0 else None for x, d in zip(nums, dens)])
+
+
+def nist_oracle(hyps, refss, max_n, beta=math.log(0.5) / math.log(1.5) ** 2):
+    ref_counts = [Counter() for _ in range(max_n + 1)]
+    ref_tokens = 0
+    for refs in refss:
+        for ref in refs:
+            ref_tokens += len(ref)
+            for n in range(1, max_n + 1):
+                ref_counts[n].update(count_ngrams(ref, n))
+    c = 0
+    r_bar = 0.0
+    credits = [0.0] * max_n
+    totals = [0] * max_n
+    for hyp, refs in zip(hyps, refss):
+        c += len(hyp)
+        r_bar += sum(len(ref) for ref in refs) / len(refs)
+        for n in range(1, max_n + 1):
+            totals[n - 1] += max(len(hyp) - n + 1, 0)
+            ref_grams = [count_ngrams(ref, n) for ref in refs]
+            for g, count in count_ngrams(hyp, n).items():
+                matched = min(count, max(rg.get(g, 0) for rg in ref_grams))
+                if matched:
+                    numer = ref_counts[n - 1][g[:-1]] if n > 1 else ref_tokens
+                    credits[n - 1] += matched * math.log2(numer / ref_counts[n][g])
+    score = sum(cr / tot for cr, tot in zip(credits, totals) if tot > 0)
+    if r_bar <= 0:
+        return 0.0
+    return score * math.exp(beta * math.log(min(c / r_bar, 1.0)) ** 2)
+
+
+def ebleu_oracle(
+    hyps, refss, max_n, synonyms, synonym_score, rare_percent, rare_score, sentence_level=False
+):
+    """``synonyms`` maps a word to the set of its synonyms."""
+    if sentence_level:
+        return sum(
+            ebleu_oracle([h], [refs], max_n, synonyms, synonym_score, rare_percent, rare_score)
+            if h
+            else 0.0
+            for h, refs in zip(hyps, refss)
+        ) / len(hyps)
+    freq = Counter(tok for refs in refss for ref in refs for tok in ref)
+    ranked = sorted(freq, key=lambda w: (-freq[w], w))
+    rare = set(ranked[len(ranked) - int(len(ranked) * rare_percent) :])
+    nums = [0.0] * max_n
+    dens = [0] * max_n
+    c = r = 0
+    for hyp, refs in zip(hyps, refss):
+        c += len(hyp)
+        r += _closest(len(hyp), refs)
+        vocab = {tok for ref in refs for tok in ref}
+        effective, factors = [], []
+        for tok in hyp:
+            syns = synonyms.get(tok, set())
+            match = next((w for ref in refs for w in ref if w in syns), None)
+            if tok in vocab:
+                effective.append(tok)
+                factors.append(1.0)
+            elif match is not None:
+                effective.append(match)
+                factors.append(synonym_score)
+            else:
+                effective.append(tok)
+                factors.append(0.0)
+        for n in range(1, max_n + 1):
+            total = len(hyp) - n + 1
+            if total <= 0:
+                continue
+            dens[n - 1] += total
+            occurrences = {}
+            for i in range(total):
+                g = tuple(effective[i : i + n])
+                weight = math.prod(factors[i : i + n])
+                if any(tok in rare for tok in g):
+                    weight *= rare_score
+                occurrences.setdefault(g, []).append(weight)
+            ref_grams = [count_ngrams(ref, n) for ref in refs]
+            seg = 0.0
+            for g, weights in occurrences.items():
+                matched = min(len(weights), max(rg.get(g, 0) for rg in ref_grams))
+                seg += sum(sorted(weights, reverse=True)[:matched])
+            nums[n - 1] += min(seg, total)
+    bases = [min(x / d, 1.0) if d > 0 else None for x, d in zip(nums, dens)]
+    return max(0.0, min(1.0, _bp(c, r) * _log_mean(bases)))
 
 
 # --- rank statistics by direct pair enumeration -------------------------------

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 
 import pytest
 
+import respeval.ngram_metrics
 from respeval.cli import main
 
 from test_fixtures import TABLE1_SHA256
@@ -104,6 +106,89 @@ def test_score_round_trips_at_six_decimals(transcript_pair, tmp_path, capsys):
         record = json.loads(line)
         again = json.loads(json.dumps(record))
         assert again == record
+
+
+def test_score_counts_each_segment_once(tmp_path, capsys, monkeypatch):
+    hyp = tmp_path / "hyp.txt"
+    refs = [tmp_path / "ref1.txt", tmp_path / "ref2.txt"]
+    hyp.write_text("the cat sat on the mat\na dog ran home fast\none two three four five\n", encoding="utf-8")
+    refs[0].write_text("the cat sat on a mat\na dog ran to home\none two three four six\n", encoding="utf-8")
+    refs[1].write_text("a cat sat on the mat\nthe dog ran home\none two four three five\n", encoding="utf-8")
+    calls = []
+    counting = respeval.ngram_metrics.ngrams
+    monkeypatch.setattr(
+        respeval.ngram_metrics, "ngrams", lambda seq, n: calls.append(n) or counting(seq, n)
+    )
+    argv = ["score", str(hyp), *map(str, refs), "--max-n", "4", "--nist-max-n", "5"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    # segments x highest order x (hypothesis + references)
+    assert len(calls) == 3 * 5 * (1 + 2)
+
+
+def test_score_segment_columns_use_their_own_references(tmp_path, capsys):
+    # A segment column scores the segment as a one-segment corpus: NIST
+    # information weights and the EBLEU rare-word list come from its own
+    # references. Only the aggregate uses the whole corpus.
+    hyp = tmp_path / "hyp.txt"
+    ref = tmp_path / "ref.txt"
+    hyp.write_text("a b x\na a c c y y\n", encoding="utf-8")
+    ref.write_text("a b y\na a c c y y\n", encoding="utf-8")
+    out_json = tmp_path / "r.jsonl"
+    code, out, err = run(
+        capsys,
+        "score",
+        str(hyp),
+        str(ref),
+        "--max-n", "1",
+        "--nist-max-n", "1",
+        "--rare-words-percent", "0.5",
+        "--rare-words-score", "1.5",
+        "--json", str(out_json),
+    )
+    assert code == 0, err
+    records = [json.loads(line) for line in out_json.read_text().splitlines()]
+    first = next(r for r in records if r["record"] == "segment" and r["index"] == 1)
+    aggregate = next(r for r in records if r["record"] == "aggregate")
+    # own reference "a b y": a and b carry log2(3/1) bits each; with the
+    # corpus counts (9 tokens, a 3, b 1) they would carry log2(3) + log2(9)
+    assert first["nist"] == round(2 * math.log2(3) / 3, 6)
+    # own rare list is {y}, so a and b earn no bonus; the corpus list {b, c}
+    # would have scored (1 + 1.5) / 3
+    assert first["ebleu"] == round(200 / 3, 6)
+    # the aggregate weighs by the corpus: 9 reference tokens, a 3, b 1, c 2, y 3
+    a, b, c, y = (math.log2(9 / count) for count in (3, 1, 2, 3))
+    assert aggregate["nist"] == pytest.approx((a + b + 2 * (a + c + y)) / 9, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["score", "h", "r", "--synonym-score", "2"], "--synonym-score"),
+        (["score", "h", "r", "--rare-words-score", "0.5"], "--rare-words-score"),
+        (["score", "h", "r", "--rare-words-percent", "2"], "--rare-words-percent"),
+        (["score", "h", "r", "--max-n", "0"], "--max-n"),
+        (["score", "h", "r", "--nist-max-n", "0"], "--nist-max-n"),
+        (["score", "h", "r", "--ribes-alpha", "1"], "--ribes-alpha"),
+        (["score", "h", "r", "--function-word-weight", "1.5"], "--function-word-weight"),
+        (["regress", "--fixture", "table1", "--alpha", "2"], "--alpha"),
+    ],
+)
+def test_bad_numeric_flag_is_a_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_score_non_utf8_transcript(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    ref = tmp_path / "ref.txt"
+    hyp.write_bytes(b"first line\nsecond \xff line\n")
+    ref.write_text("first line\nsecond line\n", encoding="utf-8")
+    code, out, err = run(capsys, "score", str(hyp), str(ref))
+    assert code == 2
+    assert f"{hyp}: line 2: not valid UTF-8" in err
 
 
 def test_ner_command(tmp_path, capsys):

@@ -13,17 +13,23 @@ from respeval.ngram_metrics import (
     LengthMismatchError,
     NistConfig,
     bleu,
+    bleu_from_stats,
     brevity_penalty,
     closest_ref_length,
+    corpus_stats,
     ebleu,
+    ebleu_from_stats,
     ebleu_synonym_expand,
     modified_precision,
     nist,
+    nist_from_stats,
     rare_reference_words,
 )
 from respeval.resources import LanguageResources
+from respeval.textcore import ngrams
 
-from helpers import make_rng, random_corpus
+import oracles
+from helpers import VOCAB, make_rng, random_corpus, random_segment
 
 EXAM_QUIZ_SYNONYMS = LanguageResources(
     synonyms={"exam": frozenset({"quiz"}), "quiz": frozenset({"exam"})}
@@ -91,7 +97,7 @@ def test_bleu_identity_corpus():
 
 
 def test_bleu_worked_example_unigram():
-    result = bleu([HYP_EXAM], [[REF_QUIZ]], BleuConfig(max_n=1, weights=(1.0,)))
+    result = bleu([HYP_EXAM], [[REF_QUIZ]], BleuConfig(max_n=1))
     assert result.score == pytest.approx(0.75, abs=1e-12)
 
 
@@ -121,13 +127,6 @@ def test_bleu_corpus_errors():
         bleu([], [])
     with pytest.raises(EmptyCorpusError):
         bleu([[]], [[["a"]]])
-
-
-def test_bleu_weight_validation():
-    with pytest.raises(ValueError):
-        BleuConfig(max_n=2, weights=(0.9, 0.2))
-    with pytest.raises(ValueError):
-        BleuConfig(max_n=2, weights=(1.2, -0.2))
 
 
 def test_bleu_sentence_level_averages_segments():
@@ -293,13 +292,13 @@ def test_ebleu_cumulative_is_geometric_mean():
 
 
 def test_rare_reference_words_trailing_fraction():
-    refs = [[["common"] * 4 + ["rare"]]]
-    assert rare_reference_words(refs, 0.5) == frozenset({"rare"})
-    assert rare_reference_words(refs, 0.0) == frozenset()
+    unigrams = ngrams(["common"] * 4 + ["rare"], 1)
+    assert rare_reference_words(unigrams, 0.5) == frozenset({"rare"})
+    assert rare_reference_words(unigrams, 0.0) == frozenset()
     # frequency tie broken lexicographically: the later-sorted word is rarer
-    refs = [[["alpha", "beta", "alpha", "beta", "zeta"]]]
-    assert rare_reference_words(refs, 1 / 3) == frozenset({"zeta"})
-    assert rare_reference_words(refs, 2 / 3) == frozenset({"zeta", "beta"})
+    unigrams = ngrams(["alpha", "beta", "alpha", "beta", "zeta"], 1)
+    assert rare_reference_words(unigrams, 1 / 3) == frozenset({"zeta"})
+    assert rare_reference_words(unigrams, 2 / 3) == frozenset({"zeta", "beta"})
 
 
 def test_ebleu_rare_word_bonus():
@@ -310,6 +309,18 @@ def test_ebleu_rare_word_bonus():
     config = EbleuConfig(rare_words_percent=0.5, rare_words_score=1.5, max_n=1)
     result = ebleu(hyp, refs, config)
     assert result.per_order_base[0] == pytest.approx((1.0 + 1.5) / 4, abs=1e-12)
+
+
+def test_ebleu_rare_bonus_multiplies_each_weight():
+    # three synonym matches of the rare "cat": summing 0.9 * 1.3 three times
+    # differs in the last bit from 1.3 * (0.9 + 0.9 + 0.9)
+    hyp = [["dog", "dog", "dog", "sat", "sat", "sat", "sat"]]
+    refs = [[["cat", "cat", "cat", "a", "a", "a", "a", "mat"]]]
+    resources = LanguageResources(synonyms={"dog": frozenset({"cat"}), "cat": frozenset({"dog"})})
+    config = EbleuConfig(
+        synonym_score=0.9, rare_words_percent=0.67, rare_words_score=1.3, max_n=1, resources=resources
+    )
+    assert ebleu(hyp, refs, config).per_order_base[0] == (0.9 * 1.3 + 0.9 * 1.3 + 0.9 * 1.3) / 7
 
 
 def test_ebleu_rare_bonus_keeps_sentence_within_one():
@@ -343,3 +354,70 @@ def test_ebleu_config_validation():
         EbleuConfig(rare_words_score=0.5)
     with pytest.raises(ValueError):
         EbleuConfig(rare_words_percent=1.5)
+
+
+# --- one statistics record per segment against per-metric oracles ---------------
+
+
+def test_records_match_per_metric_oracles():
+    synonyms = {"cat": {"dog"}, "dog": {"cat"}, "big": {"large"}, "large": {"big"}}
+    resources = LanguageResources(synonyms={w: frozenset(s) for w, s in synonyms.items()})
+    rng = make_rng(18)
+    for _ in range(300):
+        size = rng.randint(1, 6)
+        n_refs = rng.randint(1, 3)
+        # empty hypotheses and segments shorter than the highest order included
+        hyps = [
+            random_segment(rng, 7, VOCAB + ("large",)) if rng.random() > 0.15 else []
+            for _ in range(size)
+        ]
+        if not any(hyps):
+            hyps[0] = ["the"]
+        refss = [[random_segment(rng, 7) for _ in range(n_refs)] for _ in range(size)]
+        max_n, nist_n = rng.randint(1, 5), rng.randint(1, 5)
+        smooth, sentence = rng.random() < 0.5, rng.random() < 0.5
+        ebleu_cfg = EbleuConfig(
+            synonym_score=rng.choice((0.5, 0.9, 1.0)),
+            rare_words_percent=rng.choice((0.0, 0.15, 0.3)),
+            rare_words_score=rng.choice((1.0, 1.3, 1.7)),
+            max_n=max_n,
+            resources=resources,
+            sentence_level=sentence,
+        )
+        bleu_cfg = BleuConfig(max_n=max_n, smooth=smooth, sentence_level=sentence)
+        nist_cfg = NistConfig(max_n=nist_n)
+
+        def expected(h, r):
+            return (
+                oracles.bleu_oracle(h, r, max_n, smooth, sentence),
+                oracles.nist_oracle(h, r, nist_n),
+                oracles.ebleu_oracle(
+                    h,
+                    r,
+                    max_n,
+                    synonyms,
+                    ebleu_cfg.synonym_score,
+                    ebleu_cfg.rare_words_percent,
+                    ebleu_cfg.rare_words_score,
+                    sentence,
+                ),
+            )
+
+        def reduced(records):
+            return (
+                bleu_from_stats(records, bleu_cfg).score,
+                nist_from_stats(records, nist_cfg),
+                ebleu_from_stats(records, ebleu_cfg).score,
+            )
+
+        stats = corpus_stats(hyps, refss, max(max_n, nist_n), ebleu_cfg)
+        assert reduced(stats) == expected(hyps, refss)
+        public = (
+            bleu(hyps, refss, bleu_cfg).score,
+            nist(hyps, refss, nist_cfg),
+            ebleu(hyps, refss, ebleu_cfg).score,
+        )
+        assert public == expected(hyps, refss)
+        for hyp, refs, rec in zip(hyps, refss, stats):
+            if hyp:
+                assert reduced([rec]) == expected([hyp], [refs])
