@@ -28,7 +28,6 @@ from .ngram_metrics import (
     bleu,
     brevity_penalty,
     ebleu,
-    ebleu_synonym_expand,
     modified_precision,
     nist,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "brevity_penalty",
     "clipped_matches",
     "ebleu",
-    "ebleu_synonym_expand",
     "kendall_nkt",
     "load_resources",
     "meteor",

@@ -40,20 +40,6 @@ class TerScore:
     ter: float
 
 
-def word_levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
-    """Word-level edit distance with unit insert/delete/substitute costs."""
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, tok_a in enumerate(a, start=1):
-        current = [i]
-        for j, tok_b in enumerate(b, start=1):
-            cost = 0 if tok_a == tok_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
-
-
 def multiset_edit_bound(a: Sequence[str], b: Sequence[str]) -> int:
     """Lower bound on edit distance from token-count differences alone.
 
@@ -66,19 +52,87 @@ def multiset_edit_bound(a: Sequence[str], b: Sequence[str]) -> int:
     return max(surplus, deficit)
 
 
-def _shift_candidates(current: list[str], ref_blocks: set[tuple[str, ...]], max_len: int):
-    for start in range(len(current)):
-        for length in range(1, min(max_len, len(current) - start) + 1):
-            block = tuple(current[start : start + length])
+class _ReferenceColumns:
+    """Bit-parallel word edit distance against one fixed reference (Myers 1999,
+    in Hyyrö's 2001 formulation for global distance).
+
+    Bit ``i`` of a reference token's mask is set where ``ref[i]`` is that
+    token. A state ``(Pv, Mv, score)`` encodes one DP column: the +1 / -1
+    vertical deltas as bit vectors and the distance of the prefix fed so far
+    to the whole reference. Each fed token costs a fixed number of big-int
+    operations, whatever the reference length."""
+
+    def __init__(self, ref: Sequence[str]):
+        self.masks: dict[str, int] = {}
+        for i, tok in enumerate(ref):
+            self.masks[tok] = self.masks.get(tok, 0) | (1 << i)
+        self.high = 1 << (len(ref) - 1)
+        self.full = (self.high << 1) - 1
+        self.initial = (self.full, 0, len(ref))
+
+    def feed(self, state: tuple[int, int, int], tokens: Sequence[str]) -> tuple[int, int, int]:
+        """The state after ``tokens`` follow the prefix that gave ``state``."""
+        masks, high, full = self.masks, self.high, self.full
+        pv, mv, score = state
+        for tok in tokens:
+            eq = masks.get(tok, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            # ``~`` leaves ph negative; ``& full`` and ``& xv`` drop its high bits.
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            if ph & high:
+                score += 1
+            elif mh & high:
+                score -= 1
+            ph = (ph << 1) | 1
+            pv = ((mh << 1) | ~(xv | ph)) & full
+            mv = ph & xv
+        return pv, mv, score
+
+
+def _best_shift(
+    current: list[str],
+    columns: _ReferenceColumns,
+    ref_blocks: set[tuple[str, ...]],
+    bound: int,
+) -> tuple[int, list[str] | None]:
+    """The distance of ``current`` and the first shifted sequence, in (start,
+    length, position) order, with a strictly smaller distance than every
+    candidate before it; ``None`` if no shift lowers the distance.
+
+    A candidate agrees with ``current`` on its first ``min(start, pos)``
+    tokens, so it resumes from the cached column state of that prefix. The
+    search stops at the first candidate that reaches ``bound``: no later one
+    can go strictly below it."""
+    prefix = [columns.initial]
+    for tok in current:
+        prefix.append(columns.feed(prefix[-1], (tok,)))
+    best_distance = prefix[-1][2]
+    if best_distance <= bound:
+        return best_distance, None
+    best_sequence = None
+    n = len(current)
+    for start in range(n):
+        for length in range(1, min(MAX_SHIFT_LENGTH, n - start) + 1):
+            block = current[start : start + length]
             # Contiguity means an extension of a non-reference block cannot
             # itself occur in the reference.
-            if block not in ref_blocks:
+            if tuple(block) not in ref_blocks:
                 break
             remainder = current[:start] + current[start + length :]
             for pos in range(len(remainder) + 1):
                 if pos == start:
                     continue
-                yield remainder[:pos] + list(block) + remainder[pos:]
+                keep = min(start, pos)
+                candidate = remainder[:pos] + block + remainder[pos:]
+                d = columns.feed(prefix[keep], candidate[keep:])[2]
+                if d < best_distance:
+                    best_distance = d
+                    best_sequence = candidate
+                    if d == bound:
+                        return best_distance, best_sequence
+    return best_distance, best_sequence
 
 
 def ter(hyp: TokenSequence, ref: TokenSequence) -> TerScore:
@@ -87,32 +141,26 @@ def ter(hyp: TokenSequence, ref: TokenSequence) -> TerScore:
     Edits are insertions, deletions, substitutions and block shifts at unit
     cost. Shifts are searched greedily: as long as some shift of a block (of
     up to ``MAX_SHIFT_LENGTH`` words, occurring verbatim in the reference)
-    strictly reduces the word edit distance, the best such shift is applied
-    and counted as one edit; the remaining edit distance is then added.
+    strictly reduces the word edit distance, the first best such shift in
+    (start, length, position) order is applied and counted as one edit; the
+    remaining edit distance is then added.
     """
     if not ref:
         raise EmptyReferenceError("reference segment is empty")
-    current = list(hyp)
-    distance = word_levenshtein(current, ref)
-    bound = multiset_edit_bound(current, ref)
+    columns = _ReferenceColumns(ref)
     ref_blocks = {
         tuple(ref[i : i + length])
         for length in range(1, min(MAX_SHIFT_LENGTH, len(ref)) + 1)
         for i in range(len(ref) - length + 1)
     }
+    current = list(hyp)
+    bound = multiset_edit_bound(current, ref)
     shifts = 0
-    while distance > bound:
-        best_distance = distance
-        best_sequence = None
-        for candidate in _shift_candidates(current, ref_blocks, MAX_SHIFT_LENGTH):
-            d = word_levenshtein(candidate, ref)
-            if d < best_distance:
-                best_distance = d
-                best_sequence = candidate
-        if best_sequence is None:
+    while True:
+        distance, shifted = _best_shift(current, columns, ref_blocks, bound)
+        if shifted is None:
             break
-        current = best_sequence
-        distance = best_distance
+        current = shifted
         shifts += 1
     edits = shifts + distance
     return TerScore(edits=edits, shifts=shifts, ref_length=len(ref), ter=edits / len(ref))

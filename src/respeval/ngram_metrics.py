@@ -185,6 +185,11 @@ class EbleuScore:
 def _annotate(
     hyp: TokenSequence, refs: Sequence[TokenSequence], resources: LanguageResources
 ) -> list[AnnotatedToken]:
+    """Mark each hypothesis token exact / synonym / miss against ``refs``.
+
+    An exact occurrence always wins over a synonym; synonym tokens are
+    rewritten to the first matching reference word and carry the discount.
+    """
     ref_vocab: set[str] = set()
     for ref in refs:
         ref_vocab.update(ref)
@@ -208,17 +213,6 @@ def _annotate(
         else:
             out.append(AnnotatedToken(tok, tok, MISS))
     return out
-
-
-def ebleu_synonym_expand(
-    hyp: TokenSequence, ref: TokenSequence, resources: LanguageResources
-) -> list[AnnotatedToken]:
-    """Mark each hypothesis token exact / synonym / miss against ``ref``.
-
-    An exact occurrence always wins over a synonym; synonym tokens are
-    rewritten to the first matching reference word and carry the discount.
-    """
-    return _annotate(hyp, [ref], resources)
 
 
 def rare_reference_words(unigrams: NGramCounts, percent: float) -> frozenset[str]:

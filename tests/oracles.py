@@ -1,10 +1,10 @@
 """Independent oracles the implementation must agree with.
 
 Everything here is deliberately brute force and shares no code path with the
-package: plain-Python Levenshtein and breadth-first shift search, per-metric
-BLEU / NIST / EBLEU that count n-grams afresh for every score, pairwise rank
-enumeration, cofactor-inverted normal equations, and adaptive Simpson
-quadrature of the t density.
+package: plain-Python Levenshtein, the greedy TER shift search scored with it,
+breadth-first shift search, per-metric BLEU / NIST / EBLEU that count n-grams
+afresh for every score, pairwise rank enumeration, cofactor-inverted normal
+equations, and adaptive Simpson quadrature of the t density.
 """
 
 import math
@@ -74,6 +74,43 @@ def ter_exhaustive(hyp, ref, max_block: int = 10) -> int:
                 best = min(best, depth + lev(cand, ref_t))
         frontier = nxt
     return best
+
+
+def ter_greedy(hyp, ref, max_block: int = 10):
+    """``(edits, shifts)`` of the greedy TER shift search, scoring every
+    candidate with a full ``lev``.
+
+    Each round tries every shift of a block (up to ``max_block`` words,
+    occurring verbatim in the reference) in (start, length, position) order
+    and applies the first one with the strictly lowest distance, as long as
+    that distance is below the current one."""
+    ref = list(ref)
+    ref_blocks = set()
+    for i in range(len(ref)):
+        for j in range(i + 1, min(i + max_block, len(ref)) + 1):
+            ref_blocks.add(tuple(ref[i:j]))
+    current = list(hyp)
+    distance = lev(current, ref)
+    shifts = 0
+    while True:
+        best, best_state = distance, None
+        for start in range(len(current)):
+            for length in range(1, min(max_block, len(current) - start) + 1):
+                block = current[start : start + length]
+                if tuple(block) not in ref_blocks:
+                    break
+                remainder = current[:start] + current[start + length :]
+                for pos in range(len(remainder) + 1):
+                    if pos == start:
+                        continue
+                    cand = remainder[:pos] + block + remainder[pos:]
+                    d = lev(cand, ref)
+                    if d < best:
+                        best, best_state = d, cand
+        if best_state is None:
+            return distance + shifts, shifts
+        current, distance = best_state, best
+        shifts += 1
 
 
 # --- BLEU, NIST and EBLEU, each counting its own n-grams -----------------------

@@ -6,6 +6,7 @@ from respeval.align_metrics import (
     EmptyReferenceError,
     MissingResourcesError,
     UndefinedRankStatistic,
+    _ReferenceColumns,
     kendall_nkt,
     meteor,
     meteor_align,
@@ -13,7 +14,6 @@ from respeval.align_metrics import (
     ribes,
     spearman_nsr,
     ter,
-    word_levenshtein,
     word_rank_alignment,
 )
 from respeval.resources import LanguageResources
@@ -93,12 +93,72 @@ def test_ter_relabeling_invariance():
         assert ter(hyp, ref).edits == relabeled.edits
 
 
-def test_word_levenshtein_matches_oracle():
+def test_word_edit_distance_matches_oracle():
     rng = make_rng(23)
-    for _ in range(100):
-        a = [rng.choice("xyz") for _ in range(rng.randint(0, 9))]
-        b = [rng.choice("xyz") for _ in range(rng.randint(0, 9))]
-        assert word_levenshtein(a, b) == oracles.lev(a, b)
+    pairs = [([], ["x"]), (["x", "y"], ["x"]), (["x"] * 5, ["x"] * 3), (["y"] * 70, ["x"] * 70)]
+    for _ in range(300):
+        vocab = "xyz"[: rng.randint(1, 3)]
+        pairs.append(
+            (
+                [rng.choice(vocab) for _ in range(rng.randint(0, 9))],
+                [rng.choice(vocab) for _ in range(rng.randint(1, 9))],
+            )
+        )
+    # References longer than 64 tokens need masks wider than one machine word.
+    for _ in range(30):
+        ref = [rng.choice("abcdefgh") for _ in range(rng.randint(60, 140))]
+        hyp = [tok if rng.random() < 0.8 else rng.choice("abcdefghij") for tok in ref]
+        cut = rng.randrange(len(hyp))
+        del hyp[cut : cut + rng.randint(0, 10)]
+        pairs.append((hyp, ref))
+    for hyp, ref in pairs:
+        columns = _ReferenceColumns(ref)
+        expected = oracles.lev(hyp, ref)
+        assert columns.feed(columns.initial, hyp)[2] == expected
+        cut = rng.randint(0, len(hyp))
+        assert columns.feed(columns.feed(columns.initial, hyp[:cut]), hyp[cut:])[2] == expected
+
+
+def _moved_blocks_pair(rng):
+    """A re-spoken sentence: 16-20 reference words, one or two clause-sized
+    blocks moved and a substitution or two, as in the benchmark's long
+    re-spoken segments."""
+    ref = [f"w{min(int(rng.paretovariate(1.2)), 60)}" for _ in range(rng.randint(16, 20))]
+    hyp = ref.copy()
+    for _ in range(rng.randint(1, 2)):
+        start = rng.randrange(len(hyp) - 3)
+        block = hyp[start : start + rng.randint(3, 6)]
+        del hyp[start : start + len(block)]
+        pos = rng.randint(0, len(hyp))
+        hyp[pos:pos] = block
+    for _ in range(rng.randint(0, 2)):
+        hyp[rng.randrange(len(hyp))] = "sub"
+    return hyp, ref
+
+
+def test_ter_matches_greedy_oracle():
+    rng = make_rng(24)
+    pairs = [([], ["a"]), ([], ["a", "b", "a"])]
+    for vocab in ("ab", "abc"):
+        for _ in range(700):
+            pairs.append(
+                (
+                    [rng.choice(vocab) for _ in range(rng.randint(0, 8))],
+                    [rng.choice(vocab) for _ in range(rng.randint(1, 8))],
+                )
+            )
+    for _ in range(400):
+        vocab = [f"t{i}" for i in range(rng.randint(2, 30))]
+        ref = [rng.choice(vocab) for _ in range(rng.randint(1, 10))]
+        hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
+        pairs.append((hyp, ref))
+    for _ in range(200):
+        ref = [rng.choice("abcdefgh") for _ in range(rng.randint(1, 10))]
+        pairs.append((rng.sample(ref, len(ref)), ref))
+    pairs.extend(_moved_blocks_pair(rng) for _ in range(4))
+    for hyp, ref in pairs:
+        result = ter(hyp, ref)
+        assert (result.edits, result.shifts) == oracles.ter_greedy(hyp, ref), (hyp, ref)
 
 
 # --- METEOR alignment -------------------------------------------------------------

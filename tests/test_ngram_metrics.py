@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from respeval import ngram_metrics
 from respeval.ngram_metrics import (
     EXACT,
     MISS,
@@ -19,7 +20,6 @@ from respeval.ngram_metrics import (
     corpus_stats,
     ebleu,
     ebleu_from_stats,
-    ebleu_synonym_expand,
     modified_precision,
     nist,
     nist_from_stats,
@@ -213,7 +213,7 @@ def test_nist_brevity_factor_half_at_two_thirds():
 
 
 def test_synonym_expand_worked_example():
-    annotated = ebleu_synonym_expand(HYP_EXAM, REF_QUIZ, EXAM_QUIZ_SYNONYMS)
+    annotated = ngram_metrics._annotate(HYP_EXAM, [REF_QUIZ], EXAM_QUIZ_SYNONYMS)
     assert [a.status for a in annotated] == [EXACT, EXACT, EXACT, SYNONYM]
     assert annotated[3].token == "quiz"
     assert annotated[3].source == "exam"
@@ -221,13 +221,13 @@ def test_synonym_expand_worked_example():
 
 
 def test_synonym_expand_empty_dictionary():
-    annotated = ebleu_synonym_expand(HYP_EXAM, REF_QUIZ, LanguageResources())
+    annotated = ngram_metrics._annotate(HYP_EXAM, [REF_QUIZ], LanguageResources())
     assert [a.status for a in annotated] == [EXACT, EXACT, EXACT, MISS]
 
 
 def test_synonym_expand_exact_beats_synonym():
     resources = LanguageResources(synonyms={"quiz": frozenset({"exam"}), "exam": frozenset({"quiz"})})
-    annotated = ebleu_synonym_expand(["quiz"], ["quiz", "exam"], resources)
+    annotated = ngram_metrics._annotate(["quiz"], [["quiz", "exam"]], resources)
     assert annotated[0].status == EXACT
     assert annotated[0].token == "quiz"
 
