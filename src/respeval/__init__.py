@@ -49,7 +49,7 @@ from .stats import (
     predict,
     t_sf,
 )
-from .textcore import TokenizerConfig, clipped_matches, ngrams, tokenize
+from .textcore import RespevalInputError, TokenizerConfig, clipped_matches, ngrams, tokenize
 
 __version__ = "0.1.0"
 
@@ -67,6 +67,7 @@ __all__ = [
     "NerRecord",
     "NistConfig",
     "RegressionModel",
+    "RespevalInputError",
     "RibesScore",
     "TerScore",
     "TokenizerConfig",

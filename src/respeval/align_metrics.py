@@ -10,21 +10,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .resources import LanguageResources
-from .textcore import TokenSequence
+from .textcore import RespevalInputError, TokenSequence
 
 _EMPTY_RESOURCES = LanguageResources()
-
-
-class EmptyReferenceError(ValueError):
-    """TER is undefined against an empty reference."""
-
-
-class MissingResourcesError(ValueError):
-    """The Polish METEOR variant was requested with an entirely empty bundle."""
-
-
-class UndefinedRankStatistic(ValueError):
-    """Rank correlation needs at least two distinct positions."""
 
 
 # --- TER ----------------------------------------------------------------------
@@ -146,7 +134,7 @@ def ter(hyp: TokenSequence, ref: TokenSequence) -> TerScore:
     remaining edit distance is then added.
     """
     if not ref:
-        raise EmptyReferenceError("reference segment is empty")
+        raise RespevalInputError("reference segment is empty")
     columns = _ReferenceColumns(ref)
     ref_blocks = {
         tuple(ref[i : i + length])
@@ -388,7 +376,7 @@ def meteor_pl(
     """METEOR parameterized by a Polish-format resource bundle (multi-stem
     matching active); requires at least one loaded resource."""
     if resources is None or resources.is_empty():
-        raise MissingResourcesError(
+        raise RespevalInputError(
             "the Polish variant needs synonyms, stems or function words loaded"
         )
     return meteor(hyp, ref, resources, penalty_exponent)
@@ -399,9 +387,9 @@ def meteor_pl(
 
 def _check_rank_input(positions: Sequence[int]) -> None:
     if len(positions) < 2:
-        raise UndefinedRankStatistic(f"need >= 2 positions, got {len(positions)}")
+        raise RespevalInputError(f"need >= 2 positions, got {len(positions)}")
     if len(set(positions)) != len(positions):
-        raise UndefinedRankStatistic("positions must be distinct")
+        raise RespevalInputError("positions must be distinct")
 
 
 def kendall_nkt(positions: Sequence[int]) -> float:

@@ -9,78 +9,37 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .align_metrics import (
-    EmptyReferenceError,
-    MissingResourcesError,
-    meteor,
-    meteor_pl,
-    ribes,
-    ter,
-)
+from .align_metrics import meteor, meteor_pl, ribes, ter
 from .fixtures import FIXTURE_NAMES, METRIC_COLUMNS, RESPONSE_COLUMN, fixture_csv, load_fixture
 from .ngram_metrics import (
     BleuConfig,
     EbleuConfig,
-    EmptyCorpusError,
-    EmptyHypothesisError,
-    LengthMismatchError,
     NistConfig,
     bleu_from_stats,
     corpus_stats,
     ebleu_from_stats,
     nist_from_stats,
 )
-from .ner import (
-    AnnotationParseError,
-    InvalidInputError,
-    InvalidRecordError,
-    ner_accuracy,
-    parse_ner_annotations,
-    reduction_rate,
+from .ner import ner_accuracy, parse_ner_annotations, reduction_rate
+from .resources import load_resources
+from .stats import DataTable, EliminationTrace, RegressionModel, backward_eliminate, predict
+from .textcore import (
+    RespevalInputError,
+    TokenizerConfig,
+    check_aligned,
+    read_segments,
+    read_text,
 )
-from .resources import ResourceFormatError, load_resources
-from .stats import (
-    DataTable,
-    DegenerateDfError,
-    EliminationTrace,
-    MissingPredictorError,
-    RankDeficientError,
-    RegressionModel,
-    TableParseError,
-    TooFewRowsError,
-    backward_eliminate,
-    predict,
-)
-from .textcore import TokenizerConfig, TranscriptError, check_aligned, read_segments
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-USAGE_ERRORS = (
-    TranscriptError,
-    ResourceFormatError,
-    AnnotationParseError,
-    TableParseError,
-    RankDeficientError,
-    TooFewRowsError,
-    DegenerateDfError,
-    MissingPredictorError,
-    InvalidRecordError,
-    InvalidInputError,
-    EmptyReferenceError,
-    MissingResourcesError,
-    EmptyCorpusError,
-    EmptyHypothesisError,
-    LengthMismatchError,
-    FileNotFoundError,
-    IsADirectoryError,
-)
 
 METRIC_FIELDS = ("bleu", "nist", "ter", "meteor", "meteor_pl", "ebleu", "ribes")
 
@@ -321,10 +280,10 @@ def cmd_regress(args: argparse.Namespace) -> int:
         candidates = args.candidates or list(METRIC_COLUMNS)
     else:
         if not args.csv:
-            raise TableParseError("either a CSV path or --fixture is required")
+            raise RespevalInputError("either a CSV path or --fixture is required")
         if not args.response:
-            raise TableParseError("--response is required for CSV input")
-        table = DataTable.from_csv(args.csv)
+            raise RespevalInputError("--response is required for CSV input")
+        table = DataTable.from_csv(args.csv, response=args.response)
         response = args.response
         candidates = args.candidates or [c for c in table.columns if c != response]
     trace = backward_eliminate(table, candidates, alpha=args.alpha, response=response)
@@ -344,18 +303,24 @@ def cmd_regress(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    payload = json.loads(Path(args.model).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(read_text(args.model))
+    except json.JSONDecodeError as exc:
+        raise RespevalInputError(f"not valid JSON ({exc.msg})", args.model, exc.lineno) from None
     model_dict = payload.get("final_model", payload) if isinstance(payload, dict) else payload
-    model = RegressionModel.from_dict(model_dict)
+    try:
+        model = RegressionModel.from_dict(model_dict)
+    except RespevalInputError as exc:
+        raise RespevalInputError(exc.message, args.model) from None
     scores: dict[str, float] = {}
     for item in args.scores:
         name, sep, value = item.partition("=")
-        if not sep:
-            raise TableParseError(f"score arguments look like NAME=VALUE, got {item!r}")
         try:
-            scores[name] = float(value)
+            scores[name] = float(value) if sep else math.nan
         except ValueError:
-            raise TableParseError(f"non-numeric value for {name!r}: {value!r}") from None
+            scores[name] = math.nan
+        if not math.isfinite(scores[name]):
+            raise RespevalInputError(f"scores look like NAME=VALUE, VALUE a finite number; got {item!r}")
     value = predict(model, scores)
     sys.stdout.write(f"{value:.4f}\n")
     return EXIT_OK
@@ -388,6 +353,7 @@ SYNONYM_SCORE = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 UNIT_INTERVAL = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 OPEN_UNIT_INTERVAL = _checked(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 RARE_WORDS_SCORE = _checked(float, lambda v: v >= 1.0, ">= 1")
+POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--synonym-score", type=SYNONYM_SCORE, default=0.9)
     p_score.add_argument("--rare-words-percent", type=UNIT_INTERVAL, default=0.05)
     p_score.add_argument("--rare-words-score", type=RARE_WORDS_SCORE, default=1.1)
-    p_score.add_argument("--meteor-penalty-exp", type=float, default=1.0)
+    p_score.add_argument("--meteor-penalty-exp", type=POSITIVE, default=1.0)
     p_score.add_argument("--function-word-weight", type=UNIT_INTERVAL, default=0.2)
     p_score.add_argument("--ribes-alpha", type=OPEN_UNIT_INTERVAL, default=0.25)
     p_score.add_argument("--ribes-variant", choices=("nkt", "nsr"), default="nkt")
@@ -465,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except (RespevalInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # internal/numeric failure

@@ -8,27 +8,13 @@ is a human judgment and stays outside this module; R arrives pre-weighted.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-
-class InvalidRecordError(ValueError):
-    """Record violates N > 0 or E + R <= N."""
-
-
-class InvalidInputError(ValueError):
-    """Reduction rate needs a positive original length."""
-
-
-class AnnotationParseError(ValueError):
-    """Malformed annotation CSV; carries the offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+from .textcore import RespevalInputError, read_csv
 
 
 class ErrorSeverity(Enum):
@@ -69,14 +55,16 @@ class NerRecord:
 
     def validate(self) -> None:
         if self.tokens <= 0:
-            raise InvalidRecordError(f"token count must be positive, got {self.tokens}")
+            raise RespevalInputError(f"token count must be positive, got {self.tokens}")
         if any(count < 0 for _, count in self.edition_errors):
-            raise InvalidRecordError("edition error counts must be non-negative")
-        if self.recognition_errors < 0:
-            raise InvalidRecordError("recognition errors must be non-negative")
+            raise RespevalInputError("edition error counts must be non-negative")
+        if not (math.isfinite(self.recognition_errors) and self.recognition_errors >= 0):
+            raise RespevalInputError(
+                f"recognition errors must be a finite number >= 0, got {self.recognition_errors}"
+            )
         total = self.weighted_edition_errors + self.recognition_errors
         if total > self.tokens:
-            raise InvalidRecordError(
+            raise RespevalInputError(
                 f"errors exceed token count: E + R = {total} > N = {self.tokens}"
             )
 
@@ -94,7 +82,7 @@ def reduction_rate(original_tokens: int, subtitle_tokens: int) -> float:
     Negative output is legal: a subtitle longer than its source.
     """
     if original_tokens <= 0:
-        raise InvalidInputError(f"original length must be positive, got {original_tokens}")
+        raise RespevalInputError(f"original length must be positive, got {original_tokens}")
     return (original_tokens - subtitle_tokens) / original_tokens * 100.0
 
 
@@ -103,18 +91,18 @@ ANNOTATION_COLUMNS = ("N", "minor_count", "standard_count", "serious_count", "R_
 OPTIONAL_COLUMNS = ("original_tokens", "subtitle_tokens", "original_chars", "subtitle_chars")
 
 
-def _parse_int(value: str, column: str, line: int) -> int:
+def _parse_int(value: str, column: str) -> int:
     try:
         return int(value.strip())
     except ValueError:
-        raise AnnotationParseError(f"column {column!r} must be an integer, got {value!r}", line)
+        raise RespevalInputError(f"column {column!r} must be an integer, got {value!r}") from None
 
 
-def _parse_float(value: str, column: str, line: int) -> float:
+def _parse_float(value: str, column: str) -> float:
     try:
         return float(value.strip())
     except ValueError:
-        raise AnnotationParseError(f"column {column!r} must be a number, got {value!r}", line)
+        raise RespevalInputError(f"column {column!r} must be a number, got {value!r}") from None
 
 
 def parse_ner_annotations(
@@ -126,57 +114,50 @@ def parse_ner_annotations(
     The optional ``original_tokens,subtitle_tokens`` (or, with ``use_chars``,
     ``original_chars,subtitle_chars``) columns feed the reduction rate.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as handle:
-            return _parse_rows(list(csv.reader(handle)), use_chars)
-    return _parse_rows(list(csv.reader(source)), use_chars)
-
-
-def _parse_rows(rows: list[list[str]], use_chars: bool) -> list[NerRecord]:
+    path = source if isinstance(source, (str, Path)) else None
+    rows = read_csv(source)
     if not rows:
-        raise AnnotationParseError("missing header row", 1)
+        raise RespevalInputError("missing header row", path, 1)
     header = [cell.strip() for cell in rows[0]]
     if tuple(header[: len(ANNOTATION_COLUMNS)]) != ANNOTATION_COLUMNS:
-        raise AnnotationParseError(
-            f"header must start with {','.join(ANNOTATION_COLUMNS)}, got {','.join(header)}", 1
+        raise RespevalInputError(
+            f"header must start with {','.join(ANNOTATION_COLUMNS)}, got {','.join(header)}", path, 1
         )
     extras = header[len(ANNOTATION_COLUMNS) :]
     for name in extras:
         if name not in OPTIONAL_COLUMNS:
-            raise AnnotationParseError(f"unknown column {name!r}", 1)
+            raise RespevalInputError(f"unknown column {name!r}", path, 1)
     unit = "chars" if use_chars else "tokens"
-    original_col = f"original_{unit}"
-    subtitle_col = f"subtitle_{unit}"
 
     records: list[NerRecord] = []
     for line, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) != len(header):
-            raise AnnotationParseError(f"expected {len(header)} fields, got {len(row)}", line)
-        n = _parse_int(row[0], "N", line)
-        minor = _parse_int(row[1], "minor_count", line)
-        standard = _parse_int(row[2], "standard_count", line)
-        serious = _parse_int(row[3], "serious_count", line)
-        r = _parse_float(row[4], "R_weighted", line)
-        named = {
-            name: _parse_int(row[len(ANNOTATION_COLUMNS) + k], name, line)
-            for k, name in enumerate(extras)
-        }
-        record = NerRecord(
-            tokens=n,
-            edition_errors=(
-                (ErrorSeverity.MINOR, minor),
-                (ErrorSeverity.STANDARD, standard),
-                (ErrorSeverity.SERIOUS, serious),
-            ),
-            recognition_errors=r,
-            original_length=named.get(original_col),
-            subtitle_length=named.get(subtitle_col),
-        )
         try:
-            record.validate()
-        except InvalidRecordError as exc:
-            raise AnnotationParseError(str(exc), line) from exc
-        records.append(record)
+            records.append(_parse_record(row, header, extras, unit))
+        except RespevalInputError as exc:
+            raise RespevalInputError(exc.message, path, line) from None
     return records
+
+
+def _parse_record(row: list[str], header: list[str], extras: list[str], unit: str) -> NerRecord:
+    if len(row) != len(header):
+        raise RespevalInputError(f"expected {len(header)} fields, got {len(row)}")
+    tokens = _parse_int(row[0], "N")
+    edition_errors = tuple(
+        (severity, _parse_int(cell, column))
+        for severity, cell, column in zip(ErrorSeverity, row[1:4], ANNOTATION_COLUMNS[1:4])
+    )
+    recognition_errors = _parse_float(row[4], "R_weighted")
+    named = {
+        name: _parse_int(row[len(ANNOTATION_COLUMNS) + k], name) for k, name in enumerate(extras)
+    }
+    record = NerRecord(
+        tokens,
+        edition_errors,
+        recognition_errors,
+        original_length=named.get(f"original_{unit}"),
+        subtitle_length=named.get(f"subtitle_{unit}"),
+    )
+    record.validate()
+    return record

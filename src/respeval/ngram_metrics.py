@@ -15,21 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .resources import LanguageResources
-from .textcore import NGramCounts, TokenSequence, clipped_matches, ngrams
+from .textcore import NGramCounts, RespevalInputError, TokenSequence, clipped_matches, ngrams
 
 Gram = tuple[str, ...]
-
-
-class EmptyHypothesisError(ValueError):
-    """Hypothesis length is zero while the reference is not."""
-
-
-class EmptyCorpusError(ValueError):
-    """Corpus has no segments, or no hypothesis token at all."""
-
-
-class LengthMismatchError(ValueError):
-    """Hypothesis and reference corpora have different segment counts."""
 
 
 def brevity_penalty(c: int, r: float) -> float:
@@ -40,7 +28,7 @@ def brevity_penalty(c: int, r: float) -> float:
     if c == 0:
         if r == 0:
             return 1.0
-        raise EmptyHypothesisError("empty hypothesis against a non-empty reference")
+        raise RespevalInputError("empty hypothesis against a non-empty reference")
     if c > r:
         return 1.0
     return math.exp(1.0 - r / c)
@@ -302,15 +290,15 @@ def corpus_stats(
 ) -> list[SegmentStats]:
     """``segment_stats`` of every segment, after checking the corpus shape."""
     if len(hyp_corpus) != len(ref_corpus):
-        raise LengthMismatchError(
+        raise RespevalInputError(
             f"corpus length mismatch: {len(hyp_corpus)} hypotheses vs {len(ref_corpus)} reference sets"
         )
     if not hyp_corpus:
-        raise EmptyCorpusError("empty corpus")
+        raise RespevalInputError("empty corpus")
     if all(len(h) == 0 for h in hyp_corpus):
-        raise EmptyCorpusError("every hypothesis segment is empty")
+        raise RespevalInputError("every hypothesis segment is empty")
     if any(not refs for refs in ref_corpus):
-        raise EmptyCorpusError("a segment has no reference")
+        raise RespevalInputError("a segment has no reference")
     return [segment_stats(hyp, refs, max_n, ebleu) for hyp, refs in zip(hyp_corpus, ref_corpus)]
 
 

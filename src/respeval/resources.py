@@ -12,13 +12,12 @@ File formats (all UTF-8, ``#``-prefixed lines are comments):
 
 from __future__ import annotations
 
+import io
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
-
-class ResourceFormatError(ValueError):
-    """Raised when a resource file does not follow the documented format."""
+from .textcore import RespevalInputError, read_text
 
 
 def _norm(word: str) -> str:
@@ -63,24 +62,23 @@ class LanguageResources:
 
 
 def _data_lines(path: str | Path):
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+    for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line
 
 
 def _load_tab_table(path: str | Path, kind: str) -> dict[str, set[str]]:
     table: dict[str, set[str]] = {}
     for lineno, line in _data_lines(path):
         if "\t" not in line:
-            raise ResourceFormatError(f"{path}:{lineno}: expected 'word<TAB>{kind}...'")
+            raise RespevalInputError(f"expected 'word<TAB>{kind}...'", path, lineno)
         word, _, rest = line.partition("\t")
         word = _norm(word.strip())
         values = {_norm(v) for v in rest.split()}
         if not word or not values:
-            raise ResourceFormatError(f"{path}:{lineno}: empty word or {kind} list")
+            raise RespevalInputError(f"empty word or {kind} list", path, lineno)
         table.setdefault(word, set()).update(values)
     return table
 

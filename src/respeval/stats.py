@@ -7,7 +7,6 @@ Normal-equation inversion exists only as an independent oracle in the tests.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,25 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-
-class RankDeficientError(ValueError):
-    """Design matrix is numerically rank deficient."""
-
-
-class TooFewRowsError(ValueError):
-    """Need strictly more rows than coefficients."""
-
-
-class DegenerateDfError(ValueError):
-    """No residual degrees of freedom left."""
-
-
-class MissingPredictorError(KeyError):
-    """A prediction input does not cover every model predictor."""
-
-
-class TableParseError(ValueError):
-    """Malformed numeric CSV input."""
+from .textcore import RespevalInputError, read_csv
 
 
 RANK_PIVOT_THRESHOLD = 1e-10
@@ -117,7 +98,7 @@ def t_sf(t: float, df: int) -> float:
 def adjusted_r2(r2: float, n: int, k: int) -> float:
     """1 - (1 - r2)(n - 1)/(n - k - 1); may legitimately go negative."""
     if n - k - 1 <= 0:
-        raise DegenerateDfError(f"n={n}, k={k} leaves no residual degrees of freedom")
+        raise RespevalInputError(f"n={n}, k={k} leaves no residual degrees of freedom")
     return 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
 
 
@@ -141,7 +122,7 @@ class DataTable:
         width = len(self.columns)
         for i, row in enumerate(self.rows):
             if len(row) != width:
-                raise TableParseError(f"row {i + 1} has {len(row)} fields, expected {width}")
+                raise RespevalInputError(f"row {i + 1} has {len(row)} fields, expected {width}")
 
     @property
     def n_rows(self) -> int:
@@ -151,20 +132,22 @@ class DataTable:
         try:
             idx = self.columns.index(name)
         except ValueError:
-            raise KeyError(f"no column named {name!r}") from None
+            raise RespevalInputError(
+                f"no column named {name!r}; the columns are {', '.join(self.columns)}"
+            ) from None
         return [row[idx] for row in self.rows]
 
     @classmethod
     def from_csv(cls, source: str | Path | Iterable[str], response: str | None = None) -> "DataTable":
-        if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8", newline="") as handle:
-                raw = list(csv.reader(handle))
-        else:
-            raw = list(csv.reader(source))
-        raw = [row for row in raw if row and any(cell.strip() for cell in row)]
+        path = source if isinstance(source, (str, Path)) else None
+        raw = [
+            (lineno, row)
+            for lineno, row in enumerate(read_csv(source), start=1)
+            if any(cell.strip() for cell in row)
+        ]
         if not raw:
-            raise TableParseError("empty CSV: missing header row")
-        header = [cell.strip() for cell in raw[0]]
+            raise RespevalInputError("empty CSV: missing header row", path)
+        header = [cell.strip() for cell in raw[0][1]]
 
         def numeric(cell: str) -> bool:
             try:
@@ -174,22 +157,26 @@ class DataTable:
                 return False
 
         body = raw[1:]
-        id_first = bool(body) and not all(numeric(row[0]) for row in body if row)
+        id_first = bool(body) and not all(numeric(row[0]) for _, row in body)
         columns = header[1:] if id_first else header
         row_ids: list[str] = []
         rows: list[list[float]] = []
-        for lineno, row in enumerate(body, start=2):
+        for lineno, row in body:
             if len(row) != len(header):
-                raise TableParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+                raise RespevalInputError(f"expected {len(header)} fields, got {len(row)}", path, lineno)
             cells = row[1:] if id_first else row
             if id_first:
                 row_ids.append(row[0].strip())
             try:
-                rows.append([float(cell) for cell in cells])
+                values = [float(cell) for cell in cells]
             except ValueError as exc:
-                raise TableParseError(f"line {lineno}: non-numeric value ({exc})") from None
+                raise RespevalInputError(f"non-numeric value ({exc})", path, lineno) from None
+            bad = [cell for cell, value in zip(cells, values) if not math.isfinite(value)]
+            if bad:
+                raise RespevalInputError(f"non-finite value {bad[0]!r}", path, lineno)
+            rows.append(values)
         if response is not None and response not in columns:
-            raise TableParseError(f"response column {response!r} not in {columns}")
+            raise RespevalInputError(f"response column {response!r} not in {columns}", path)
         return cls(columns=columns, rows=rows, response=response, row_ids=row_ids)
 
 
@@ -234,19 +221,36 @@ class RegressionModel:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RegressionModel":
-        return cls(
-            response=data["response"],
-            predictors=tuple(data["predictors"]),
-            coefficients=tuple(data["coefficients"]),
-            std_errors=tuple(data["std_errors"]),
-            t_stats=tuple(data["t_stats"]),
-            p_values=tuple(data["p_values"]),
-            standardized_betas=tuple(data["standardized_betas"]),
-            r2=data["r2"],
-            adjusted_r2=data["adjusted_r2"],
-            n=data["n"],
-            df_resid=data["df_resid"],
-        )
+        """Inverse of ``to_dict``. Data ``predict`` could not apply, such as a
+        missing entry or a non-finite coefficient, is a ``RespevalInputError``."""
+        try:
+            model = cls(
+                response=data["response"],
+                predictors=tuple(data["predictors"]),
+                coefficients=tuple(data["coefficients"]),
+                std_errors=tuple(data["std_errors"]),
+                t_stats=tuple(data["t_stats"]),
+                p_values=tuple(data["p_values"]),
+                standardized_betas=tuple(data["standardized_betas"]),
+                r2=data["r2"],
+                adjusted_r2=data["adjusted_r2"],
+                n=data["n"],
+                df_resid=data["df_resid"],
+            )
+        except KeyError as exc:
+            raise RespevalInputError(f"the model has no {exc} entry") from None
+        except TypeError:
+            raise RespevalInputError("the model must be a JSON object of names, lists and numbers") from None
+        if not (
+            all(isinstance(name, str) for name in model.predictors)
+            and len(model.coefficients) == len(model.predictors) + 1
+            and all(isinstance(c, (int, float)) and math.isfinite(c) for c in model.coefficients)
+        ):
+            raise RespevalInputError(
+                "the model needs one predictor name per coefficient after the intercept, "
+                "and finite coefficients"
+            )
+        return model
 
 
 def ols_fit(
@@ -263,18 +267,18 @@ def ols_fit(
         raise ValueError("no response column specified")
     predictors = list(predictors)
     if not predictors:
-        raise ValueError("need at least one predictor")
+        raise RespevalInputError(f"need at least one predictor besides the response {response!r}")
     y = np.asarray(table.column(response), dtype=float)
     n = len(y)
     k = len(predictors)
     if n <= k + 1:
-        raise TooFewRowsError(f"need more than {k + 1} rows to fit {k} predictors, got {n}")
+        raise RespevalInputError(f"need more than {k + 1} rows to fit {k} predictors, got {n}")
     X = np.column_stack([np.ones(n)] + [table.column(name) for name in predictors])
 
     q, r = np.linalg.qr(X)
     diag = np.abs(np.diag(r))
     if diag.min() < RANK_PIVOT_THRESHOLD * max(diag.max(), 1.0):
-        raise RankDeficientError(
+        raise RespevalInputError(
             f"design matrix is rank deficient (predictors {predictors}); "
             "remove duplicated or constant columns"
         )
@@ -382,7 +386,7 @@ def predict(model: RegressionModel, scores: Mapping[str, float]) -> float:
     """Intercept plus the weighted sum of the supplied predictor values."""
     missing = [name for name in model.predictors if name not in scores]
     if missing:
-        raise MissingPredictorError(f"missing predictor values: {missing}")
+        raise RespevalInputError(f"missing predictor values: {missing}")
     value = model.coefficients[0]
     for name, coef in zip(model.predictors, model.coefficients[1:]):
         value += coef * scores[name]

@@ -1,11 +1,14 @@
-"""Tokenization, n-gram extraction and counting primitives shared by every metric.
+"""Tokenization, n-gram extraction and counting primitives shared by every metric,
+plus what every module shares for outside input: the one error type for bad
+input and the UTF-8 file readers.
 
-All functions are pure and operate on immutable-ish inputs; they are safe to
-call concurrently.
+All functions apart from the readers are pure and operate on immutable-ish
+inputs; they are safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import unicodedata
 from collections import Counter
@@ -17,8 +20,19 @@ TokenSequence = list[str]
 NGramCounts = Counter  # Counter[tuple[str, ...]]
 
 
-class TranscriptError(ValueError):
-    """Raised for malformed transcript input (e.g. misaligned files)."""
+class RespevalInputError(ValueError):
+    """Bad input from outside the program: a file's contents, a flag or an argument.
+
+    Every message reads ``PATH: line N: message``, with the path and the line
+    left out where they are not known.
+    """
+
+    def __init__(self, message: str, path: str | Path | None = None, line: int | None = None):
+        self.message, self.path, self.line = message, path, line
+        location = "" if path is None else f"{path}: "
+        if line is not None:
+            location += f"line {line}: "
+        super().__init__(location + message)
 
 
 @dataclass(frozen=True)
@@ -106,20 +120,36 @@ def clipped_matches(hyp: NGramCounts, refs: Iterable[NGramCounts]) -> int:
     return total
 
 
-def read_segments(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[TokenSequence]:
-    """Read a transcript file: UTF-8, one segment per line, blank lines skipped."""
+def read_text(path: str | Path) -> str:
+    """The whole of a UTF-8 file; bytes that do not decode are a ``RespevalInputError``
+    naming the line they are on."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise TranscriptError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
-    return [tokenize(line, config) for line in io.StringIO(text, newline=None) if line.strip()]
+        raise RespevalInputError(f"not valid UTF-8 ({exc.reason})", path, line) from None
+
+
+def read_csv(source: str | Path | Iterable[str]) -> list[list[str]]:
+    """The rows of a CSV file (decoded by ``read_text``) or of an iterable of lines."""
+    path = source if isinstance(source, (str, Path)) else None
+    reader = csv.reader(source if path is None else io.StringIO(read_text(path), newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise RespevalInputError(str(exc), path, reader.line_num) from None
+
+
+def read_segments(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[TokenSequence]:
+    """Read a transcript file: UTF-8, one segment per line, blank lines skipped."""
+    lines = io.StringIO(read_text(path), newline=None)
+    return [tokenize(line, config) for line in lines if line.strip()]
 
 
 def check_aligned(hyp_count: int, ref_count: int) -> None:
     """Hypothesis and reference files must align line-by-line after blank removal."""
     if hyp_count != ref_count:
-        raise TranscriptError(
+        raise RespevalInputError(
             f"segment count mismatch: hypothesis has {hyp_count}, reference has {ref_count}"
         )

@@ -7,6 +7,7 @@ import pytest
 import respeval.ngram_metrics
 from respeval.cli import main
 
+from helpers import make_rng
 from test_fixtures import TABLE1_SHA256
 
 
@@ -172,6 +173,9 @@ def test_score_segment_columns_use_their_own_references(tmp_path, capsys):
         (["score", "h", "r", "--ribes-alpha", "1"], "--ribes-alpha"),
         (["score", "h", "r", "--function-word-weight", "1.5"], "--function-word-weight"),
         (["regress", "--fixture", "table1", "--alpha", "2"], "--alpha"),
+        (["score", "h", "r", "--meteor-penalty-exp", "nan"], "--meteor-penalty-exp"),
+        (["score", "h", "r", "--meteor-penalty-exp", "-5"], "--meteor-penalty-exp"),
+        (["score", "h", "r", "--meteor-penalty-exp", "inf"], "--meteor-penalty-exp"),
     ],
 )
 def test_bad_numeric_flag_is_a_usage_error(argv, flag, capsys):
@@ -307,3 +311,206 @@ def test_fixture_command_to_file(tmp_path, capsys):
     code, out, err = run(capsys, "fixture", "table2", "--out", str(target))
     assert code == 0
     assert target.read_text(encoding="utf-8").startswith("SPKR,BLEU,NIST")
+
+
+MODEL = json.dumps(
+    {
+        "response": "NER",
+        "predictors": ["BLEU"],
+        "coefficients": [80.0, 0.2],
+        "std_errors": [1.0, 0.1],
+        "t_stats": [80.0, 2.0],
+        "p_values": [0.0, 0.05],
+        "standardized_betas": [0.5],
+        "r2": 0.5,
+        "adjusted_r2": 0.45,
+        "n": 20,
+        "df_resid": 18,
+    }
+).encode()
+TABLE = b"x,z,y\n1,0,2.1\n2,1,3.9\n3,0,6.2\n4,1,8.1\n5,0,9.8\n"
+ANNOTATIONS = b"N,minor_count,standard_count,serious_count,R_weighted\n100,1,0,0,0.5\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        pytest.param(
+            {"table": b"x,y\n1,2\n\xff,3\n"},
+            ["regress", "{table}", "--response", "y"],
+            "{table}: line 3: not valid UTF-8",
+            id="regress-non-utf8",
+        ),
+        pytest.param(
+            {"ann": ANNOTATIONS + b"50,0,\xc3,0,0\n"},
+            ["ner", "{ann}"],
+            "{ann}: line 3: not valid UTF-8",
+            id="ner-non-utf8",
+        ),
+        pytest.param(
+            {"hyp": b"a b\n", "syn": b"a\tb\nc\t\xe9d\n"},
+            ["score", "{hyp}", "{hyp}", "--synonyms", "{syn}"],
+            "{syn}: line 2: not valid UTF-8",
+            id="synonyms-non-utf8",
+        ),
+        pytest.param(
+            {"hyp": b"a b\n", "words": b"\xffthe\n"},
+            ["score", "{hyp}", "{hyp}", "--function-words", "{words}"],
+            "{words}: line 1: not valid UTF-8",
+            id="function-words-non-utf8",
+        ),
+        pytest.param(
+            {"table": TABLE},
+            ["regress", "{table}", "--response", "zz"],
+            "{table}: response column 'zz' not in ['x', 'z', 'y']",
+            id="regress-unknown-response",
+        ),
+        pytest.param(
+            {"table": TABLE},
+            ["regress", "{table}", "--response", "y", "--candidates", "x", "zz"],
+            "no column named 'zz'; the columns are x, z, y",
+            id="regress-unknown-candidate",
+        ),
+        pytest.param(
+            {},
+            ["regress", "--fixture", "table1", "--response", "zz"],
+            "no column named 'zz'; the columns are SPKR, BLEU,",
+            id="fixture-unknown-response",
+        ),
+        pytest.param(
+            {},
+            ["regress", "--fixture", "table1", "--candidates", "BLEU", "zz"],
+            "no column named 'zz'; the columns are SPKR, BLEU,",
+            id="fixture-unknown-candidate",
+        ),
+        pytest.param(
+            {"table": b"y\n1\n2\n3\n"},
+            ["regress", "{table}", "--response", "y"],
+            "need at least one predictor besides the response 'y'",
+            id="regress-response-only",
+        ),
+        pytest.param(
+            {"model": b'{"response": "NER",\n "predictors": [}'},
+            ["predict", "{model}", "BLEU=1"],
+            "{model}: line 2: not valid JSON (Expecting value)",
+            id="predict-malformed-json",
+        ),
+        pytest.param(
+            {"model": b'{"predictors": ["BLEU"]}'},
+            ["predict", "{model}", "BLEU=1"],
+            "{model}: the model has no 'response' entry",
+            id="predict-model-lacks-keys",
+        ),
+        pytest.param(
+            {"model": b"[" + MODEL + b"]"},
+            ["predict", "{model}", "BLEU=1"],
+            "{model}: the model must be a JSON object",
+            id="predict-json-list",
+        ),
+        pytest.param(
+            {"ann": ANNOTATIONS + b"50,0,0,0,nan\n"},
+            ["ner", "{ann}"],
+            "{ann}: line 3: recognition errors must be a finite number >= 0, got nan",
+            id="ner-nan",
+        ),
+        pytest.param(
+            {"table": TABLE + b"\n6,1,nan\n"},
+            ["regress", "{table}", "--response", "y"],
+            "{table}: line 8: non-finite value 'nan'",
+            id="regress-nan-cell",
+        ),
+        pytest.param(
+            {"table": TABLE.replace(b"3.9", b"-inf")},
+            ["regress", "{table}", "--response", "y"],
+            "{table}: line 3: non-finite value '-inf'",
+            id="regress-inf-cell",
+        ),
+        pytest.param(
+            {"ann": ANNOTATIONS + b'50,0,0,0,"' + b"1" * 200_000 + b'"\n'},
+            ["ner", "{ann}"],
+            "{ann}: line 3: field larger than field limit",
+            id="ner-field-too-large",
+        ),
+        pytest.param(
+            {"model": MODEL},
+            ["predict", "{model}", "BLEU=nan"],
+            "got 'BLEU=nan'",
+            id="predict-nan-score",
+        ),
+    ],
+)
+def test_bad_input_exits_2_naming_where(files, argv, message, tmp_path, capsys):
+    paths = {name: str(tmp_path / name) for name in files}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert message.format(**paths) in err
+
+
+def _mutate(rng, data: bytes) -> bytes:
+    """One random corruption: a byte, a cut, bad UTF-8, or a CSV field."""
+    kind = rng.randrange(6)
+    pos = rng.randrange(len(data) + 1)
+    if kind == 0:
+        return data[:pos] + bytes([rng.randrange(256)]) + data[pos + 1 :]
+    if kind == 1:
+        return data[:pos]
+    if kind == 2:
+        return data[:pos] + rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00"]) + data[pos:]
+    lines = data.split(b"\n")
+    line = rng.randrange(len(lines))
+    cells = lines[line].split(b",")
+    if kind == 3:
+        del cells[rng.randrange(len(cells))]
+    elif kind == 4:
+        cells.insert(rng.randrange(len(cells) + 1), rng.choice([b"1", b"", b"x"]))
+    else:
+        cells[rng.randrange(len(cells))] = rng.choice([b"nan", b"inf", b"-inf", b"NaN", b"-Infinity"])
+    lines[line] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+FUZZ_INPUTS = {
+    "hyp": b"the cat sat on the mat\na dog ran home fast\n",
+    "ref": b"the cat sat on a mat\nthe dog ran home\n",
+    "syn": b"dog\thound\ncat\tkitten\n",
+    "stems": b"ran\trun\n",
+    "words": b"the\na\non\n",
+    "ann": b"N,minor_count,standard_count,serious_count,R_weighted,original_tokens,subtitle_tokens\n"
+    b"100,1,0,0,0.5,120,100\n200,2,1,0,1,200,210\n",
+    "table": TABLE,
+    "model": MODEL,
+}
+FUZZ_COMMANDS = (
+    ["score", "{hyp}", "{ref}", "--synonyms", "{syn}", "--stems", "{stems}", "--function-words", "{words}"],
+    ["ner", "{ann}"],
+    ["regress", "{table}", "--response", "y"],
+    ["predict", "{model}", "BLEU=40", "x=1"],
+)
+
+
+def test_cli_fuzz_exits_0_or_2(tmp_path, capsys):
+    # Corrupted copies of valid inputs, or a path that names a directory:
+    # each run succeeds or exits 2 with a message, never an internal error.
+    rng = make_rng(404)
+    for trial in range(400):
+        argv = rng.choice(FUZZ_COMMANDS)
+        used = [name for name in FUZZ_INPUTS if f"{{{name}}}" in argv]
+        target = rng.choice(used)
+        paths = {}
+        for name in used:
+            paths[name] = tmp_path / f"{trial}-{name}"
+            data = FUZZ_INPUTS[name]
+            if name == target:
+                for _ in range(rng.randint(1, 3)):
+                    data = _mutate(rng, data)
+            paths[name].write_bytes(data)
+        if rng.random() < 0.05:
+            paths[target] = tmp_path
+        if argv[0] == "predict" and rng.random() < 0.3:
+            argv = argv[:-1] + [rng.choice(["x=nan", "x=inf", "x=", "x", "=1", "x=1e999"])]
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code in (0, 2), (argv, paths[target].read_bytes() if paths[target].is_file() else "dir", err)
+        assert "internal error" not in err and "Traceback" not in err

@@ -3,15 +3,13 @@ import io
 import pytest
 
 from respeval.ner import (
-    AnnotationParseError,
     ErrorSeverity,
-    InvalidInputError,
-    InvalidRecordError,
     NerRecord,
     ner_accuracy,
     parse_ner_annotations,
     reduction_rate,
 )
+from respeval.textcore import RespevalInputError
 
 from helpers import make_rng
 
@@ -49,12 +47,12 @@ def test_accuracy_weighted_mix():
 
 
 def test_accuracy_rejects_zero_tokens():
-    with pytest.raises(InvalidRecordError):
+    with pytest.raises(RespevalInputError, match="token count must be positive, got 0"):
         ner_accuracy(record(0))
 
 
 def test_accuracy_rejects_errors_exceeding_tokens():
-    with pytest.raises(InvalidRecordError):
+    with pytest.raises(RespevalInputError, match="errors exceed token count"):
         ner_accuracy(record(2, serious=2, r=1))
 
 
@@ -95,7 +93,7 @@ def test_reduction_rate_examples():
 
 
 def test_reduction_rate_rejects_zero_original():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(RespevalInputError, match="original length must be positive, got 0"):
         reduction_rate(0, 5)
 
 
@@ -116,17 +114,17 @@ def test_parse_weighted_row():
 
 
 def test_parse_rejects_zero_tokens_with_line_number():
-    with pytest.raises(AnnotationParseError, match="line 2"):
+    with pytest.raises(RespevalInputError, match="^line 2: token count must be positive"):
         parse_ner_annotations(io.StringIO(f"{HEADER}\n0,0,0,0,0\n"))
 
 
 def test_parse_requires_header():
-    with pytest.raises(AnnotationParseError, match="line 1"):
+    with pytest.raises(RespevalInputError, match="^line 1: header must start with"):
         parse_ner_annotations(io.StringIO("100,0,0,0,0\n"))
 
 
 def test_parse_rejects_bad_field_with_line_number():
-    with pytest.raises(AnnotationParseError, match="line 3"):
+    with pytest.raises(RespevalInputError, match="^line 3: column 'minor_count' must be an integer"):
         parse_ner_annotations(io.StringIO(f"{HEADER}\n100,0,0,0,0\n80,x,0,0,0\n"))
 
 
@@ -150,7 +148,7 @@ def test_parse_chars_columns_selected_by_flag():
 
 
 def test_parse_rejects_unknown_column():
-    with pytest.raises(AnnotationParseError, match="unknown column"):
+    with pytest.raises(RespevalInputError, match="^line 1: unknown column 'bogus'"):
         parse_ner_annotations(io.StringIO(f"{HEADER},bogus\n1,0,0,0,0,1\n"))
 
 

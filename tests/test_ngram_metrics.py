@@ -9,9 +9,6 @@ from respeval.ngram_metrics import (
     SYNONYM,
     BleuConfig,
     EbleuConfig,
-    EmptyCorpusError,
-    EmptyHypothesisError,
-    LengthMismatchError,
     NistConfig,
     bleu,
     bleu_from_stats,
@@ -26,7 +23,7 @@ from respeval.ngram_metrics import (
     rare_reference_words,
 )
 from respeval.resources import LanguageResources
-from respeval.textcore import ngrams
+from respeval.textcore import RespevalInputError, ngrams
 
 import oracles
 from helpers import VOCAB, make_rng, random_corpus, random_segment
@@ -54,7 +51,7 @@ def test_brevity_penalty_shorter_hypothesis():
 
 
 def test_brevity_penalty_empty_hypothesis():
-    with pytest.raises(EmptyHypothesisError):
+    with pytest.raises(RespevalInputError, match="empty hypothesis against a non-empty reference"):
         brevity_penalty(0, 3)
     assert brevity_penalty(0, 0) == 1.0
 
@@ -121,11 +118,11 @@ def test_bleu_short_hypothesis_excludes_order():
 
 
 def test_bleu_corpus_errors():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(RespevalInputError, match="corpus length mismatch: 1 hypotheses vs 0"):
         bleu([["a"]], [])
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(RespevalInputError, match="^empty corpus$"):
         bleu([], [])
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(RespevalInputError, match="every hypothesis segment is empty"):
         bleu([[]], [[["a"]]])
 
 

@@ -5,12 +5,7 @@ import pytest
 from respeval.fixtures import load_fixture
 from respeval.stats import (
     DataTable,
-    DegenerateDfError,
-    MissingPredictorError,
-    RankDeficientError,
     RegressionModel,
-    TableParseError,
-    TooFewRowsError,
     adjusted_r2,
     backward_eliminate,
     ols_fit,
@@ -18,6 +13,7 @@ from respeval.stats import (
     regularized_incomplete_beta,
     t_sf,
 )
+from respeval.textcore import RespevalInputError
 
 from helpers import make_rng
 import oracles
@@ -108,14 +104,14 @@ def test_standardized_betas_invariant_under_rescaling():
 
 def test_fit_rejects_too_few_rows():
     table = make_table(["x", "y"], [[1, 1], [2, 2]], "y")
-    with pytest.raises(TooFewRowsError):
+    with pytest.raises(RespevalInputError, match="need more than 2 rows to fit 1 predictors, got 2"):
         ols_fit(table, ["x"])
 
 
 def test_fit_rejects_rank_deficiency():
     rows = [[i, i, i + 0.5] for i in range(10)]
     table = make_table(["a", "b", "y"], rows, "y")
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(RespevalInputError, match="rank deficient"):
         ols_fit(table, ["a", "b"])
 
 
@@ -180,7 +176,7 @@ def test_adjusted_r2_zero_fit_goes_negative():
 
 
 def test_adjusted_r2_degenerate_df():
-    with pytest.raises(DegenerateDfError):
+    with pytest.raises(RespevalInputError, match="leaves no residual degrees of freedom"):
         adjusted_r2(0.5, 4, 3)
 
 
@@ -262,7 +258,7 @@ def test_predict_row16_spot_check():
 
 
 def test_predict_missing_predictor():
-    with pytest.raises(MissingPredictorError):
+    with pytest.raises(RespevalInputError, match=r"missing predictor values: \['EBLEU'\]"):
         predict(published_model(), {"BLEU": 50.0, "NIST": 7.0})
 
 
@@ -327,15 +323,15 @@ def test_from_csv_non_numeric_first_column_becomes_ids():
 
 def test_from_csv_rejects_non_numeric_body():
     text = "A,B\n1.0,x\n"
-    with pytest.raises(TableParseError):
+    with pytest.raises(RespevalInputError, match="^line 2: non-numeric value"):
         DataTable.from_csv(io.StringIO(text))
 
 
 def test_from_csv_rejects_missing_response():
-    with pytest.raises(TableParseError):
+    with pytest.raises(RespevalInputError, match="response column 'C' not in"):
         DataTable.from_csv(io.StringIO("A,B\n1,2\n"), response="C")
 
 
 def test_from_csv_rejects_ragged_rows():
-    with pytest.raises(TableParseError):
+    with pytest.raises(RespevalInputError, match="^line 2: expected 2 fields, got 3"):
         DataTable.from_csv(io.StringIO("A,B\n1,2,3\n"))

@@ -1,8 +1,8 @@
 import pytest
 
 from respeval.textcore import (
+    RespevalInputError,
     TokenizerConfig,
-    TranscriptError,
     check_aligned,
     clipped_matches,
     ngrams,
@@ -124,5 +124,5 @@ def test_read_segments_skips_blank_lines(tmp_path):
 
 def test_check_aligned():
     check_aligned(3, 3)
-    with pytest.raises(TranscriptError, match="3.*2"):
+    with pytest.raises(RespevalInputError, match="hypothesis has 3, reference has 2"):
         check_aligned(3, 2)
