@@ -19,18 +19,7 @@ from .align_metrics import (
     ter,
     word_rank_alignment,
 )
-from .ngram_metrics import (
-    BleuConfig,
-    BleuScore,
-    EbleuConfig,
-    EbleuScore,
-    NistConfig,
-    bleu,
-    brevity_penalty,
-    ebleu,
-    modified_precision,
-    nist,
-)
+from .ngram_metrics import NgramConfig, NgramScore, bleu, brevity_penalty, ebleu, nist
 from .ner import (
     ErrorSeverity,
     NerRecord,
@@ -49,23 +38,20 @@ from .stats import (
     predict,
     t_sf,
 )
-from .textcore import RespevalInputError, TokenizerConfig, clipped_matches, ngrams, tokenize
+from .textcore import RespevalInputError, TokenizerConfig, ngrams, tokenize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BleuConfig",
-    "BleuScore",
     "DataTable",
-    "EbleuConfig",
-    "EbleuScore",
     "EliminationTrace",
     "ErrorSeverity",
     "LanguageResources",
     "MeteorAlignment",
     "MeteorScore",
     "NerRecord",
-    "NistConfig",
+    "NgramConfig",
+    "NgramScore",
     "RegressionModel",
     "RespevalInputError",
     "RibesScore",
@@ -75,14 +61,12 @@ __all__ = [
     "backward_eliminate",
     "bleu",
     "brevity_penalty",
-    "clipped_matches",
     "ebleu",
     "kendall_nkt",
     "load_resources",
     "meteor",
     "meteor_align",
     "meteor_pl",
-    "modified_precision",
     "ner_accuracy",
     "ngrams",
     "nist",

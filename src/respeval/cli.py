@@ -17,15 +17,7 @@ from pathlib import Path
 from . import __version__
 from .align_metrics import meteor, meteor_pl, ribes, ter
 from .fixtures import FIXTURE_NAMES, METRIC_COLUMNS, RESPONSE_COLUMN, fixture_csv, load_fixture
-from .ngram_metrics import (
-    BleuConfig,
-    EbleuConfig,
-    NistConfig,
-    bleu_from_stats,
-    corpus_stats,
-    ebleu_from_stats,
-    nist_from_stats,
-)
+from .ngram_metrics import NgramConfig, bleu_from_stats, corpus_stats, ebleu_from_stats, nist_from_stats
 from .ner import ner_accuracy, parse_ner_annotations, reduction_rate
 from .resources import load_resources
 from .stats import DataTable, EliminationTrace, RegressionModel, backward_eliminate, predict
@@ -128,8 +120,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     )
     hyp_corpus = read_segments(args.hypothesis, tok_cfg)
     ref_files = [read_segments(path, tok_cfg) for path in args.references]
-    for segments in ref_files:
-        check_aligned(len(hyp_corpus), len(segments))
+    for path, segments in zip(args.references, ref_files):
+        check_aligned(len(hyp_corpus), len(segments), path)
     ref_corpus = [list(refs) for refs in zip(*ref_files)] if ref_files else []
     resources = load_resources(
         synonyms=args.synonyms,
@@ -167,23 +159,23 @@ def cmd_score(args: argparse.Namespace) -> int:
     }
     report = MetricReport(config=config_echo)
 
-    bleu_cfg = BleuConfig(max_n=args.max_n, sentence_level=args.sentence_level, smooth=args.smooth)
-    nist_cfg = NistConfig(max_n=args.nist_max_n)
-    ebleu_cfg = EbleuConfig(
+    ngram_cfg = NgramConfig(
+        max_n=args.max_n,
+        nist_max_n=args.nist_max_n,
+        sentence_level=args.sentence_level,
+        smooth=args.smooth,
         synonym_score=args.synonym_score,
         rare_words_percent=args.rare_words_percent,
         rare_words_score=args.rare_words_score,
-        max_n=args.max_n,
         resources=resources,
-        sentence_level=args.sentence_level,
     )
-    stats = corpus_stats(hyp_corpus, ref_corpus, max(args.max_n, args.nist_max_n), ebleu_cfg)
+    stats = corpus_stats(hyp_corpus, ref_corpus, ngram_cfg)
 
     def ngram_scores(records) -> dict[str, float]:
         return {
-            "bleu": bleu_from_stats(records, bleu_cfg).score * 100.0,
-            "nist": nist_from_stats(records, nist_cfg),
-            "ebleu": ebleu_from_stats(records, ebleu_cfg).score * 100.0,
+            "bleu": bleu_from_stats(records, ngram_cfg).score * 100.0,
+            "nist": nist_from_stats(records, ngram_cfg),
+            "ebleu": ebleu_from_stats(records, ngram_cfg).score * 100.0,
         }
 
     per_segment: list[dict[str, float | None]] = []

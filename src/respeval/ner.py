@@ -62,6 +62,8 @@ class NerRecord:
             raise RespevalInputError(
                 f"recognition errors must be a finite number >= 0, got {self.recognition_errors}"
             )
+        if self.original_length is not None and self.original_length <= 0:
+            raise RespevalInputError(f"original length must be positive, got {self.original_length}")
         total = self.weighted_edition_errors + self.recognition_errors
         if total > self.tokens:
             raise RespevalInputError(

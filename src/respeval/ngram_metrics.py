@@ -1,8 +1,9 @@
 """N-gram precision metrics: BLEU, NIST and the synonym/rare-word extension EBLEU.
 
-Each segment's n-grams are counted once into a ``SegmentStats`` record; every
-score reduces a list of records, pooling clipped matches and totals before
-dividing (``sentence_level`` averages one-record scores instead). All scorers
+One ``NgramConfig`` holds the settings of all three. Each segment's n-grams
+are counted once into a ``SegmentStats`` record; every score reduces a list of
+records, pooling clipped matches and totals before dividing
+(``sentence_level`` averages one-record scores instead). All scorers
 are pure; segments may be counted in parallel as long as the reduction keeps
 segment order.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .resources import LanguageResources
-from .textcore import NGramCounts, RespevalInputError, TokenSequence, clipped_matches, ngrams
+from .textcore import NGramCounts, RespevalInputError, TokenSequence, ngrams
 
 Gram = tuple[str, ...]
 
@@ -39,41 +40,52 @@ def closest_ref_length(c: int, ref_lengths: Sequence[int]) -> int:
     return min(ref_lengths, key=lambda rl: (abs(rl - c), rl))
 
 
-def modified_precision(hyp: TokenSequence, refs: Sequence[TokenSequence], n: int) -> float | None:
-    """Clipped n-gram matches over total hypothesis n-grams at order ``n``.
-
-    Returns None (undefined) when the hypothesis is shorter than ``n``; the
-    caller excludes such orders from the geometric mean.
-    """
-    total = len(hyp) - n + 1
-    if total <= 0:
-        return None
-    matches = clipped_matches(ngrams(hyp, n), [ngrams(ref, n) for ref in refs])
-    return matches / total
+# Beta makes NIST's length factor exp(beta * ln^2(c/r)) equal 0.5 at ratio 2/3.
+NIST_BETA = math.log(0.5) / math.log(1.5) ** 2
 
 
 @dataclass(frozen=True)
-class BleuConfig:
-    """``max_n`` uniformly weighted orders.
+class NgramConfig:
+    """Settings of BLEU, NIST and EBLEU, read alike by counting and reducing.
 
-    ``smooth`` applies add-one smoothing to every defined order;
-    ``sentence_level`` averages per-segment scores instead of pooling.
+    BLEU and EBLEU weigh orders 1 to ``max_n`` uniformly, NIST sums orders 1
+    to ``nist_max_n``. ``sentence_level`` averages per-segment BLEU and EBLEU
+    scores instead of pooling; ``smooth`` applies add-one smoothing to every
+    defined BLEU order. EBLEU credits a synonym match (from ``resources``)
+    with ``synonym_score``, and an n-gram holding one of the trailing
+    ``rare_words_percent`` reference words with ``rare_words_score``.
     """
 
     max_n: int = 4
+    nist_max_n: int = 5
     sentence_level: bool = False
     smooth: bool = False
+    synonym_score: float = 0.9
+    rare_words_percent: float = 0.05
+    rare_words_score: float = 1.1
+    resources: LanguageResources = field(default_factory=LanguageResources)
 
     def __post_init__(self) -> None:
-        if self.max_n < 1:
-            raise ValueError("max_n must be >= 1")
+        if self.max_n < 1 or self.nist_max_n < 1:
+            raise ValueError("max_n and nist_max_n must be >= 1")
+        if not 0.0 < self.synonym_score <= 1.0:
+            raise ValueError("synonym_score must lie in (0, 1]")
+        if not 0.0 <= self.rare_words_percent <= 1.0:
+            raise ValueError("rare_words_percent must lie in [0, 1]")
+        if self.rare_words_score < 1.0:
+            raise ValueError("rare_words_score must be >= 1")
 
 
 @dataclass(frozen=True)
-class BleuScore:
+class NgramScore:
+    """A BLEU or EBLEU score with its per-order precisions (None where the
+    hypotheses have no n-gram of that order), their running geometric means,
+    the brevity penalty and the hypothesis and reference lengths behind it."""
+
     score: float
-    brevity_penalty: float
     precisions: tuple[float | None, ...]
+    cumulative: tuple[float | None, ...]
+    brevity_penalty: float
     hyp_length: int
     ref_length: int
 
@@ -81,30 +93,16 @@ class BleuScore:
 def bleu(
     hyp_corpus: Sequence[TokenSequence],
     ref_corpus: Sequence[Sequence[TokenSequence]],
-    config: BleuConfig = BleuConfig(),
-) -> BleuScore:
+    config: NgramConfig = NgramConfig(),
+) -> NgramScore:
     """Corpus BLEU with brevity penalty; 0 when any defined order has no match."""
-    return bleu_from_stats(corpus_stats(hyp_corpus, ref_corpus, config.max_n), config)
-
-
-# Beta makes the length factor exp(beta * ln^2(c/r)) equal 0.5 at ratio 2/3.
-NIST_DEFAULT_BETA = math.log(0.5) / math.log(1.5) ** 2
-
-
-@dataclass(frozen=True)
-class NistConfig:
-    max_n: int = 5
-    brevity_beta: float = NIST_DEFAULT_BETA
-
-    def __post_init__(self) -> None:
-        if self.max_n < 1:
-            raise ValueError("max_n must be >= 1")
+    return bleu_from_stats(corpus_stats(hyp_corpus, ref_corpus, config), config)
 
 
 def nist(
     hyp_corpus: Sequence[TokenSequence],
     ref_corpus: Sequence[Sequence[TokenSequence]],
-    config: NistConfig = NistConfig(),
+    config: NgramConfig = NgramConfig(),
 ) -> float:
     """Information-weighted n-gram score.
 
@@ -112,95 +110,36 @@ def nist(
     ``log2(count(prefix) / count(ngram))`` estimated on the reference corpus,
     so rarer reference n-grams earn more. Per order the credit is divided by
     the raw hypothesis n-gram count, orders are summed arithmetically, and the
-    total is scaled by the length factor ``exp(beta * ln^2 min(c/r, 1))``.
+    total is scaled by the length factor ``exp(NIST_BETA * ln^2 min(c/r, 1))``.
     """
-    return nist_from_stats(corpus_stats(hyp_corpus, ref_corpus, config.max_n), config)
-
-
-EXACT = "exact"
-SYNONYM = "synonym"
-MISS = "miss"
-
-
-@dataclass(frozen=True)
-class AnnotatedToken:
-    """Hypothesis token after synonym expansion.
-
-    ``token`` is the effective word used for n-gram matching (the matched
-    reference word when the status is ``synonym``); ``source`` is the
-    original hypothesis token.
-    """
-
-    token: str
-    source: str
-    status: str
-
-    @property
-    def discounted(self) -> bool:
-        return self.status == SYNONYM
-
-
-@dataclass(frozen=True)
-class EbleuConfig:
-    synonym_score: float = 0.9
-    rare_words_percent: float = 0.05
-    rare_words_score: float = 1.1
-    max_n: int = 4
-    resources: LanguageResources = field(default_factory=LanguageResources)
-    sentence_level: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.synonym_score <= 1.0:
-            raise ValueError("synonym_score must lie in (0, 1]")
-        if not 0.0 <= self.rare_words_percent <= 1.0:
-            raise ValueError("rare_words_percent must lie in [0, 1]")
-        if self.rare_words_score < 1.0:
-            raise ValueError("rare_words_score must be >= 1")
-        if self.max_n < 1:
-            raise ValueError("max_n must be >= 1")
-
-
-@dataclass(frozen=True)
-class EbleuScore:
-    score: float
-    per_order_base: tuple[float | None, ...]
-    cumulative: tuple[float | None, ...]
-    brevity_penalty: float
-    hyp_length: int
-    ref_length: int
+    return nist_from_stats(corpus_stats(hyp_corpus, ref_corpus, config), config)
 
 
 def _annotate(
-    hyp: TokenSequence, refs: Sequence[TokenSequence], resources: LanguageResources
-) -> list[AnnotatedToken]:
-    """Mark each hypothesis token exact / synonym / miss against ``refs``.
+    hyp: TokenSequence, refs: Sequence[TokenSequence], resources: LanguageResources, synonym_score: float
+) -> tuple[list[str], list[float]]:
+    """The effective token and the credit factor of each hypothesis token.
 
-    An exact occurrence always wins over a synonym; synonym tokens are
-    rewritten to the first matching reference word and carry the discount.
+    A token found in ``refs`` keeps factor 1, and an exact occurrence always
+    wins over a synonym. A synonym is rewritten to the first matching
+    reference word at ``synonym_score``. A miss keeps its token at factor 0:
+    it can never take part in a match, so the zero is harmless.
     """
     ref_vocab: set[str] = set()
     for ref in refs:
         ref_vocab.update(ref)
-    out: list[AnnotatedToken] = []
+    tokens: list[str] = []
+    factors: list[float] = []
     for tok in hyp:
         if tok in ref_vocab:
-            out.append(AnnotatedToken(tok, tok, EXACT))
+            tokens.append(tok)
+            factors.append(1.0)
             continue
         syns = resources.synonyms_of(tok)
-        match = None
-        if syns:
-            for ref in refs:
-                for word in ref:
-                    if word in syns:
-                        match = word
-                        break
-                if match is not None:
-                    break
-        if match is not None:
-            out.append(AnnotatedToken(match, tok, SYNONYM))
-        else:
-            out.append(AnnotatedToken(tok, tok, MISS))
-    return out
+        match = next((word for ref in refs for word in ref if word in syns), None) if syns else None
+        tokens.append(tok if match is None else match)
+        factors.append(0.0 if match is None else synonym_score)
+    return tokens, factors
 
 
 def rare_reference_words(unigrams: NGramCounts, percent: float) -> frozenset[str]:
@@ -214,17 +153,17 @@ def rare_reference_words(unigrams: NGramCounts, percent: float) -> frozenset[str
 def ebleu(
     hyp_corpus: Sequence[TokenSequence],
     ref_corpus: Sequence[Sequence[TokenSequence]],
-    config: EbleuConfig = EbleuConfig(),
-) -> EbleuScore:
+    config: NgramConfig = NgramConfig(),
+) -> NgramScore:
     """BLEU extension: synonym matches earn ``synonym_score``, n-grams holding
     a rare reference word earn ``rare_words_score`` (once per n-gram), and the
     per-order bases combine through the running log-mean ``C_i = exp(s / i)``.
 
     Per-segment and per-order sums are clamped so no sentence contributes more
     than a perfect score; with empty resources and rare bonus 1 the result
-    equals uniform-weight BLEU exactly.
+    equals uniform-weight BLEU exactly. ``smooth`` does not apply.
     """
-    return ebleu_from_stats(corpus_stats(hyp_corpus, ref_corpus, config.max_n, config), config)
+    return ebleu_from_stats(corpus_stats(hyp_corpus, ref_corpus, config), config)
 
 
 @dataclass(frozen=True)
@@ -245,22 +184,14 @@ class SegmentStats:
 
 
 def segment_stats(
-    hyp: TokenSequence, refs: Sequence[TokenSequence], max_n: int, ebleu: EbleuConfig | None = None
+    hyp: TokenSequence, refs: Sequence[TokenSequence], config: NgramConfig = NgramConfig()
 ) -> SegmentStats:
     """Count the n-grams of ``hyp`` and its (non-empty) ``refs`` once, orders 1
-    to ``max_n``; with ``ebleu``, also weigh orders 1 to ``ebleu.max_n``."""
-    ebleu_n = 0
-    if ebleu is not None:
-        ebleu_n = ebleu.max_n
-        annotated = _annotate(hyp, refs, ebleu.resources)
-        effective = [a.token for a in annotated]
-        # A miss can never participate in a match; zero keeps it harmless.
-        factors = [
-            1.0 if a.status == EXACT else ebleu.synonym_score if a.status == SYNONYM else 0.0
-            for a in annotated
-        ]
+    to the higher of ``max_n`` and ``nist_max_n``, and weigh the synonym-expanded
+    hypothesis n-grams of orders 1 to ``max_n``."""
+    effective, factors = _annotate(hyp, refs, config.resources, config.synonym_score)
     clipped, ref_counts, weighted = [], [], []
-    for n in range(1, max(max_n, ebleu_n) + 1):
+    for n in range(1, max(config.max_n, config.nist_max_n) + 1):
         ref_grams = [ngrams(ref, n) for ref in refs]
         ref_counts.append(ref_grams[0] if len(ref_grams) == 1 else sum(ref_grams, Counter()))
         clipped.append({
@@ -268,7 +199,7 @@ def segment_stats(
             for gram, count in ngrams(hyp, n).items()
             if (matched := min(count, max(rg.get(gram, 0) for rg in ref_grams)))
         })
-        if n <= ebleu_n:
+        if n <= config.max_n:
             occurrences: dict[Gram, list[float]] = {}
             for i in range(len(hyp) - n + 1):
                 gram = tuple(effective[i : i + n])
@@ -285,8 +216,7 @@ def segment_stats(
 def corpus_stats(
     hyp_corpus: Sequence[TokenSequence],
     ref_corpus: Sequence[Sequence[TokenSequence]],
-    max_n: int,
-    ebleu: EbleuConfig | None = None,
+    config: NgramConfig = NgramConfig(),
 ) -> list[SegmentStats]:
     """``segment_stats`` of every segment, after checking the corpus shape."""
     if len(hyp_corpus) != len(ref_corpus):
@@ -299,7 +229,7 @@ def corpus_stats(
         raise RespevalInputError("every hypothesis segment is empty")
     if any(not refs for refs in ref_corpus):
         raise RespevalInputError("a segment has no reference")
-    return [segment_stats(hyp, refs, max_n, ebleu) for hyp, refs in zip(hyp_corpus, ref_corpus)]
+    return [segment_stats(hyp, refs, config) for hyp, refs in zip(hyp_corpus, ref_corpus)]
 
 
 # A metric's credit for one record at order n, given the records pooled.
@@ -324,7 +254,7 @@ def _pool(
     credit_for: CreditFor,
     smooth: bool = False,
     sentence_level: bool = False,
-) -> EbleuScore:
+) -> NgramScore:
     """Pool ``credit_for(stats)(record, n)`` over the hypothesis n-gram totals
     per order, clamped per segment to a perfect order, and combine the bases
     through the running log-mean ``C_i = exp(s / i)``. ``sentence_level`` takes
@@ -362,14 +292,14 @@ def _pool(
         score = sum(
             _pool([rec], max_n, credit_for, smooth).score if rec.hyp_len else 0.0 for rec in stats
         ) / len(stats)
-    return EbleuScore(score, bases, tuple(cumulative), bp, c, r)
+    return NgramScore(score, bases, tuple(cumulative), bp, c, r)
 
 
-def _clipped_matches(stats: Sequence[SegmentStats]) -> Credit:
+def _bleu_credit(stats: Sequence[SegmentStats]) -> Credit:
     return lambda rec, n: sum(rec.clipped[n - 1].values())
 
 
-def _ebleu_credit(stats: Sequence[SegmentStats], config: EbleuConfig) -> Credit:
+def _ebleu_credit(stats: Sequence[SegmentStats], config: NgramConfig) -> Credit:
     rare = rare_reference_words(_pooled_ref_counts(stats, 1)[0], config.rare_words_percent)
     # The bonus multiplies each weight before summing, once per n-gram.
     return lambda rec, n: sum(
@@ -378,24 +308,25 @@ def _ebleu_credit(stats: Sequence[SegmentStats], config: EbleuConfig) -> Credit:
     )
 
 
-def bleu_from_stats(stats: Sequence[SegmentStats], config: BleuConfig = BleuConfig()) -> BleuScore:
+# The reductions take the records that ``segment_stats`` / ``corpus_stats``
+# counted with the same ``config``.
+
+
+def bleu_from_stats(stats: Sequence[SegmentStats], config: NgramConfig = NgramConfig()) -> NgramScore:
     """BLEU of the segments behind ``stats``: EBLEU with neutral factors."""
-    pooled = _pool(stats, config.max_n, _clipped_matches, config.smooth, config.sentence_level)
-    return BleuScore(
-        pooled.score, pooled.brevity_penalty, pooled.per_order_base, pooled.hyp_length, pooled.ref_length
-    )
+    return _pool(stats, config.max_n, _bleu_credit, config.smooth, config.sentence_level)
 
 
-def ebleu_from_stats(stats: Sequence[SegmentStats], config: EbleuConfig = EbleuConfig()) -> EbleuScore:
-    """EBLEU of the segments behind ``stats``, which must have been counted
-    with an EBLEU config of the same synonym score, resources and ``max_n``."""
+def ebleu_from_stats(stats: Sequence[SegmentStats], config: NgramConfig = NgramConfig()) -> NgramScore:
+    """EBLEU of the segments behind ``stats``; see ``ebleu``."""
     credit_for = lambda records: _ebleu_credit(records, config)
     return _pool(stats, config.max_n, credit_for, sentence_level=config.sentence_level)
 
 
-def nist_from_stats(stats: Sequence[SegmentStats], config: NistConfig = NistConfig()) -> float:
+def nist_from_stats(stats: Sequence[SegmentStats], config: NgramConfig = NgramConfig()) -> float:
     """NIST of the segments behind ``stats``; see ``nist``."""
-    ref_counts = _pooled_ref_counts(stats, config.max_n)
+    max_n = config.nist_max_n
+    ref_counts = _pooled_ref_counts(stats, max_n)
     total_ref_tokens = sum(sum(rec.ref_lens) for rec in stats)
 
     def info(gram: Gram) -> float:
@@ -406,12 +337,12 @@ def nist_from_stats(stats: Sequence[SegmentStats], config: NistConfig = NistConf
 
     c = 0
     r_bar = 0.0
-    credits = [0.0] * config.max_n
-    totals = [0] * config.max_n
+    credits = [0.0] * max_n
+    totals = [0] * max_n
     for rec in stats:
         c += rec.hyp_len
         r_bar += sum(rec.ref_lens) / len(rec.ref_lens)
-        for n in range(1, config.max_n + 1):
+        for n in range(1, max_n + 1):
             totals[n - 1] += max(rec.hyp_len - n + 1, 0)
             for gram, matched in rec.clipped[n - 1].items():
                 credits[n - 1] += matched * info(gram)
@@ -420,5 +351,4 @@ def nist_from_stats(stats: Sequence[SegmentStats], config: NistConfig = NistConf
     if r_bar <= 0:
         return 0.0
     ratio = min(c / r_bar, 1.0)
-    factor = math.exp(config.brevity_beta * math.log(ratio) ** 2)
-    return score * factor
+    return score * math.exp(NIST_BETA * math.log(ratio) ** 2)

@@ -282,21 +282,26 @@ def ols_fit(
             f"design matrix is rank deficient (predictors {predictors}); "
             "remove duplicated or constant columns"
         )
-    beta = np.linalg.solve(r, q.T @ y)
-
-    fitted = X @ beta
-    resid = y - fitted
-    rss = float(resid @ resid)
-    tss = float(((y - y.mean()) ** 2).sum())
+    df = n - k - 1
+    # Finite values can still overflow when squared; such a table is rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = np.linalg.solve(r, q.T @ y)
+        resid = y - X @ beta
+        rss = float(resid @ resid)
+        tss = float(((y - y.mean()) ** 2).sum())
+        r_inv = np.linalg.solve(r, np.eye(k + 1))
+        se = np.sqrt(rss / df * (r_inv * r_inv).sum(axis=1))
+        sd_y = float(np.std(y, ddof=1))
+        sd_xs = [float(np.std(np.asarray(table.column(name)), ddof=1)) for name in predictors]
+    if not np.isfinite([rss, tss, *se, sd_y, *sd_xs]).all():
+        raise RespevalInputError(
+            f"sums of squares or standard errors overflow fitting {response!r} on {predictors}; "
+            "rescale the values"
+        )
     if tss > 0:
         r2 = 1.0 - rss / tss
     else:
         r2 = 1.0 if rss <= 1e-12 * max(1.0, float(y @ y)) else 0.0
-    df = n - k - 1
-    s2 = rss / df
-    r_inv = np.linalg.solve(r, np.eye(k + 1))
-    xtx_inv_diag = (r_inv * r_inv).sum(axis=1)
-    se = np.sqrt(s2 * xtx_inv_diag)
 
     t_stats = []
     p_values = []
@@ -308,11 +313,7 @@ def ols_fit(
         t_stats.append(t)
         p_values.append(t_sf(t, df))
 
-    sd_y = float(np.std(y, ddof=1))
-    betas_std = []
-    for j, name in enumerate(predictors):
-        sd_x = float(np.std(np.asarray(table.column(name)), ddof=1))
-        betas_std.append(float(beta[j + 1]) * sd_x / sd_y if sd_y > 0 else 0.0)
+    betas_std = [float(b) * sd_x / sd_y if sd_y > 0 else 0.0 for b, sd_x in zip(beta[1:], sd_xs)]
 
     return RegressionModel(
         response=response,

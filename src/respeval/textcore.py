@@ -1,4 +1,4 @@
-"""Tokenization, n-gram extraction and counting primitives shared by every metric,
+"""Tokenization and n-gram extraction shared by every metric,
 plus what every module shares for outside input: the one error type for bad
 input and the UTF-8 file readers.
 
@@ -110,24 +110,16 @@ def ngrams(seq: TokenSequence, n: int) -> NGramCounts:
     return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
 
 
-def clipped_matches(hyp: NGramCounts, refs: Iterable[NGramCounts]) -> int:
-    """Sum over hypothesis n-grams of min(hyp count, max reference count)."""
-    refs = list(refs)
-    total = 0
-    for gram, count in hyp.items():
-        best = max((ref.get(gram, 0) for ref in refs), default=0)
-        total += min(count, best)
-    return total
-
-
 def read_text(path: str | Path) -> str:
     """The whole of a UTF-8 file; bytes that do not decode are a ``RespevalInputError``
-    naming the line they are on."""
+    naming the line they are on; CR LF, CR and LF each end a line, as in
+    every reader."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        before = data[: exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
         raise RespevalInputError(f"not valid UTF-8 ({exc.reason})", path, line) from None
 
 
@@ -147,9 +139,9 @@ def read_segments(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER)
     return [tokenize(line, config) for line in lines if line.strip()]
 
 
-def check_aligned(hyp_count: int, ref_count: int) -> None:
+def check_aligned(hyp_count: int, ref_count: int, ref_path: str | Path | None = None) -> None:
     """Hypothesis and reference files must align line-by-line after blank removal."""
     if hyp_count != ref_count:
         raise RespevalInputError(
-            f"segment count mismatch: hypothesis has {hyp_count}, reference has {ref_count}"
+            f"segment count mismatch: hypothesis has {hyp_count}, reference has {ref_count}", ref_path
         )

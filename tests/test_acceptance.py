@@ -7,7 +7,7 @@ import itertools
 from respeval.align_metrics import kendall_nkt, meteor, ribes, spearman_nsr, ter
 from respeval.fixtures import load_fixture
 from respeval.ner import ErrorSeverity, NerRecord, ner_accuracy
-from respeval.ngram_metrics import BleuConfig, EbleuConfig, NistConfig, bleu, ebleu, nist
+from respeval.ngram_metrics import NgramConfig, bleu, ebleu, nist
 from respeval.resources import LanguageResources
 from respeval.stats import RegressionModel, backward_eliminate, ols_fit, predict, t_sf
 
@@ -26,11 +26,11 @@ def test_criterion_1_ebleu_worked_example():
     synonyms = LanguageResources(
         synonyms={"exam": frozenset({"quiz"}), "quiz": frozenset({"exam"})}
     )
-    with_syn = ebleu([hyp], [[ref]], EbleuConfig(synonym_score=0.9, max_n=1, resources=synonyms))
-    without = ebleu([hyp], [[ref]], EbleuConfig(max_n=1))
+    with_syn = ebleu([hyp], [[ref]], NgramConfig(synonym_score=0.9, max_n=1, resources=synonyms))
+    without = ebleu([hyp], [[ref]], NgramConfig(max_n=1))
     ok = (
-        abs(with_syn.per_order_base[0] - 0.975) <= 1e-12
-        and abs(without.per_order_base[0] - 0.75) <= 1e-12
+        abs(with_syn.precisions[0] - 0.975) <= 1e-12
+        and abs(without.precisions[0] - 0.75) <= 1e-12
     )
     report(1, ok, "synonym-credit worked example: 0.975 with synonyms, 0.75 without")
 
@@ -154,14 +154,14 @@ def test_criterion_7_metric_identity_suite():
         refs = [[seg] for seg in corpus]
         other = random_corpus(rng, max_segments=len(corpus), max_tokens=12)
         if len(other) == len(corpus):
-            plain = bleu(other, refs, BleuConfig(max_n=3)).score
+            plain = bleu(other, refs, NgramConfig(max_n=3)).score
             neutral = ebleu(
-                other, refs, EbleuConfig(max_n=3, rare_words_score=1.0, rare_words_percent=0.0)
+                other, refs, NgramConfig(max_n=3, rare_words_score=1.0, rare_words_percent=0.0)
             ).score
             ok &= plain == neutral
         ok &= bleu(corpus, refs).score == 1.0
         ok &= ebleu(corpus, refs).score == 1.0
-        ok &= nist(corpus, refs, NistConfig()) > 0.0
+        ok &= nist(corpus, refs, NgramConfig()) > 0.0
         for seg in corpus:
             ok &= ter(seg, seg).ter == 0.0
             ok &= ribes(seg, seg).score == 1.0

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +164,39 @@ def test_score_segment_columns_use_their_own_references(tmp_path, capsys):
     assert aggregate["nist"] == pytest.approx((a + b + 2 * (a + c + y)) / 9, abs=1e-6)
 
 
+REPORT_DATA = Path(__file__).parent / "data" / "report"
+# sha256 of stdout and of the --json file for the committed corpus in
+# tests/data/report; a change to any score, rounding or layout shows here.
+REPORT_DIGESTS = {
+    (): (
+        "1b4eef80a57c1e20554ffb3c655e144f9143e982b753dc3a6715bb0fea94d856",
+        "c3a8492d1360a12afb467c61d8c5ff26df40ab2c705a733ad20619bd53282dd9",
+    ),
+    ("--sentence-level", "--smooth"): (
+        "e99c4d84b82d29d3ab96ee3bdafd140075ca5ec779bfcace23c060e13c761a15",
+        "72a7e885cef8060087b25d9cafbee4fda3e5943876e2db00bc3bad391a93c983",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", list(REPORT_DIGESTS), ids=["pooled", "sentence-level-smooth"])
+def test_score_report_bytes_are_pinned(flags, tmp_path, capsys):
+    out_json = tmp_path / "r.jsonl"
+    code, out, err = run(
+        capsys,
+        "score",
+        *(str(REPORT_DATA / name) for name in ("hyp.txt", "ref1.txt", "ref2.txt")),
+        "--synonyms", str(REPORT_DATA / "synonyms.tsv"),
+        "--stems", str(REPORT_DATA / "stems.tsv"),
+        "--function-words", str(REPORT_DATA / "function_words.txt"),
+        *flags,
+        "--json", str(out_json),
+    )
+    assert (code, err) == (0, "")
+    digests = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(out_json.read_bytes()).hexdigest())
+    assert digests == REPORT_DIGESTS[flags]
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -267,6 +302,17 @@ def test_regress_rank_deficient_csv(tmp_path, capsys):
     assert "rank deficient" in err
 
 
+def test_regress_overflow_exits_2_without_warnings(tmp_path, capsys):
+    # y near +-1e300 is finite, but its sum of squares is not
+    csv = tmp_path / "big.csv"
+    csv.write_text("x,y\n1,1e300\n2,-1e300\n3,1e300\n4,-1e300\n5,1e300\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would exit 1
+        code, out, err = run(capsys, "regress", str(csv), "--response", "y")
+    assert (code, out) == (2, "")
+    assert err == "error: sums of squares or standard errors overflow fitting 'y' on ['x']; rescale the values\n"
+
+
 def test_regress_requires_response_for_csv(tmp_path, capsys):
     csv = tmp_path / "d.csv"
     csv.write_text("a,y\n1,2\n2,4\n3,6\n4,8\n", encoding="utf-8")
@@ -330,6 +376,10 @@ MODEL = json.dumps(
 ).encode()
 TABLE = b"x,z,y\n1,0,2.1\n2,1,3.9\n3,0,6.2\n4,1,8.1\n5,0,9.8\n"
 ANNOTATIONS = b"N,minor_count,standard_count,serious_count,R_weighted\n100,1,0,0,0.5\n"
+LENGTH_ANNOTATIONS = (
+    b"N,minor_count,standard_count,serious_count,R_weighted,original_tokens,subtitle_tokens\n"
+    b"100,1,0,0,0.5,120,100\n200,2,1,0,1,200,210\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -437,6 +487,24 @@ ANNOTATIONS = b"N,minor_count,standard_count,serious_count,R_weighted\n100,1,0,0
             "got 'BLEU=nan'",
             id="predict-nan-score",
         ),
+        pytest.param(
+            {"ann": b"N,minor_count,standard_count,serious_count,R_weighted,original_tokens\n100,1,0,0,0.5,0\n"},
+            ["ner", "{ann}"],
+            "{ann}: line 2: original length must be positive, got 0",
+            id="ner-zero-original-length",
+        ),
+        pytest.param(
+            {"ann": LENGTH_ANNOTATIONS + b"50,0,0,0,0,-3,40\n"},
+            ["ner", "{ann}"],
+            "{ann}: line 4: original length must be positive, got -3",
+            id="ner-negative-original-length-with-subtitle",
+        ),
+        pytest.param(
+            {"hyp": b"a b\nc d\n", "ref1": b"a b\nc d\n", "ref2": b"a b\n\n"},
+            ["score", "{hyp}", "{ref1}", "{ref2}"],
+            "{ref2}: segment count mismatch: hypothesis has 2, reference has 1",
+            id="score-reference-count-mismatch",
+        ),
     ],
 )
 def test_bad_input_exits_2_naming_where(files, argv, message, tmp_path, capsys):
@@ -478,8 +546,7 @@ FUZZ_INPUTS = {
     "syn": b"dog\thound\ncat\tkitten\n",
     "stems": b"ran\trun\n",
     "words": b"the\na\non\n",
-    "ann": b"N,minor_count,standard_count,serious_count,R_weighted,original_tokens,subtitle_tokens\n"
-    b"100,1,0,0,0.5,120,100\n200,2,1,0,1,200,210\n",
+    "ann": LENGTH_ANNOTATIONS,
     "table": TABLE,
     "model": MODEL,
 }

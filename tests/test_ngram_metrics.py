@@ -4,12 +4,8 @@ import pytest
 
 from respeval import ngram_metrics
 from respeval.ngram_metrics import (
-    EXACT,
-    MISS,
-    SYNONYM,
-    BleuConfig,
-    EbleuConfig,
-    NistConfig,
+    NIST_BETA,
+    NgramConfig,
     bleu,
     bleu_from_stats,
     brevity_penalty,
@@ -17,7 +13,6 @@ from respeval.ngram_metrics import (
     corpus_stats,
     ebleu,
     ebleu_from_stats,
-    modified_precision,
     nist,
     nist_from_stats,
     rare_reference_words,
@@ -62,25 +57,29 @@ def test_closest_ref_length_ties_to_shorter():
     assert closest_ref_length(4, [2, 5]) == 5
 
 
-# --- modified precision ---------------------------------------------------------
+# --- modified precision: BLEU's per-order precisions -----------------------------
+
+
+def precision(hyp, refs, n):
+    return bleu([hyp], [refs], NgramConfig(max_n=n)).precisions[n - 1]
 
 
 def test_modified_precision_worked_example():
-    assert modified_precision(HYP_EXAM, [REF_QUIZ], 1) == 0.75
+    assert precision(HYP_EXAM, [REF_QUIZ], 1) == 0.75
 
 
 def test_modified_precision_identity():
     seq = ["v", "w", "x", "y", "z"]
     for n in range(1, 6):
-        assert modified_precision(seq, [seq], n) == 1.0
+        assert precision(seq, [seq], n) == 1.0
 
 
 def test_modified_precision_disjoint():
-    assert modified_precision(["x", "y"], [["a", "b"]], 1) == 0.0
+    assert precision(["x", "y"], [["a", "b"]], 1) == 0.0
 
 
 def test_modified_precision_undefined_for_short_hypothesis():
-    assert modified_precision(["x"], [["x", "y"]], 2) is None
+    assert precision(["x"], [["x", "y"]], 2) is None
 
 
 # --- BLEU ------------------------------------------------------------------------
@@ -94,25 +93,25 @@ def test_bleu_identity_corpus():
 
 
 def test_bleu_worked_example_unigram():
-    result = bleu([HYP_EXAM], [[REF_QUIZ]], BleuConfig(max_n=1))
+    result = bleu([HYP_EXAM], [[REF_QUIZ]], NgramConfig(max_n=1))
     assert result.score == pytest.approx(0.75, abs=1e-12)
 
 
 def test_bleu_zero_precision_annihilates():
-    result = bleu([["a", "b"]], [[["a", "c"]]], BleuConfig(max_n=2))
+    result = bleu([["a", "b"]], [[["a", "c"]]], NgramConfig(max_n=2))
     assert result.precisions[0] == 0.5
     assert result.precisions[1] == 0.0
     assert result.score == 0.0
 
 
 def test_bleu_smoothing_avoids_annihilation():
-    result = bleu([["a", "b"]], [[["a", "c"]]], BleuConfig(max_n=2, smooth=True))
+    result = bleu([["a", "b"]], [[["a", "c"]]], NgramConfig(max_n=2, smooth=True))
     assert result.score > 0.0
 
 
 def test_bleu_short_hypothesis_excludes_order():
     # one-token corpus: order 2 undefined, order 1 carries all the weight
-    result = bleu([["a"]], [[["a"]]], BleuConfig(max_n=2))
+    result = bleu([["a"]], [[["a"]]], NgramConfig(max_n=2))
     assert result.precisions[1] is None
     assert result.score == 1.0
 
@@ -129,8 +128,8 @@ def test_bleu_corpus_errors():
 def test_bleu_sentence_level_averages_segments():
     hyp = [["a", "b"], ["c", "d"]]
     refs = [[["a", "b"]], [["c", "x"]]]
-    config = BleuConfig(max_n=1, sentence_level=True)
-    per_segment = [bleu([h], [r], BleuConfig(max_n=1)).score for h, r in zip(hyp, refs)]
+    config = NgramConfig(max_n=1, sentence_level=True)
+    per_segment = [bleu([h], [r], NgramConfig(max_n=1)).score for h, r in zip(hyp, refs)]
     assert bleu(hyp, refs, config).score == pytest.approx(sum(per_segment) / 2)
 
 
@@ -165,7 +164,7 @@ def test_nist_identity_distinct_unigrams():
     # is the mean information 2.0 and the length factor is 1.
     seg = ["a", "b", "c", "d"]
     expected = sum(math.log2(4 / 1) for _ in seg) / 4
-    assert nist([seg], [[seg]], NistConfig(max_n=1)) == pytest.approx(expected, abs=1e-12)
+    assert nist([seg], [[seg]], NgramConfig(nist_max_n=1)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_nist_hand_evaluated_two_orders():
@@ -176,7 +175,7 @@ def test_nist_hand_evaluated_two_orders():
     info_ab = math.log2(2 / 1)  # count(a) / count(ab)
     info_ba = math.log2(1 / 1)  # count(b) / count(ba)
     expected = (2 * info_a + info_b) / 3 + (info_ab + info_ba) / 2
-    assert nist([seg], [[seg]], NistConfig(max_n=2)) == pytest.approx(expected, abs=1e-12)
+    assert nist([seg], [[seg]], NgramConfig(nist_max_n=2)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_nist_no_overlap_is_zero():
@@ -202,43 +201,45 @@ def test_nist_non_negative_random():
 
 
 def test_nist_brevity_factor_half_at_two_thirds():
-    config = NistConfig()
-    assert math.exp(config.brevity_beta * math.log(2 / 3) ** 2) == pytest.approx(0.5, abs=1e-12)
+    assert math.exp(NIST_BETA * math.log(2 / 3) ** 2) == pytest.approx(0.5, abs=1e-12)
 
 
 # --- EBLEU -----------------------------------------------------------------------
 
 
+# ``_annotate`` gives each hypothesis token its effective token and its credit
+# factor: 1 for an exact match, the synonym score for a synonym, 0 for a miss.
+
+
 def test_synonym_expand_worked_example():
-    annotated = ngram_metrics._annotate(HYP_EXAM, [REF_QUIZ], EXAM_QUIZ_SYNONYMS)
-    assert [a.status for a in annotated] == [EXACT, EXACT, EXACT, SYNONYM]
-    assert annotated[3].token == "quiz"
-    assert annotated[3].source == "exam"
-    assert annotated[3].discounted
+    tokens, factors = ngram_metrics._annotate(HYP_EXAM, [REF_QUIZ], EXAM_QUIZ_SYNONYMS, 0.9)
+    assert factors == [1.0, 1.0, 1.0, 0.9]
+    assert tokens == ["this", "is", "a", "quiz"]
 
 
 def test_synonym_expand_empty_dictionary():
-    annotated = ngram_metrics._annotate(HYP_EXAM, [REF_QUIZ], LanguageResources())
-    assert [a.status for a in annotated] == [EXACT, EXACT, EXACT, MISS]
+    tokens, factors = ngram_metrics._annotate(HYP_EXAM, [REF_QUIZ], LanguageResources(), 0.9)
+    assert factors == [1.0, 1.0, 1.0, 0.0]
+    assert tokens == HYP_EXAM
 
 
 def test_synonym_expand_exact_beats_synonym():
     resources = LanguageResources(synonyms={"quiz": frozenset({"exam"}), "exam": frozenset({"quiz"})})
-    annotated = ngram_metrics._annotate(["quiz"], [["quiz", "exam"]], resources)
-    assert annotated[0].status == EXACT
-    assert annotated[0].token == "quiz"
+    tokens, factors = ngram_metrics._annotate(["quiz"], [["quiz", "exam"]], resources, 0.9)
+    assert factors == [1.0]
+    assert tokens == ["quiz"]
 
 
 def test_ebleu_worked_example():
-    config = EbleuConfig(synonym_score=0.9, max_n=1, resources=EXAM_QUIZ_SYNONYMS)
+    config = NgramConfig(synonym_score=0.9, max_n=1, resources=EXAM_QUIZ_SYNONYMS)
     result = ebleu([HYP_EXAM], [[REF_QUIZ]], config)
-    assert result.per_order_base[0] == pytest.approx(3.9 / 4, abs=1e-12)
+    assert result.precisions[0] == pytest.approx(3.9 / 4, abs=1e-12)
     assert result.score == pytest.approx(0.975, abs=1e-12)
 
 
 def test_ebleu_without_synonyms_is_bleu_precision():
-    result = ebleu([HYP_EXAM], [[REF_QUIZ]], EbleuConfig(max_n=1))
-    assert result.per_order_base[0] == pytest.approx(0.75, abs=1e-12)
+    result = ebleu([HYP_EXAM], [[REF_QUIZ]], NgramConfig(max_n=1))
+    assert result.precisions[0] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_ebleu_identity_is_one():
@@ -254,8 +255,8 @@ def test_ebleu_equals_bleu_without_resources():
     for _ in range(50):
         hyp = random_corpus(rng, max_segments=8)
         refs = [[random_corpus(rng, max_segments=1, max_tokens=12)[0]] for _ in hyp]
-        config = EbleuConfig(rare_words_score=1.0, rare_words_percent=0.0, max_n=3)
-        expected = bleu(hyp, refs, BleuConfig(max_n=3)).score
+        config = NgramConfig(rare_words_score=1.0, rare_words_percent=0.0, max_n=3)
+        expected = bleu(hyp, refs, NgramConfig(max_n=3)).score
         assert ebleu(hyp, refs, config).score == expected
 
 
@@ -267,8 +268,8 @@ def test_ebleu_never_below_bleu():
     for _ in range(30):
         hyp = random_corpus(rng, max_segments=6)
         refs = [[random_corpus(rng, max_segments=1, max_tokens=12)[0]] for _ in hyp]
-        base = bleu(hyp, refs, BleuConfig(max_n=3)).score
-        enhanced = ebleu(hyp, refs, EbleuConfig(max_n=3, resources=resources)).score
+        base = bleu(hyp, refs, NgramConfig(max_n=3)).score
+        enhanced = ebleu(hyp, refs, NgramConfig(max_n=3, resources=resources)).score
         assert enhanced >= base - 1e-12
         assert 0.0 <= enhanced <= 1.0
 
@@ -278,8 +279,8 @@ def test_ebleu_cumulative_is_geometric_mean():
     for _ in range(20):
         hyp = random_corpus(rng, max_segments=6, max_tokens=12)
         refs = [[random_corpus(rng, max_segments=1, max_tokens=12)[0]] for _ in hyp]
-        result = ebleu(hyp, refs, EbleuConfig(max_n=4))
-        defined = [b for b in result.per_order_base if b is not None]
+        result = ebleu(hyp, refs, NgramConfig(max_n=4))
+        defined = [b for b in result.precisions if b is not None]
         cums = [c for c in result.cumulative if c is not None]
         if any(b == 0 for b in defined):
             continue
@@ -303,9 +304,9 @@ def test_ebleu_rare_word_bonus():
     # distinct words makes exactly it rare.
     hyp = [["common", "zzz"], ["zzz", "rare"]]
     refs = [[["common", "common", "common"]], [["common", "rare"]]]
-    config = EbleuConfig(rare_words_percent=0.5, rare_words_score=1.5, max_n=1)
+    config = NgramConfig(rare_words_percent=0.5, rare_words_score=1.5, max_n=1)
     result = ebleu(hyp, refs, config)
-    assert result.per_order_base[0] == pytest.approx((1.0 + 1.5) / 4, abs=1e-12)
+    assert result.precisions[0] == pytest.approx((1.0 + 1.5) / 4, abs=1e-12)
 
 
 def test_ebleu_rare_bonus_multiplies_each_weight():
@@ -314,17 +315,17 @@ def test_ebleu_rare_bonus_multiplies_each_weight():
     hyp = [["dog", "dog", "dog", "sat", "sat", "sat", "sat"]]
     refs = [[["cat", "cat", "cat", "a", "a", "a", "a", "mat"]]]
     resources = LanguageResources(synonyms={"dog": frozenset({"cat"}), "cat": frozenset({"dog"})})
-    config = EbleuConfig(
+    config = NgramConfig(
         synonym_score=0.9, rare_words_percent=0.67, rare_words_score=1.3, max_n=1, resources=resources
     )
-    assert ebleu(hyp, refs, config).per_order_base[0] == (0.9 * 1.3 + 0.9 * 1.3 + 0.9 * 1.3) / 7
+    assert ebleu(hyp, refs, config).precisions[0] == (0.9 * 1.3 + 0.9 * 1.3 + 0.9 * 1.3) / 7
 
 
 def test_ebleu_rare_bonus_keeps_sentence_within_one():
     # a perfect sentence full of rare words must still cap at 1.0
     hyp = [["rare", "word"]]
     refs = [[["rare", "word"]]]
-    config = EbleuConfig(rare_words_percent=1.0, rare_words_score=1.5, max_n=2)
+    config = NgramConfig(rare_words_percent=1.0, rare_words_score=1.5, max_n=2)
     result = ebleu(hyp, refs, config)
     assert result.score == 1.0
 
@@ -332,25 +333,25 @@ def test_ebleu_rare_bonus_keeps_sentence_within_one():
 def test_ebleu_sentence_level_averages_segments():
     hyp = [["a", "b"], ["c", "d"]]
     refs = [[["a", "b"]], [["c", "x"]]]
-    per_segment = [ebleu([h], [r], EbleuConfig(max_n=2)).score for h, r in zip(hyp, refs)]
-    config = EbleuConfig(max_n=2, sentence_level=True)
+    per_segment = [ebleu([h], [r], NgramConfig(max_n=2)).score for h, r in zip(hyp, refs)]
+    config = NgramConfig(max_n=2, sentence_level=True)
     assert ebleu(hyp, refs, config).score == pytest.approx(sum(per_segment) / 2)
 
 
 def test_sentence_level_tolerates_empty_segment():
     hyp = [["a", "b"], []]
     refs = [[["a", "b"]], [["c"]]]
-    assert bleu(hyp, refs, BleuConfig(max_n=1, sentence_level=True)).score == pytest.approx(0.5)
-    assert ebleu(hyp, refs, EbleuConfig(max_n=1, sentence_level=True)).score == pytest.approx(0.5)
+    assert bleu(hyp, refs, NgramConfig(max_n=1, sentence_level=True)).score == pytest.approx(0.5)
+    assert ebleu(hyp, refs, NgramConfig(max_n=1, sentence_level=True)).score == pytest.approx(0.5)
 
 
 def test_ebleu_config_validation():
     with pytest.raises(ValueError):
-        EbleuConfig(synonym_score=0.0)
+        NgramConfig(synonym_score=0.0)
     with pytest.raises(ValueError):
-        EbleuConfig(rare_words_score=0.5)
+        NgramConfig(rare_words_score=0.5)
     with pytest.raises(ValueError):
-        EbleuConfig(rare_words_percent=1.5)
+        NgramConfig(rare_words_percent=1.5)
 
 
 # --- one statistics record per segment against per-metric oracles ---------------
@@ -373,16 +374,16 @@ def test_records_match_per_metric_oracles():
         refss = [[random_segment(rng, 7) for _ in range(n_refs)] for _ in range(size)]
         max_n, nist_n = rng.randint(1, 5), rng.randint(1, 5)
         smooth, sentence = rng.random() < 0.5, rng.random() < 0.5
-        ebleu_cfg = EbleuConfig(
+        config = NgramConfig(
+            max_n=max_n,
+            nist_max_n=nist_n,
+            sentence_level=sentence,
+            smooth=smooth,
             synonym_score=rng.choice((0.5, 0.9, 1.0)),
             rare_words_percent=rng.choice((0.0, 0.15, 0.3)),
             rare_words_score=rng.choice((1.0, 1.3, 1.7)),
-            max_n=max_n,
             resources=resources,
-            sentence_level=sentence,
         )
-        bleu_cfg = BleuConfig(max_n=max_n, smooth=smooth, sentence_level=sentence)
-        nist_cfg = NistConfig(max_n=nist_n)
 
         def expected(h, r):
             return (
@@ -393,26 +394,26 @@ def test_records_match_per_metric_oracles():
                     r,
                     max_n,
                     synonyms,
-                    ebleu_cfg.synonym_score,
-                    ebleu_cfg.rare_words_percent,
-                    ebleu_cfg.rare_words_score,
+                    config.synonym_score,
+                    config.rare_words_percent,
+                    config.rare_words_score,
                     sentence,
                 ),
             )
 
         def reduced(records):
             return (
-                bleu_from_stats(records, bleu_cfg).score,
-                nist_from_stats(records, nist_cfg),
-                ebleu_from_stats(records, ebleu_cfg).score,
+                bleu_from_stats(records, config).score,
+                nist_from_stats(records, config),
+                ebleu_from_stats(records, config).score,
             )
 
-        stats = corpus_stats(hyps, refss, max(max_n, nist_n), ebleu_cfg)
+        stats = corpus_stats(hyps, refss, config)
         assert reduced(stats) == expected(hyps, refss)
         public = (
-            bleu(hyps, refss, bleu_cfg).score,
-            nist(hyps, refss, nist_cfg),
-            ebleu(hyps, refss, ebleu_cfg).score,
+            bleu(hyps, refss, config).score,
+            nist(hyps, refss, config),
+            ebleu(hyps, refss, config).score,
         )
         assert public == expected(hyps, refss)
         for hyp, refs, rec in zip(hyps, refss, stats):

@@ -1,0 +1,27 @@
+"""The README's library example runs and prints what its comments say."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_library_example():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    results = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            comment = lines[node.end_lineno - 1].split("#", 1)[1]
+            results.append((value, ast.literal_eval(comment.strip())))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert [expected for _, expected in results] == [0.975, ("BLEU", "NIST", "EBLEU")]
+    score, predictors = (value for value, _ in results)
+    assert score == pytest.approx(0.975, abs=1e-12)
+    assert predictors == ("BLEU", "NIST", "EBLEU")

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import pytest
 
@@ -113,6 +114,17 @@ def test_fit_rejects_rank_deficiency():
     table = make_table(["a", "b", "y"], rows, "y")
     with pytest.raises(RespevalInputError, match="rank deficient"):
         ols_fit(table, ["a", "b"])
+
+
+def test_fit_rejects_overflowing_sums():
+    # finite values whose squares overflow: no inf or nan may reach the model,
+    # and numpy must not warn on the way
+    rows = [[x, (-1) ** x * 1e300] for x in range(1, 6)]
+    table = make_table(["x", "y"], rows, "y")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RespevalInputError, match="sums of squares or standard errors overflow"):
+            ols_fit(table, ["x"])
 
 
 def test_fit_t_and_p_columns():

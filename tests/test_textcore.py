@@ -1,12 +1,13 @@
 import pytest
 
+from respeval.ngram_metrics import NgramConfig, segment_stats
 from respeval.textcore import (
     RespevalInputError,
     TokenizerConfig,
     check_aligned,
-    clipped_matches,
     ngrams,
     read_segments,
+    read_text,
     tokenize,
 )
 
@@ -92,19 +93,24 @@ def test_ngram_total_counts_random_sequences():
             assert sum(ngrams(seq, n).values()) == max(0, length - n + 1)
 
 
+# Clipped matches at order n: the sum over ``segment_stats(...).clipped[n - 1]``,
+# each hypothesis n-gram counted at most as often as in one reference.
+
+
+def clipped_matches(hyp, refs, n):
+    return sum(segment_stats(hyp, refs, NgramConfig(max_n=n)).clipped[n - 1].values())
+
+
 def test_clipped_matches_clipping():
-    assert clipped_matches(ngrams(["the"] * 3, 1), [ngrams(["the"], 1)]) == 1
+    assert clipped_matches(["the"] * 3, [["the"]], 1) == 1
 
 
 def test_clipped_matches_identity():
-    hyp = ngrams(["a", "b"], 1)
-    assert clipped_matches(hyp, [ngrams(["a", "b"], 1)]) == 2
+    assert clipped_matches(["a", "b"], [["a", "b"]], 1) == 2
 
 
 def test_clipped_matches_max_over_references():
-    hyp = ngrams(["a", "a"], 1)
-    refs = [ngrams(["a"], 1), ngrams(["a", "a"], 1)]
-    assert clipped_matches(hyp, refs) == 2
+    assert clipped_matches(["a", "a"], [["a"], ["a", "a"]], 1) == 2
 
 
 def test_clipped_matches_self_is_total():
@@ -112,14 +118,25 @@ def test_clipped_matches_self_is_total():
     for _ in range(50):
         seq = [rng.choice("abc") for _ in range(rng.randint(1, 12))]
         for n in (1, 2, 3):
-            counts = ngrams(seq, n)
-            assert clipped_matches(counts, [counts]) == sum(counts.values())
+            assert clipped_matches(seq, [seq], n) == sum(ngrams(seq, n).values())
 
 
 def test_read_segments_skips_blank_lines(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("first line\n\n  \nsecond line\n", encoding="utf-8")
     assert read_segments(path) == [["first", "line"], ["second", "line"]]
+
+
+def test_read_text_counts_cr_lf_and_crlf_as_line_breaks(tmp_path):
+    # every reader splits lines on CR LF, CR and LF alike
+    path = tmp_path / "t.txt"
+    for newline in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(newline.join([b"first", b"second", b"th\xffird", b"fourth"]))
+        with pytest.raises(RespevalInputError, match="t.txt: line 3: not valid UTF-8"):
+            read_text(path)
+    path.write_bytes(b"one\r\ntwo\rthree\n\n\xff")
+    with pytest.raises(RespevalInputError, match="t.txt: line 5: not valid UTF-8"):
+        read_text(path)
 
 
 def test_check_aligned():
