@@ -160,6 +160,10 @@ STAGE_EXACT = "exact"
 STAGE_STEM = "stem"
 STAGE_SYNONYM = "synonym"
 
+# Nodes one stage's crossing-minimizing search may visit before it settles
+# for the best maximum matching it has found (see ``_best_stage_matching``).
+METEOR_NODE_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class MeteorAlignment:
@@ -171,7 +175,8 @@ class MeteorAlignment:
     matched_unigrams: int
 
 
-def _kuhn_max_matching(candidates: dict[int, list[int]]) -> int:
+def _kuhn_max_matching(candidates: dict[int, list[int]]) -> list[tuple[int, int]]:
+    """A maximum-cardinality matching (Kuhn's augmenting paths), sorted by hyp index."""
     match_of_ref: dict[int, int] = {}
 
     def try_assign(h: int, seen: set[int]) -> bool:
@@ -184,11 +189,9 @@ def _kuhn_max_matching(candidates: dict[int, list[int]]) -> int:
                 return True
         return False
 
-    size = 0
     for h in sorted(candidates):
-        if try_assign(h, set()):
-            size += 1
-    return size
+        try_assign(h, set())
+    return sorted((h, r) for r, h in match_of_ref.items())
 
 
 def _crossing_delta(pair: tuple[int, int], others: list[tuple[int, int]]) -> int:
@@ -196,45 +199,30 @@ def _crossing_delta(pair: tuple[int, int], others: list[tuple[int, int]]) -> int
     return sum(1 for oh, orr in others if (oh - h) * (orr - r) < 0)
 
 
-def _greedy_stage_matching(candidates: dict[int, list[int]]) -> list[tuple[int, int]]:
-    chosen: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for h in sorted(candidates):
-        for r in candidates[h]:
-            if r not in used:
-                chosen.append((h, r))
-                used.add(r)
-                break
-    return chosen
-
-
 def _best_stage_matching(
     candidates: dict[int, list[int]],
     prior: list[tuple[int, int]],
-    node_cap: int = 200_000,
 ) -> list[tuple[int, int]]:
     """Maximum-cardinality matching minimizing crossings with itself and with
     matches from earlier stages; ties fall to the lowest hyp/ref index pairs.
 
-    Falls back to an in-order greedy matching on pathological inputs (the
-    exhaustive search is capped at ``node_cap`` visited nodes).
+    The search stops after ``METEOR_NODE_CAP`` nodes. It then keeps the best
+    matching found so far, or Kuhn's maximum matching if it found none, so
+    the size is always maximum.
     """
     hyp_nodes = sorted(candidates)
     if not hyp_nodes:
         return []
-    target = _kuhn_max_matching(candidates)
+    fallback = _kuhn_max_matching(candidates)
+    target = len(fallback)
     best: list[tuple[int, int]] | None = None
     best_crossings = math.inf
     visited = 0
-    aborted = False
 
     def dfs(idx: int, used: set[int], chosen: list[tuple[int, int]], crossings: int) -> None:
-        nonlocal best, best_crossings, visited, aborted
-        if aborted:
-            return
+        nonlocal best, best_crossings, visited
         visited += 1
-        if visited > node_cap:
-            aborted = True
+        if visited > METEOR_NODE_CAP:
             return
         if len(chosen) + (len(hyp_nodes) - idx) < target:
             return
@@ -258,9 +246,7 @@ def _best_stage_matching(
         dfs(idx + 1, used, chosen, crossings)
 
     dfs(0, set(), [], 0)
-    if best is None:
-        return _greedy_stage_matching(candidates)
-    return best
+    return fallback if best is None else best
 
 
 def _count_chunks(matches: list[tuple[int, int, str]]) -> int:
@@ -424,51 +410,46 @@ def spearman_nsr(positions: Sequence[int]) -> float:
     return (rho + 1.0) / 2.0
 
 
-def _ngram_positions(seq: Sequence[str], max_len: int) -> tuple[Counter, dict]:
-    counts: Counter = Counter()
-    first_pos: dict[tuple[str, ...], int] = {}
-    for length in range(1, max_len + 1):
-        for i in range(len(seq) - length + 1):
-            gram = tuple(seq[i : i + length])
-            counts[gram] += 1
-            first_pos.setdefault(gram, i)
-    return counts, first_pos
+def _narrow(seq: Sequence[str], positions: list[int], offset: int, token: str) -> list[int]:
+    """The positions ``j`` whose context also has ``token`` at ``j + offset``."""
+    return [j for j in positions if 0 <= j + offset < len(seq) and seq[j + offset] == token]
 
 
 def word_rank_alignment(hyp: TokenSequence, ref: TokenSequence) -> list[int]:
     """Reference positions of hypothesis words, in hypothesis order.
 
     Words unique in both sides align directly; repeated words are
-    disambiguated by growing left/right context n-grams until the context
-    occurs exactly once in both sentences. Words whose ambiguity survives are
-    left unaligned, and every reference position is used at most once.
+    disambiguated by growing the context one word at a time, right before
+    left at each width, until the context occurs exactly once in both
+    sentences. Each side keeps only the list of positions whose context still
+    matches, so memory stays linear in the sentence length. Words whose
+    ambiguity survives are left unaligned, and every reference position is
+    used at most once.
     """
     if hyp == ref:
         return list(range(len(hyp)))
-    max_len = max(len(hyp), len(ref))
-    hyp_counts, _ = _ngram_positions(hyp, max_len)
-    ref_counts, ref_first = _ngram_positions(ref, max_len)
     used: set[int] = set()
     worder: list[int] = []
     for i, word in enumerate(hyp):
-        key = (word,)
-        if ref_counts[key] == 0:
-            continue
+        hyp_right = hyp_left = [j for j, tok in enumerate(hyp) if tok == word]
+        ref_right = ref_left = [j for j, tok in enumerate(ref) if tok == word]
         position = None
-        if hyp_counts[key] == 1 and ref_counts[key] == 1:
-            position = ref_first[key]
-        else:
-            for window in range(1, max(i, len(hyp) - i) + 1):
-                if i + window < len(hyp):
-                    gram = tuple(hyp[i : i + window + 1])
-                    if hyp_counts[gram] == 1 and ref_counts[gram] == 1:
-                        position = ref_first[gram]
-                        break
-                if window <= i:
-                    gram = tuple(hyp[i - window : i + 1])
-                    if hyp_counts[gram] == 1 and ref_counts[gram] == 1:
-                        position = ref_first[gram] + window
-                        break
+        # Width 0 is the word itself; the left context starts at width 1.
+        for width in range(max(i, len(hyp) - i) + 1):
+            if not ref_right and not ref_left:
+                break
+            if i + width < len(hyp):
+                hyp_right = _narrow(hyp, hyp_right, width, hyp[i + width])
+                ref_right = _narrow(ref, ref_right, width, hyp[i + width])
+                if len(hyp_right) == 1 and len(ref_right) == 1:
+                    position = ref_right[0]
+                    break
+            if 0 < width <= i:
+                hyp_left = _narrow(hyp, hyp_left, -width, hyp[i - width])
+                ref_left = _narrow(ref, ref_left, -width, hyp[i - width])
+                if len(hyp_left) == 1 and len(ref_left) == 1:
+                    position = ref_left[0]
+                    break
         if position is not None and position not in used:
             used.add(position)
             worder.append(position)

@@ -25,6 +25,7 @@ from .textcore import (
     RespevalInputError,
     TokenizerConfig,
     check_aligned,
+    line_at,
     read_segments,
     read_text,
 )
@@ -295,10 +296,11 @@ def cmd_regress(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    text = read_text(args.model)
     try:
-        payload = json.loads(read_text(args.model))
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise RespevalInputError(f"not valid JSON ({exc.msg})", args.model, exc.lineno) from None
+        raise RespevalInputError(f"not valid JSON ({exc.msg})", args.model, line_at(text, exc.pos)) from None
     model_dict = payload.get("final_model", payload) if isinstance(payload, dict) else payload
     try:
         model = RegressionModel.from_dict(model_dict)

@@ -110,16 +110,22 @@ def ngrams(seq: TokenSequence, n: int) -> NGramCounts:
     return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
 
 
+def line_at(text: str, pos: int) -> int:
+    """The 1-based line of offset ``pos`` in ``text``; CR LF, CR and LF each
+    end a line, as in every reader."""
+    before = text[:pos]
+    return before.count("\n") + before.count("\r") - before.count("\r\n") + 1
+
+
 def read_text(path: str | Path) -> str:
     """The whole of a UTF-8 file; bytes that do not decode are a ``RespevalInputError``
-    naming the line they are on; CR LF, CR and LF each end a line, as in
-    every reader."""
+    naming the line they are on."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        before = data[: exc.start]
-        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        before = data[: exc.start].decode("utf-8")
+        line = line_at(before, len(before))
         raise RespevalInputError(f"not valid UTF-8 ({exc.reason})", path, line) from None
 
 

@@ -3,9 +3,13 @@
 Everything here is deliberately brute force and shares no code path with the
 package: plain-Python Levenshtein, the greedy TER shift search scored with it,
 breadth-first shift search, per-metric BLEU / NIST / EBLEU that count n-grams
-afresh for every score, pairwise rank enumeration, cofactor-inverted normal
-equations, and adaptive Simpson quadrature of the t density.
+afresh for every score, pairwise rank enumeration, RIBES word alignment from
+tables of every n-gram, METEOR stage matchings by enumerating every matching,
+cofactor-inverted normal equations, and adaptive Simpson quadrature of the t
+density.
 """
+
+from __future__ import annotations
 
 import math
 from collections import Counter
@@ -277,6 +281,121 @@ def spearman_nsr_brute(positions) -> float:
     d2 = sum((ranking[value] - i) ** 2 for i, value in enumerate(positions))
     rho = 1 - 6 * d2 / (n * (n * n - 1))
     return (rho + 1) / 2
+
+
+# --- METEOR alignment by enumerating every stage matching ---------------------
+
+
+def _matchings(nodes, candidates, size, used=frozenset()):
+    """Every matching of exactly ``size`` pairs over ``nodes``, in the order a
+    depth-first search meets them: each candidate in list order, then the
+    node left out."""
+    if size == 0:
+        yield []
+        return
+    if len(nodes) < size:
+        return
+    h, rest = nodes[0], nodes[1:]
+    for r in candidates[h]:
+        if r not in used:
+            for tail in _matchings(rest, candidates, size - 1, used | {r}):
+                yield [(h, r)] + tail
+    yield from _matchings(rest, candidates, size, used)
+
+
+def _crossings(pairs, prior):
+    crossed = sum(
+        1 for i, (h1, r1) in enumerate(pairs) for h2, r2 in pairs[i + 1 :] if (h1 - h2) * (r1 - r2) < 0
+    )
+    return crossed + sum(1 for h1, r1 in pairs for h2, r2 in prior if (h1 - h2) * (r1 - r2) < 0)
+
+
+def meteor_align_brute(hyp, ref, stems=None, synonyms=None):
+    """METEOR's staged alignment, (hyp index, ref index, stage) sorted.
+
+    Exact, then stem, then synonym matches over the words still unmatched.
+    Each stage takes, of its matchings of the largest size, one with the
+    fewest crossings (with itself and with earlier stages), the first in
+    depth-first order among equals. Words missing from ``stems`` stem to
+    themselves."""
+    stems, synonyms = stems or {}, synonyms or {}
+    predicates = (
+        ("exact", lambda a, b: a == b),
+        ("stem", lambda a, b: bool(set(stems.get(a, {a})) & set(stems.get(b, {b})))),
+        ("synonym", lambda a, b: b in synonyms.get(a, ())),
+    )
+    matches = []
+    for stage, predicate in predicates:
+        done_h = {h for h, _, _ in matches}
+        done_r = {r for _, r, _ in matches}
+        candidates = {}
+        for h, a in enumerate(hyp):
+            options = [r for r, b in enumerate(ref) if h not in done_h and r not in done_r and predicate(a, b)]
+            if options:
+                candidates[h] = options
+        nodes = sorted(candidates)
+        prior = [(h, r) for h, r, _ in matches]
+        for size in range(len(nodes), 0, -1):
+            found = list(_matchings(nodes, candidates, size))
+            if found:
+                best = min(found, key=lambda pairs: _crossings(pairs, prior))
+                matches += [(h, r, stage) for h, r in best]
+                break
+    return sorted(matches)
+
+
+# --- RIBES word-rank alignment from tables of every n-gram ------------------
+
+
+def _ngram_positions(seq: Sequence[str], max_len: int) -> tuple[Counter, dict]:
+    counts: Counter = Counter()
+    first_pos: dict[tuple[str, ...], int] = {}
+    for length in range(1, max_len + 1):
+        for i in range(len(seq) - length + 1):
+            gram = tuple(seq[i : i + length])
+            counts[gram] += 1
+            first_pos.setdefault(gram, i)
+    return counts, first_pos
+
+
+def word_rank_alignment(hyp: TokenSequence, ref: TokenSequence) -> list[int]:
+    """Reference positions of hypothesis words, in hypothesis order.
+
+    Words unique in both sides align directly; repeated words are
+    disambiguated by growing left/right context n-grams until the context
+    occurs exactly once in both sentences. Words whose ambiguity survives are
+    left unaligned, and every reference position is used at most once.
+    """
+    if hyp == ref:
+        return list(range(len(hyp)))
+    max_len = max(len(hyp), len(ref))
+    hyp_counts, _ = _ngram_positions(hyp, max_len)
+    ref_counts, ref_first = _ngram_positions(ref, max_len)
+    used: set[int] = set()
+    worder: list[int] = []
+    for i, word in enumerate(hyp):
+        key = (word,)
+        if ref_counts[key] == 0:
+            continue
+        position = None
+        if hyp_counts[key] == 1 and ref_counts[key] == 1:
+            position = ref_first[key]
+        else:
+            for window in range(1, max(i, len(hyp) - i) + 1):
+                if i + window < len(hyp):
+                    gram = tuple(hyp[i : i + window + 1])
+                    if hyp_counts[gram] == 1 and ref_counts[gram] == 1:
+                        position = ref_first[gram]
+                        break
+                if window <= i:
+                    gram = tuple(hyp[i - window : i + 1])
+                    if hyp_counts[gram] == 1 and ref_counts[gram] == 1:
+                        position = ref_first[gram] + window
+                        break
+        if position is not None and position not in used:
+            used.add(position)
+            worder.append(position)
+    return worder
 
 
 # --- normal-equations OLS with cofactor inversion ------------------------------

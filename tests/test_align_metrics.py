@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -224,6 +225,44 @@ def test_align_growing_synonyms_never_loses_matches():
         assert after >= before
 
 
+def _symmetric_synonyms(pairs):
+    synonyms: dict[str, set[str]] = {}
+    for a, b in pairs:
+        synonyms.setdefault(a, set()).add(b)
+        synonyms.setdefault(b, set()).add(a)
+    return {w: frozenset(s) for w, s in synonyms.items()}
+
+
+def _random_resources(rng, vocab):
+    """Stems from a three-stem pool for about half the words, and random synonym pairs."""
+    stems = {w: frozenset(rng.sample("xyz", rng.randint(1, 2))) for w in vocab if rng.random() < 0.5}
+    return stems, _symmetric_synonyms(p for p in itertools.combinations(vocab, 2) if rng.random() < 0.3)
+
+
+def test_align_matches_brute_force_stage_oracle():
+    rng = make_rng(28)
+    words = ("a", "b", "c", "d", "e", "f")
+    for trial in range(1500):
+        vocab = words[: rng.randint(1, 6)]
+        hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 7))]
+        ref = [rng.choice(vocab) for _ in range(rng.randint(0, 7))]
+        stems, synonyms = _random_resources(rng, vocab) if trial % 3 else ({}, {})
+        resources = LanguageResources(synonyms=synonyms, stems=stems)
+        expected = oracles.meteor_align_brute(hyp, ref, stems, synonyms)
+        assert list(meteor_align(hyp, ref, resources).matches) == expected, (hyp, ref, stems, synonyms)
+
+
+def test_align_cut_short_stage_keeps_a_maximum_matching():
+    # The crossing search runs out of nodes before it reaches a full leaf
+    # here; taking each hyp word's first free candidate would match 21 words.
+    pairs = [("x", "p"), ("x", "q"), ("z", "p")]
+    pairs += [(f"y{j}", f"{side}{j}") for j in range(20) for side in "ab"]
+    resources = LanguageResources(synonyms=_symmetric_synonyms(pairs))
+    hyp = ["x"] + [f"y{j}" for j in range(20)] + ["z"]
+    ref = ["p", "q"] + [f"{side}{j}" for j in range(20) for side in "ab"]
+    assert meteor_align(hyp, ref, resources).matched_unigrams == 22
+
+
 # --- METEOR score ------------------------------------------------------------------
 
 
@@ -396,6 +435,46 @@ def test_word_rank_alignment_context_disambiguation():
     worder = word_rank_alignment(hyp, ref)
     assert len(worder) == len(set(worder))
     assert 1 in worder and 3 in worder
+
+
+def test_word_rank_alignment_matches_table_oracle():
+    rng = make_rng(29)
+    words = ("a", "b", "c", "d", "e", "f")
+    for trial in range(5000):
+        vocab = words[: rng.randint(1, 6)]
+        hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 40))]
+        kind = trial % 4
+        if kind == 0:
+            ref = list(hyp)
+        elif kind == 1:
+            ref = list(hyp)
+            for _ in range(rng.randint(1, 4)):
+                at = rng.randrange(len(ref) + 1)
+                if at == len(ref) or rng.random() < 0.4:
+                    ref.insert(at, rng.choice(vocab))
+                elif rng.random() < 0.5:
+                    del ref[at]
+                else:
+                    ref[at] = rng.choice(vocab)
+        elif kind == 2:
+            ref = [rng.choice(("u", "v", "w")) for _ in range(rng.randint(0, 40))]
+        else:
+            ref = [rng.choice(vocab) for _ in range(rng.randint(0, 40))]
+        assert word_rank_alignment(hyp, ref) == oracles.word_rank_alignment(hyp, ref), (hyp, ref)
+
+
+def test_word_rank_alignment_memory_is_linear():
+    # Tables of every n-gram of this pair peak at about 24 MiB.
+    rng = make_rng(30)
+    hyp = [rng.choice(("a", "b", "c")) for _ in range(200)]
+    ref = hyp[100:] + hyp[:100]
+    tracemalloc.start()
+    try:
+        word_rank_alignment(hyp, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_ribes_in_unit_interval_random():

@@ -505,6 +505,12 @@ LENGTH_ANNOTATIONS = (
             "{ref2}: segment count mismatch: hypothesis has 2, reference has 1",
             id="score-reference-count-mismatch",
         ),
+        pytest.param(
+            {"model": b'{"response": "NER",\r "predictors": [}'},
+            ["predict", "{model}", "BLEU=1"],
+            "{model}: line 2: not valid JSON (Expecting value)",
+            id="predict-malformed-json-cr-line-breaks",
+        ),
     ],
 )
 def test_bad_input_exits_2_naming_where(files, argv, message, tmp_path, capsys):
