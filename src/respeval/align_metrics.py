@@ -161,36 +161,52 @@ STAGE_STEM = "stem"
 STAGE_SYNONYM = "synonym"
 
 # Nodes one stage's crossing-minimizing search may visit before it settles
-# for the best maximum matching it has found (see ``_best_stage_matching``).
+# for the best maximum matching it has found (see ``_exact_stage_matching``
+# and ``_best_stage_matching``).
 METEOR_NODE_CAP = 200_000
 
 
 @dataclass(frozen=True)
 class MeteorAlignment:
     """One-to-one word matches (hyp index, ref index, stage), sorted by
-    hypothesis position, with the chunk count over the final alignment."""
+    hypothesis position, with the chunk count over the final alignment.
+    ``exhaustive`` is false when some stage's search stopped at
+    ``METEOR_NODE_CAP``, so its matching may not have the fewest crossings."""
 
     matches: tuple[tuple[int, int, str], ...]
     chunks: int
     matched_unigrams: int
+    exhaustive: bool
 
 
 def _kuhn_max_matching(candidates: dict[int, list[int]]) -> list[tuple[int, int]]:
-    """A maximum-cardinality matching (Kuhn's augmenting paths), sorted by hyp index."""
+    """A maximum-cardinality matching (Kuhn's augmenting paths), sorted by hyp index.
+
+    Each augmenting path is searched depth-first on an explicit stack of
+    ``[hyp node, next candidate index]`` frames."""
     match_of_ref: dict[int, int] = {}
-
-    def try_assign(h: int, seen: set[int]) -> bool:
-        for r in candidates[h]:
-            if r in seen:
+    for root in sorted(candidates):
+        seen: set[int] = set()
+        path = [[root, 0]]
+        while path:
+            frame = path[-1]
+            h, i = frame
+            options = candidates[h]
+            while i < len(options) and options[i] in seen:
+                i += 1
+            if i == len(options):
+                path.pop()
                 continue
+            r = options[i]
+            frame[1] = i + 1
             seen.add(r)
-            if r not in match_of_ref or try_assign(match_of_ref[r], seen):
-                match_of_ref[r] = h
-                return True
-        return False
-
-    for h in sorted(candidates):
-        try_assign(h, set())
+            if r in match_of_ref:
+                path.append([match_of_ref[r], 0])
+                continue
+            # Augment: every node on the path takes the candidate it tried last.
+            for node, tried in path:
+                match_of_ref[candidates[node][tried - 1]] = node
+            break
     return sorted((h, r) for r, h in match_of_ref.items())
 
 
@@ -199,54 +215,125 @@ def _crossing_delta(pair: tuple[int, int], others: list[tuple[int, int]]) -> int
     return sum(1 for oh, orr in others if (oh - h) * (orr - r) < 0)
 
 
+def _exact_stage_matching(
+    hyp: TokenSequence, ref: TokenSequence
+) -> tuple[list[tuple[int, int]], bool]:
+    """The exact stage's maximum matching with the fewest crossings, and
+    whether the search finished.
+
+    Uncrossing two matches of one word always removes crossings, so every
+    such matching pairs each word's occurrences in order, and it pairs
+    min(count in hyp, count in ref) of them. The search walks the hypothesis
+    positions whose word the reference has, left to right. At each it tries
+    the word's next usable reference occurrences in ascending order, then
+    leaving the position unmatched while the word has spare hypothesis
+    occurrences: ``_best_stage_matching``'s depth-first order restricted to
+    in-order matchings, so ties fall the same way. A branch is pruned when
+    its crossings plus a lower bound on those every completion adds cannot
+    beat the best found: a word's k remaining matches lie no further right
+    than its last k reference occurrences, so each crosses at least the
+    chosen matches to the right of those. The search stops after
+    ``METEOR_NODE_CAP`` nodes once it has a matching.
+    """
+    occurrences: dict[str, list[int]] = {}
+    for j, tok in enumerate(ref):
+        occurrences.setdefault(tok, []).append(j)
+    nodes = [(h, tok) for h, tok in enumerate(hyp) if tok in occurrences]
+    hyp_counts: Counter = Counter()
+    left = [0] * len(nodes)  # occurrences of the node's word from the node on
+    for d in reversed(range(len(nodes))):
+        tok = nodes[d][1]
+        hyp_counts[tok] += 1
+        left[d] = hyp_counts[tok]
+    needed = {tok: min(count, len(occurrences[tok])) for tok, count in hyp_counts.items()}
+    rank = {j: t for occ in occurrences.values() for t, j in enumerate(occ)}
+    bits = {tok: sum(1 << j for j in occ) for tok, occ in occurrences.items()}
+    # Bit j of ``used`` is set when ref[j] is matched, of ``tail`` when ref[j]
+    # is among the last k occurrences of a word that still needs k matches
+    # (at first every k is at least 1: the word occurs on both sides).
+    tail = sum(1 << j for tok, k in needed.items() for j in occurrences[tok][-k:])
+    best: list[tuple[int, int]] = []
+    best_crossings = math.inf
+    visited = 0
+    # A state: (depth, crossings, bound, used, tail, matches so far).
+    stack: list[tuple] = [(0, 0, 0, 0, tail, ())]
+    while stack:
+        visited += 1
+        if visited > METEOR_NODE_CAP and best_crossings < math.inf:
+            return best, False
+        depth, crossings, bound, used, tail, chosen = stack.pop()
+        if crossings + bound >= best_crossings:
+            continue
+        if depth == len(nodes):
+            best, best_crossings = list(chosen), crossings
+            continue
+        h, tok = nodes[depth]
+        occ = occurrences[tok]
+        mine = used & bits[tok]
+        missing = needed[tok] - mine.bit_count()
+        # Pushed last-tried first: leaving h unmatched, then later occurrences.
+        if left[depth] > missing:
+            stack.append((depth + 1, crossings, bound, used, tail, chosen))
+        if missing:
+            dropped = occ[len(occ) - missing]
+            bound -= (used >> (dropped + 1)).bit_count()
+            tail ^= 1 << dropped
+            first = rank[mine.bit_length() - 1] + 1 if mine else 0
+            for r in reversed(occ[first : len(occ) - missing + 1]):
+                stack.append(
+                    (
+                        depth + 1,
+                        crossings + (used >> (r + 1)).bit_count(),
+                        bound + (tail & ((1 << r) - 1)).bit_count(),
+                        used | 1 << r,
+                        tail,
+                        chosen + ((h, r),),
+                    )
+                )
+    return best, True
+
+
 def _best_stage_matching(
     candidates: dict[int, list[int]],
     prior: list[tuple[int, int]],
-) -> list[tuple[int, int]]:
+) -> tuple[list[tuple[int, int]], bool]:
     """Maximum-cardinality matching minimizing crossings with itself and with
     matches from earlier stages; ties fall to the lowest hyp/ref index pairs.
+    Also returns whether the search finished.
 
-    The search stops after ``METEOR_NODE_CAP`` nodes. It then keeps the best
-    matching found so far, or Kuhn's maximum matching if it found none, so
-    the size is always maximum.
+    The depth-first search tries each hyp node's candidates in order, then
+    leaving the node unmatched, from an explicit stack of states. It stops
+    after ``METEOR_NODE_CAP`` nodes. It then keeps the best matching found
+    so far, or Kuhn's maximum matching if it found none, so the size is
+    always maximum.
     """
     hyp_nodes = sorted(candidates)
     if not hyp_nodes:
-        return []
+        return [], True
     fallback = _kuhn_max_matching(candidates)
     target = len(fallback)
     best: list[tuple[int, int]] | None = None
     best_crossings = math.inf
     visited = 0
-
-    def dfs(idx: int, used: set[int], chosen: list[tuple[int, int]], crossings: int) -> None:
-        nonlocal best, best_crossings, visited
+    # A state: (hyp node index, crossings, used ref indices, matches so far).
+    stack: list[tuple] = [(0, 0, frozenset(), ())]
+    while stack:
         visited += 1
         if visited > METEOR_NODE_CAP:
-            return
-        if len(chosen) + (len(hyp_nodes) - idx) < target:
-            return
-        if best is not None and crossings >= best_crossings:
-            return
+            return (fallback if best is None else best), False
+        idx, crossings, used, chosen = stack.pop()
+        if len(chosen) + (len(hyp_nodes) - idx) < target or crossings >= best_crossings:
+            continue
         if idx == len(hyp_nodes):
-            if len(chosen) == target:
-                best = list(chosen)
-                best_crossings = crossings
-            return
+            best, best_crossings = list(chosen), crossings
+            continue
         h = hyp_nodes[idx]
-        for r in candidates[h]:
-            if r in used:
-                continue
-            delta = _crossing_delta((h, r), chosen) + _crossing_delta((h, r), prior)
-            used.add(r)
-            chosen.append((h, r))
-            dfs(idx + 1, used, chosen, crossings + delta)
-            chosen.pop()
-            used.discard(r)
-        dfs(idx + 1, used, chosen, crossings)
-
-    dfs(0, set(), [], 0)
-    return fallback if best is None else best
+        stack.append((idx + 1, crossings, used, chosen))
+        for r in reversed(candidates[h]):
+            if r not in used:
+                delta = _crossing_delta((h, r), chosen) + _crossing_delta((h, r), prior)
+                stack.append((idx + 1, crossings + delta, used | {r}, chosen + ((h, r),)))
+    return (fallback if best is None else best), True
 
 
 def _count_chunks(matches: list[tuple[int, int, str]]) -> int:
@@ -267,19 +354,16 @@ def meteor_align(
 ) -> MeteorAlignment:
     """Incremental alignment: exact matches first, then stem matches, then
     synonym matches; each stage only considers words left unmatched before it."""
-    predicates = (
-        (STAGE_EXACT, lambda a, b: a == b),
-        (STAGE_STEM, resources.share_stem),
-        (STAGE_SYNONYM, resources.are_synonyms),
-    )
-    matched_hyp: set[int] = set()
-    matched_ref: set[int] = set()
-    all_matches: list[tuple[int, int, str]] = []
-    for stage, predicate in predicates:
-        if stage == STAGE_STEM and not resources.stems:
+    pairs, exhaustive = _exact_stage_matching(hyp, ref)
+    all_matches = [(h, r, STAGE_EXACT) for h, r in pairs]
+    for stage, predicate, active in (
+        (STAGE_STEM, resources.share_stem, resources.stems),
+        (STAGE_SYNONYM, resources.are_synonyms, resources.synonyms),
+    ):
+        if not active:
             continue
-        if stage == STAGE_SYNONYM and not resources.synonyms:
-            continue
+        matched_hyp = {h for h, _, _ in all_matches}
+        matched_ref = {r for _, r, _ in all_matches}
         candidates: dict[int, list[int]] = {}
         for i, h_tok in enumerate(hyp):
             if i in matched_hyp:
@@ -292,15 +376,15 @@ def meteor_align(
             if options:
                 candidates[i] = options
         prior = [(h, r) for h, r, _ in all_matches]
-        for h, r in _best_stage_matching(candidates, prior):
-            all_matches.append((h, r, stage))
-            matched_hyp.add(h)
-            matched_ref.add(r)
+        pairs, finished = _best_stage_matching(candidates, prior)
+        all_matches += [(h, r, stage) for h, r in pairs]
+        exhaustive = exhaustive and finished
     ordered = tuple(sorted(all_matches))
     return MeteorAlignment(
         matches=ordered,
         chunks=_count_chunks(list(ordered)),
         matched_unigrams=len(ordered),
+        exhaustive=exhaustive,
     )
 
 

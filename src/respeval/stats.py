@@ -293,23 +293,31 @@ def ols_fit(
         se = np.sqrt(rss / df * (r_inv * r_inv).sum(axis=1))
         sd_y = float(np.std(y, ddof=1))
         sd_xs = [float(np.std(np.asarray(table.column(name)), ddof=1)) for name in predictors]
+        # A term whose share of the fitted values is below the rounding
+        # tolerance is zero relative to the data's scale.
+        contributions = np.abs(beta) * np.linalg.norm(X, axis=0)
     if not np.isfinite([rss, tss, *se, sd_y, *sd_xs]).all():
         raise RespevalInputError(
             f"sums of squares or standard errors overflow fitting {response!r} on {predictors}; "
             "rescale the values"
         )
+    # An exact fit up to rounding: its residuals and standard errors are 0.
+    tolerance = 1e-12 * max(1.0, float(y @ y))
+    exact = rss <= tolerance
+    if exact:
+        se = np.zeros(k + 1)
     if tss > 0:
         r2 = 1.0 - rss / tss
     else:
-        r2 = 1.0 if rss <= 1e-12 * max(1.0, float(y @ y)) else 0.0
+        r2 = 1.0 if exact else 0.0
 
     t_stats = []
     p_values = []
-    for b, s in zip(beta, se):
+    for b, s, contribution in zip(beta, se, contributions):
         if s > 0:
             t = float(b / s)
         else:
-            t = 0.0 if abs(b) < 1e-300 else math.copysign(math.inf, b)
+            t = 0.0 if contribution <= math.sqrt(tolerance) else math.copysign(math.inf, b)
         t_stats.append(t)
         p_values.append(t_sf(t, df))
 

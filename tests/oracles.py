@@ -5,12 +5,14 @@ package: plain-Python Levenshtein, the greedy TER shift search scored with it,
 breadth-first shift search, per-metric BLEU / NIST / EBLEU that count n-grams
 afresh for every score, pairwise rank enumeration, RIBES word alignment from
 tables of every n-gram, METEOR stage matchings by enumerating every matching,
+the METEOR exact stage by enumerating every in-order choice per word,
 cofactor-inverted normal equations, and adaptive Simpson quadrature of the t
 density.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -342,6 +344,41 @@ def meteor_align_brute(hyp, ref, stems=None, synonyms=None):
                 matches += [(h, r, stage) for h, r in best]
                 break
     return sorted(matches)
+
+
+# --- METEOR exact stage by enumerating in-order choices per word ------------
+
+
+def meteor_exact_stage_enum(hyp, ref):
+    """The exact stage's matching, (hyp index, ref index) sorted.
+
+    Enumerates the product, over the words both sides share, of every choice
+    of min(count in hyp, count in ref) occurrences on each side, paired in
+    order. Keeps the least (crossings, assignment) key, where the assignment
+    lists the ref index of each hyp position whose word the reference has,
+    left to right, with unmatched sorting last."""
+    shared = sorted(set(hyp) & set(ref))
+    per_word = []
+    for word in shared:
+        hs = [i for i, tok in enumerate(hyp) if tok == word]
+        rs = [j for j, tok in enumerate(ref) if tok == word]
+        size = min(len(hs), len(rs))
+        per_word.append(
+            [
+                list(zip(hc, rc))
+                for hc in itertools.combinations(hs, size)
+                for rc in itertools.combinations(rs, size)
+            ]
+        )
+    positions = [i for i, tok in enumerate(hyp) if tok in shared]
+    best_key, best = None, []
+    for choice in itertools.product(*per_word):
+        pairs = sorted(pair for word_pairs in choice for pair in word_pairs)
+        ref_of = dict(pairs)
+        key = (_crossings(pairs, []), [ref_of.get(i, math.inf) for i in positions])
+        if best_key is None or key < best_key:
+            best_key, best = key, pairs
+    return best
 
 
 # --- RIBES word-rank alignment from tables of every n-gram ------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -252,15 +253,80 @@ def test_align_matches_brute_force_stage_oracle():
         assert list(meteor_align(hyp, ref, resources).matches) == expected, (hyp, ref, stems, synonyms)
 
 
-def test_align_cut_short_stage_keeps_a_maximum_matching():
-    # The crossing search runs out of nodes before it reaches a full leaf
-    # here; taking each hyp word's first free candidate would match 21 words.
+def _cut_short_synonym_pair():
+    """A synonym stage whose crossing search runs out of nodes before it
+    reaches a full leaf; taking each hyp word's first free candidate would
+    match 21 words."""
     pairs = [("x", "p"), ("x", "q"), ("z", "p")]
     pairs += [(f"y{j}", f"{side}{j}") for j in range(20) for side in "ab"]
     resources = LanguageResources(synonyms=_symmetric_synonyms(pairs))
     hyp = ["x"] + [f"y{j}" for j in range(20)] + ["z"]
     ref = ["p", "q"] + [f"{side}{j}" for j in range(20) for side in "ab"]
+    return hyp, ref, resources
+
+
+def test_align_cut_short_stage_keeps_a_maximum_matching():
+    hyp, ref, resources = _cut_short_synonym_pair()
     assert meteor_align(hyp, ref, resources).matched_unigrams == 22
+
+
+def test_align_cut_short_stage_is_not_exhaustive():
+    hyp, ref, resources = _cut_short_synonym_pair()
+    assert not meteor_align(hyp, ref, resources).exhaustive
+    assert meteor_align(hyp, ref).exhaustive
+
+
+def _in_order_choices(hyp, ref):
+    """How many in-order exact-stage matchings of the largest size there are."""
+    return math.prod(
+        math.comb(max(hyp.count(w), ref.count(w)), min(hyp.count(w), ref.count(w)))
+        for w in set(hyp) & set(ref)
+    )
+
+
+def test_exact_stage_matches_choice_enumeration():
+    rng = make_rng(29)
+    words = ("a", "b", "c", "d")
+    checked = 0
+    while checked < 150:
+        vocab = words[: rng.randint(2, 4)]
+        hyp = [rng.choice(vocab) for _ in range(rng.randint(12, 22))]
+        ref = [rng.choice(vocab) for _ in range(rng.randint(12, 22))]
+        if _in_order_choices(hyp, ref) > 5_000:
+            continue
+        checked += 1
+        expected = [(h, r, "exact") for h, r in oracles.meteor_exact_stage_enum(hyp, ref)]
+        alignment = meteor_align(hyp, ref)
+        assert list(alignment.matches) == expected, (hyp, ref)
+        assert alignment.exhaustive
+
+
+def test_exact_stage_pins_cut_short_pair():
+    # A depth-first search over every matching ran out of nodes on this pair
+    # and kept 19 and 13 crossings.
+    hyp = "a a a a b a c a a c c a c a c a a a a".split()
+    refs = ["a a a c a a c c a a a c a a c a b".split(), "a a a c a a a c a c c a a b c a b".split()]
+    crossings = []
+    for ref in refs:
+        alignment = meteor_align(hyp, ref)
+        assert alignment.exhaustive
+        crossings.append(oracles._crossings([(h, r) for h, r, _ in alignment.matches], []))
+    assert crossings == [18, 12]
+    scores = [meteor(hyp, ref).score for ref in refs]
+    assert scores == [pytest.approx(0.6104651162790699, abs=1e-12)] * 2
+    assert round(max(scores) * 100, 6) == 61.046512
+
+
+def test_align_long_stem_stage_matches_every_word():
+    # One candidate per hyp word: a search that recursed once per candidate
+    # would overflow Python's recursion limit.
+    n = 1_100
+    stems = {w: frozenset({f"s{i}"}) for i in range(n) for w in (f"w{i}", f"v{i}")}
+    hyp = [f"w{i}" for i in range(n)]
+    ref = [f"v{i}" for i in range(n)]
+    alignment = meteor_align(hyp, ref, LanguageResources(stems=stems))
+    assert alignment.matched_unigrams == n
+    assert {stage for _, _, stage in alignment.matches} == {"stem"}
 
 
 # --- METEOR score ------------------------------------------------------------------

@@ -220,6 +220,16 @@ def test_bad_numeric_flag_is_a_usage_error(argv, flag, capsys):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+def test_score_one_long_line_exits_0(tmp_path, capsys):
+    # 1,100 distinct words: METEOR's exact stage decides 1,100 positions in a row.
+    line = " ".join(f"w{i}" for i in range(1_100)) + "\n"
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_text(line, encoding="utf-8")
+    ref.write_text(line, encoding="utf-8")
+    code, out, err = run(capsys, "score", str(hyp), str(ref))
+    assert (code, err) == (0, "")
+
+
 def test_score_non_utf8_transcript(tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"

@@ -1,4 +1,5 @@
 import io
+import math
 import warnings
 
 import pytest
@@ -43,6 +44,16 @@ def test_exact_line_fit():
     assert model.coefficients[0] == pytest.approx(0.0, abs=1e-12)
     assert model.coefficients[1] == pytest.approx(2.0, abs=1e-12)
     assert model.r2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_fit_has_zero_standard_errors():
+    # Rounding leaves RSS ~1e-31 here; read as data it gave t = 2.8e15 for x
+    # and p = 0.663 for a constant of -4e-16.
+    table = make_table(["x", "y"], [[1, 1], [2, 2], [3, 3]], "y")
+    model = ols_fit(table, ["x"])
+    assert model.std_errors == (0.0, 0.0)
+    assert (model.t_stats[0], model.p_values[0]) == (0.0, 1.0)
+    assert (model.t_stats[1], model.p_values[1]) == (math.inf, 0.0)
 
 
 def test_fit_matches_normal_equations_oracle():
