@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .resources import LanguageResources
@@ -51,6 +52,7 @@ class _ReferenceColumns:
     operations, whatever the reference length."""
 
     def __init__(self, ref: Sequence[str]):
+        self.ref = ref
         self.masks: dict[str, int] = {}
         for i, tok in enumerate(ref):
             self.masks[tok] = self.masks.get(tok, 0) | (1 << i)
@@ -78,6 +80,60 @@ class _ReferenceColumns:
             mv = ph & xv
         return pv, mv, score
 
+    def prefix_states(self, tokens: Sequence[str]) -> list[tuple[int, int, int]]:
+        """The state after each prefix of ``tokens``, shortest first."""
+        states = [self.initial]
+        for tok in tokens:
+            states.append(self.feed(states[-1], (tok,)))
+        return states
+
+    @cached_property
+    def reversed(self) -> _ReferenceColumns:
+        """The columns of the reversed reference."""
+        return _ReferenceColumns(self.ref[::-1])
+
+
+def _prefix_bounds(
+    columns: _ReferenceColumns, tokens: Sequence[str], states: list[tuple[int, int, int]]
+) -> list[int]:
+    """For each ``k``, a lower bound on the distance to the reference of every
+    sequence that starts with ``tokens[:k]`` and goes on with the rest of
+    ``tokens`` in any order: the least, over the reference cuts ``j``, of
+    ``D(tokens[:k], ref[:j]) + multiset_edit_bound(tokens[k:], ref[j:])``.
+
+    ``states[k]`` is the column state after ``tokens[:k]``. Its column is read
+    from the bottom up, ``D(tokens[:k], ref[:j])`` for ``j = m, ..., 0``,
+    less the count of tokens that ``tokens[k:]`` and ``ref[j:]`` have in
+    common: ``ref[j]`` adds one when ``tokens[k:]`` has at least as many of
+    it as ``ref[j:]``. The multiset bound is ``max(n - k, m - j)`` less that
+    count."""
+    ref = columns.ref
+    n, m = len(tokens), len(ref)
+    backward = []  # (j, ref[j], occurrences of ref[j] in ref[j:]) from the last j down
+    seen: dict[str, int] = {}
+    for j in reversed(range(m)):
+        seen[ref[j]] = seen.get(ref[j], 0) + 1
+        backward.append((j, ref[j], seen[ref[j]]))
+    rest: dict[str, int] = {}  # token counts of tokens[k:]
+    for tok in tokens:
+        rest[tok] = rest.get(tok, 0) + 1
+    bounds = []
+    for k, (pv, mv, distance) in enumerate(states):
+        left = n - k
+        best = distance + left
+        for j, tok, occurrences in backward:
+            # distance: D(tokens[:k], ref[:j]) less the tokens in common
+            distance += (mv >> j & 1) - (pv >> j & 1)
+            if rest.get(tok, 0) >= occurrences:
+                distance -= 1
+            bound = distance + (left if left > m - j else m - j)
+            if bound < best:
+                best = bound
+        bounds.append(best)
+        if k < n:
+            rest[tokens[k]] -= 1
+    return bounds
+
 
 def _best_shift(
     current: list[str],
@@ -89,16 +145,23 @@ def _best_shift(
     length, position) order, with a strictly smaller distance than every
     candidate before it; ``None`` if no shift lowers the distance.
 
-    A candidate agrees with ``current`` on its first ``min(start, pos)``
-    tokens, so it resumes from the cached column state of that prefix. The
-    search stops at the first candidate that reaches ``bound``: no later one
-    can go strictly below it."""
-    prefix = [columns.initial]
-    for tok in current:
-        prefix.append(columns.feed(prefix[-1], (tok,)))
+    A candidate agrees with ``current`` on its first ``keep = min(start, pos)``
+    tokens, so it resumes from the cached column state of that prefix. It
+    also agrees on the tokens from ``max(start, pos) + length`` on, and the
+    tokens between are a permutation of ``current``'s own. So its distance is
+    at least both ``_prefix_bounds`` of ``current`` at ``keep`` and those of
+    the reversed sequences at the kept suffix, and a candidate whose bound
+    reaches the best distance so far is skipped: it could not replace the
+    first best. The search stops at the first candidate that reaches
+    ``bound``: no later one can go strictly below it."""
+    prefix = columns.prefix_states(current)
     best_distance = prefix[-1][2]
     if best_distance <= bound:
         return best_distance, None
+    reverse = current[::-1]
+    head_bounds = _prefix_bounds(columns, current, prefix)
+    tail_bounds = _prefix_bounds(columns.reversed, reverse, columns.reversed.prefix_states(reverse))
+    tail_bounds.reverse()  # tail_bounds[s] bounds every candidate ending in current[s:]
     best_sequence = None
     n = len(current)
     for start in range(n):
@@ -112,7 +175,12 @@ def _best_shift(
             for pos in range(len(remainder) + 1):
                 if pos == start:
                     continue
-                keep = min(start, pos)
+                if pos < start:
+                    keep, kept = pos, start + length
+                else:
+                    keep, kept = start, pos + length
+                if head_bounds[keep] >= best_distance or tail_bounds[kept] >= best_distance:
+                    continue
                 candidate = remainder[:pos] + block + remainder[pos:]
                 d = columns.feed(prefix[keep], candidate[keep:])[2]
                 if d < best_distance:
@@ -356,25 +424,28 @@ def meteor_align(
     synonym matches; each stage only considers words left unmatched before it."""
     pairs, exhaustive = _exact_stage_matching(hyp, ref)
     all_matches = [(h, r, STAGE_EXACT) for h, r in pairs]
-    for stage, predicate, active in (
-        (STAGE_STEM, resources.share_stem, resources.stems),
-        (STAGE_SYNONYM, resources.are_synonyms, resources.synonyms),
+    # A hyp word and a ref word match at a stage when their keys meet: stems
+    # for both, or the hyp word's synonyms and the ref word itself.
+    for stage, hyp_keys, ref_keys, active in (
+        (STAGE_STEM, resources.stems_of, resources.stems_of, resources.stems),
+        (STAGE_SYNONYM, resources.synonyms_of, lambda tok: (tok,), resources.synonyms),
     ):
         if not active:
             continue
         matched_hyp = {h for h, _, _ in all_matches}
         matched_ref = {r for _, r, _ in all_matches}
+        positions: dict[str, list[int]] = {}  # key -> its unmatched ref positions, ascending
+        for j, r_tok in enumerate(ref):
+            if j not in matched_ref:
+                for key in ref_keys(r_tok):
+                    positions.setdefault(key, []).append(j)
         candidates: dict[int, list[int]] = {}
         for i, h_tok in enumerate(hyp):
             if i in matched_hyp:
                 continue
-            options = [
-                j
-                for j, r_tok in enumerate(ref)
-                if j not in matched_ref and predicate(h_tok, r_tok)
-            ]
-            if options:
-                candidates[i] = options
+            hits = [positions[key] for key in hyp_keys(h_tok) if key in positions]
+            if hits:
+                candidates[i] = sorted(set().union(*hits))
         prior = [(h, r) for h, r, _ in all_matches]
         pairs, finished = _best_stage_matching(candidates, prior)
         all_matches += [(h, r, stage) for h, r in pairs]

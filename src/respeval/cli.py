@@ -279,7 +279,12 @@ def cmd_regress(args: argparse.Namespace) -> int:
         table = DataTable.from_csv(args.csv, response=args.response)
         response = args.response
         candidates = args.candidates or [c for c in table.columns if c != response]
-    trace = backward_eliminate(table, candidates, alpha=args.alpha, response=response)
+    try:
+        trace = backward_eliminate(table, candidates, alpha=args.alpha, response=response)
+    except RespevalInputError as exc:
+        if args.fixture or exc.path is not None:
+            raise
+        raise RespevalInputError(exc.message, args.csv) from None
     blocks = [
         _format_model(step.model, step.step, step.removed, trace.alpha) for step in trace.steps
     ]

@@ -50,12 +50,6 @@ class LanguageResources:
     def stems_of(self, word: str) -> frozenset[str]:
         return self.stems.get(word, frozenset((word,)))
 
-    def are_synonyms(self, a: str, b: str) -> bool:
-        return b in self.synonyms_of(a)
-
-    def share_stem(self, a: str, b: str) -> bool:
-        return not self.stems_of(a).isdisjoint(self.stems_of(b))
-
     def token_weight(self, word: str) -> float:
         """Weight used by METEOR precision/recall: function words count less."""
         return self.function_word_weight if word in self.function_words else 1.0

@@ -1,13 +1,15 @@
 """Independent oracles the implementation must agree with.
 
 Everything here is deliberately brute force and shares no code path with the
-package: plain-Python Levenshtein, the greedy TER shift search scored with it,
-breadth-first shift search, per-metric BLEU / NIST / EBLEU that count n-grams
-afresh for every score, pairwise rank enumeration, RIBES word alignment from
-tables of every n-gram, METEOR stage matchings by enumerating every matching,
-the METEOR exact stage by enumerating every in-order choice per word,
-cofactor-inverted normal equations, and adaptive Simpson quadrature of the t
-density.
+package, except that ``ter_unpruned`` scores with the package's bit-parallel
+columns (checked against ``lev`` on their own) to isolate TER's lower bound.
+The oracles: plain-Python Levenshtein, the greedy TER shift search scored with
+it, the same search with no candidate skipped, breadth-first shift search,
+per-metric BLEU / NIST / EBLEU that count n-grams afresh for every score,
+pairwise rank enumeration, RIBES word alignment from tables of every n-gram,
+METEOR stage matchings by enumerating every matching, the METEOR exact stage
+by enumerating every in-order choice per word, cofactor-inverted normal
+equations, and adaptive Simpson quadrature of the t density.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+
+from respeval.align_metrics import _ReferenceColumns
 
 
 # --- word edit distance and exhaustive edit+shift search ---------------------
@@ -116,6 +120,56 @@ def ter_greedy(hyp, ref, max_block: int = 10):
         if best_state is None:
             return distance + shifts, shifts
         current, distance = best_state, best
+        shifts += 1
+
+
+def ter_unpruned(hyp, ref, max_block: int = 10):
+    """``(edits, shifts)`` of ``ter_greedy``'s search, scoring each candidate
+    with the package's bit-parallel columns resumed from the cached state of
+    the prefix it keeps, and skipping no candidate.
+
+    The package's search without its lower bound: ``ter`` must give the same
+    answer on pairs too long for ``ter_greedy``. A round stops at the first
+    candidate whose distance reaches the multiset bound, as ``ter``'s does."""
+    columns = _ReferenceColumns(ref)
+    ref_blocks = set()
+    for i in range(len(ref)):
+        for j in range(i + 1, min(i + max_block, len(ref)) + 1):
+            ref_blocks.add(tuple(ref[i:j]))
+    bound = multiset_bound(hyp, ref)
+
+    def best_shift(current):
+        prefix = [columns.initial]
+        for tok in current:
+            prefix.append(columns.feed(prefix[-1], (tok,)))
+        best, best_state = prefix[-1][2], None
+        if best <= bound:
+            return best, None
+        for start in range(len(current)):
+            for length in range(1, min(max_block, len(current) - start) + 1):
+                block = current[start : start + length]
+                if tuple(block) not in ref_blocks:
+                    break
+                remainder = current[:start] + current[start + length :]
+                for pos in range(len(remainder) + 1):
+                    if pos == start:
+                        continue
+                    keep = min(start, pos)
+                    cand = remainder[:pos] + block + remainder[pos:]
+                    d = columns.feed(prefix[keep], cand[keep:])[2]
+                    if d < best:
+                        best, best_state = d, cand
+                        if d == bound:
+                            return best, best_state
+        return best, best_state
+
+    current = list(hyp)
+    shifts = 0
+    while True:
+        distance, shifted = best_shift(current)
+        if shifted is None:
+            return distance + shifts, shifts
+        current = shifted
         shifts += 1
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from respeval.align_metrics import (
+    _prefix_bounds,
     _ReferenceColumns,
     kendall_nkt,
     meteor,
@@ -119,20 +120,41 @@ def test_word_edit_distance_matches_oracle():
         assert columns.feed(columns.feed(columns.initial, hyp[:cut]), hyp[cut:])[2] == expected
 
 
-def _moved_blocks_pair(rng):
-    """A re-spoken sentence: 16-20 reference words, one or two clause-sized
-    blocks moved and a substitution or two, as in the benchmark's long
-    re-spoken segments."""
-    ref = [f"w{min(int(rng.paretovariate(1.2)), 60)}" for _ in range(rng.randint(16, 20))]
+def _pareto_word(rng):
+    return f"w{min(int(rng.paretovariate(1.2)), 60)}"
+
+
+def _move_block(rng, hyp):
+    start = rng.randrange(len(hyp) - 3)
+    block = hyp[start : start + rng.randint(3, 6)]
+    del hyp[start : start + len(block)]
+    pos = rng.randint(0, len(hyp))
+    hyp[pos:pos] = block
+
+
+def _moved_blocks_pair(rng, lengths=(16, 20), draw=_pareto_word):
+    """A re-spoken sentence: 16-20 reference words unless ``lengths`` says
+    otherwise, one or two clause-sized blocks moved and a substitution or
+    two, as in the benchmark's long re-spoken segments."""
+    ref = [draw(rng) for _ in range(rng.randint(*lengths))]
     hyp = ref.copy()
     for _ in range(rng.randint(1, 2)):
-        start = rng.randrange(len(hyp) - 3)
-        block = hyp[start : start + rng.randint(3, 6)]
-        del hyp[start : start + len(block)]
-        pos = rng.randint(0, len(hyp))
-        hyp[pos:pos] = block
+        _move_block(rng, hyp)
     for _ in range(rng.randint(0, 2)):
         hyp[rng.randrange(len(hyp))] = "sub"
+    return hyp, ref
+
+
+def _probe_shaped_pair(rng, length):
+    """Shaped like the benchmark's TER probe pairs: ``length`` words of a
+    Zipfian 2,000-word vocabulary, a tenth of them replaced by words the
+    reference lacks, and two blocks moved."""
+    ref = [f"v{min(int(rng.paretovariate(0.8)), 2000)}" for _ in range(length)]
+    hyp = ref.copy()
+    for i in rng.sample(range(length), round(length / 10)):
+        hyp[i] = f"sub{i}"
+    for _ in range(2):
+        _move_block(rng, hyp)
     return hyp, ref
 
 
@@ -159,6 +181,40 @@ def test_ter_matches_greedy_oracle():
     for hyp, ref in pairs:
         result = ter(hyp, ref)
         assert (result.edits, result.shifts) == oracles.ter_greedy(hyp, ref), (hyp, ref)
+
+
+def test_ter_bound_keeps_the_unpruned_answer():
+    rng = make_rng(25)
+    pairs = [_moved_blocks_pair(rng, (20, 60)) for _ in range(3)]
+    pairs += [_moved_blocks_pair(rng, (20, 60), lambda r: r.choice("abc")) for _ in range(3)]
+    pairs += [_probe_shaped_pair(rng, length) for length in (20, 40, 60)]
+    for hyp, ref in pairs:
+        result = ter(hyp, ref)
+        assert (result.edits, result.shifts) == oracles.ter_unpruned(hyp, ref), (hyp, ref)
+
+
+def test_shift_bounds_never_exceed_a_candidate_distance():
+    rng = make_rng(26)
+    for _ in range(300):
+        vocab = "abcd"[: rng.randint(2, 4)]
+        current = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+        ref = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+        columns = _ReferenceColumns(ref)
+        head = _prefix_bounds(columns, current, columns.prefix_states(current))
+        reverse = current[::-1]
+        tail = _prefix_bounds(columns.reversed, reverse, columns.reversed.prefix_states(reverse))[::-1]
+        n = len(current)
+        # Keeping all of current leaves its own distance; keeping none, the multiset bound.
+        assert head[n] == tail[0] == oracles.lev(current, ref)
+        assert head[0] == tail[n] == oracles.multiset_bound(current, ref)
+        for start in range(n):
+            for length in range(1, n - start + 1):
+                block = current[start : start + length]
+                remainder = current[:start] + current[start + length :]
+                for pos in range(len(remainder) + 1):
+                    distance = oracles.lev(remainder[:pos] + block + remainder[pos:], ref)
+                    assert head[min(start, pos)] <= distance, (current, ref, start, length, pos)
+                    assert tail[max(start, pos) + length] <= distance, (current, ref, start, length, pos)
 
 
 # --- METEOR alignment -------------------------------------------------------------

@@ -312,6 +312,18 @@ def test_regress_rank_deficient_csv(tmp_path, capsys):
     assert "rank deficient" in err
 
 
+def test_regress_fit_errors_name_the_csv_but_no_fixture(tmp_path, capsys):
+    csv = tmp_path / "dup.csv"
+    lines = ["a,b,y"] + [f"{i},{i},{i + 0.5}" for i in range(10)]
+    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "regress", str(csv), "--response", "y")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {csv}: design matrix is rank deficient")
+    code, out, err = run(capsys, "regress", "--fixture", "table1", "--candidates", "BLEU", "BLEU")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: design matrix is rank deficient")
+
+
 def test_regress_overflow_exits_2_without_warnings(tmp_path, capsys):
     # y near +-1e300 is finite, but its sum of squares is not
     csv = tmp_path / "big.csv"
@@ -320,7 +332,7 @@ def test_regress_overflow_exits_2_without_warnings(tmp_path, capsys):
         warnings.simplefilter("error")  # a numpy RuntimeWarning would exit 1
         code, out, err = run(capsys, "regress", str(csv), "--response", "y")
     assert (code, out) == (2, "")
-    assert err == "error: sums of squares or standard errors overflow fitting 'y' on ['x']; rescale the values\n"
+    assert err == f"error: {csv}: sums of squares or standard errors overflow fitting 'y' on ['x']; rescale the values\n"
 
 
 def test_regress_requires_response_for_csv(tmp_path, capsys):
