@@ -138,7 +138,6 @@ def _prefix_bounds(
 def _best_shift(
     current: list[str],
     columns: _ReferenceColumns,
-    ref_blocks: set[tuple[str, ...]],
     bound: int,
 ) -> tuple[int, list[str] | None]:
     """The distance of ``current`` and the first shifted sequence, in (start,
@@ -164,13 +163,15 @@ def _best_shift(
     tail_bounds.reverse()  # tail_bounds[s] bounds every candidate ending in current[s:]
     best_sequence = None
     n = len(current)
+    masks = columns.masks
     for start in range(n):
+        occurs = columns.full  # bit i: the block so far occurs in the reference from ref[i] on
         for length in range(1, min(MAX_SHIFT_LENGTH, n - start) + 1):
-            block = current[start : start + length]
-            # Contiguity means an extension of a non-reference block cannot
-            # itself occur in the reference.
-            if tuple(block) not in ref_blocks:
+            occurs &= masks.get(current[start + length - 1], 0) >> (length - 1)
+            # An extension of a block missing from the reference is missing too.
+            if not occurs:
                 break
+            block = current[start : start + length]
             remainder = current[:start] + current[start + length :]
             for pos in range(len(remainder) + 1):
                 if pos == start:
@@ -204,16 +205,11 @@ def ter(hyp: TokenSequence, ref: TokenSequence) -> TerScore:
     if not ref:
         raise RespevalInputError("reference segment is empty")
     columns = _ReferenceColumns(ref)
-    ref_blocks = {
-        tuple(ref[i : i + length])
-        for length in range(1, min(MAX_SHIFT_LENGTH, len(ref)) + 1)
-        for i in range(len(ref) - length + 1)
-    }
     current = list(hyp)
     bound = multiset_edit_bound(current, ref)
     shifts = 0
     while True:
-        distance, shifted = _best_shift(current, columns, ref_blocks, bound)
+        distance, shifted = _best_shift(current, columns, bound)
         if shifted is None:
             break
         current = shifted

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -63,16 +63,9 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        headers = ["SEG", "BLEU", "NIST", "TER", "METEOR", "METEOR-PL", "EBLEU", "RIBES"]
-        rows = []
-        for seg in self.segments:
-            rows.append(
-                [str(seg["index"])]
-                + [_fmt_cell(seg[name]) for name in METRIC_FIELDS]
-            )
-        rows.append(
-            ["ALL"] + [_fmt_cell(self.aggregate[name]) for name in METRIC_FIELDS]
-        )
+        headers = ["SEG", *METRIC_COLUMNS]
+        labelled = [(str(seg["index"]), seg) for seg in self.segments] + [("ALL", self.aggregate)]
+        rows = [[label] + [_fmt_cell(record[name]) for name in METRIC_FIELDS] for label, record in labelled]
         widths = [max(len(h), max(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
         out = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
         for row in rows:
@@ -85,12 +78,6 @@ def _fmt_cell(value: float | None) -> str:
 
 
 def _score_segment(hyp, refs, resources, args) -> dict[str, float | None]:
-    if not hyp:
-        scores: dict[str, float | None] = {name: 0.0 for name in METRIC_FIELDS}
-        scores["ter"] = 100.0
-        if resources.is_empty():
-            scores["meteor_pl"] = None
-        return scores
     ter_value = min(ter(hyp, ref).ter for ref in refs)
     meteor_value = max(
         meteor(hyp, ref, penalty_exponent=args.meteor_penalty_exp).score for ref in refs
@@ -124,51 +111,25 @@ def cmd_score(args: argparse.Namespace) -> int:
     for path, segments in zip(args.references, ref_files):
         check_aligned(len(hyp_corpus), len(segments), path)
     ref_corpus = [list(refs) for refs in zip(*ref_files)] if ref_files else []
-    resources = load_resources(
-        synonyms=args.synonyms,
-        stems=args.stems,
-        function_words=args.function_words,
-        function_word_weight=args.function_word_weight,
-    )
-
-    config_echo = {
-        "tokenizer": {
-            "lowercase": tok_cfg.lowercase,
-            "split_punctuation": tok_cfg.split_punctuation,
-            "strip_punctuation": tok_cfg.strip_punctuation,
-        },
-        "max_n": args.max_n,
-        "nist_max_n": args.nist_max_n,
-        "nist_scheme": (
-            "info = log2(count(prefix)/count(ngram)) on the reference corpus; "
-            "length factor 0.5 at hyp/ref ratio 2/3"
-        ),
-        "sentence_level": args.sentence_level,
-        "smooth": args.smooth,
-        "synonym_score": args.synonym_score,
-        "rare_words_percent": args.rare_words_percent,
-        "rare_words_score": args.rare_words_score,
-        "meteor_penalty_exp": args.meteor_penalty_exp,
-        "function_word_weight": args.function_word_weight,
-        "ribes_alpha": args.ribes_alpha,
-        "ribes_variant": args.ribes_variant,
-        "resources": {
-            "synonyms_sha256": _sha256(args.synonyms),
-            "stems_sha256": _sha256(args.stems),
-            "function_words_sha256": _sha256(args.function_words),
-        },
-    }
-    report = MetricReport(config=config_echo)
-
-    ngram_cfg = NgramConfig(
-        max_n=args.max_n,
-        nist_max_n=args.nist_max_n,
-        sentence_level=args.sentence_level,
-        smooth=args.smooth,
-        synonym_score=args.synonym_score,
-        rare_words_percent=args.rare_words_percent,
-        rare_words_score=args.rare_words_score,
-        resources=resources,
+    resource_files = {name: getattr(args, name) for name in ("synonyms", "stems", "function_words")}
+    resources = load_resources(**resource_files, function_word_weight=args.function_word_weight)
+    # score's flags share their dests with NgramConfig's fields; the report echoes them by name
+    ngram_settings = {f.name: getattr(args, f.name) for f in fields(NgramConfig) if f.name != "resources"}
+    ngram_cfg = NgramConfig(**ngram_settings, resources=resources)
+    report = MetricReport(
+        config={
+            "tokenizer": asdict(tok_cfg),
+            **ngram_settings,
+            "nist_scheme": (
+                "info = log2(count(prefix)/count(ngram)) on the reference corpus; "
+                "length factor 0.5 at hyp/ref ratio 2/3"
+            ),
+            "meteor_penalty_exp": args.meteor_penalty_exp,
+            "function_word_weight": args.function_word_weight,
+            "ribes_alpha": args.ribes_alpha,
+            "ribes_variant": args.ribes_variant,
+            "resources": {f"{name}_sha256": _sha256(path) for name, path in resource_files.items()},
+        }
     )
     stats = corpus_stats(hyp_corpus, ref_corpus, ngram_cfg)
 
@@ -182,8 +143,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     per_segment: list[dict[str, float | None]] = []
     for index, (hyp, refs, seg_stats) in enumerate(zip(hyp_corpus, ref_corpus, stats), start=1):
         scores = _score_segment(hyp, refs, resources, args)
-        if hyp:
-            scores.update(ngram_scores([seg_stats]))
+        # BLEU's brevity penalty is undefined for an empty hypothesis
+        scores.update(ngram_scores([seg_stats]) if hyp else dict.fromkeys(("bleu", "nist", "ebleu"), 0.0))
         per_segment.append(scores)
         report.segments.append(
             {"index": index, **{name: _round6(scores[name]) for name in METRIC_FIELDS}}
@@ -256,14 +217,8 @@ def _format_model(model: RegressionModel, stage: int, removed: str | None, alpha
 
 
 def _trace_to_dict(trace: EliminationTrace) -> dict:
-    return {
-        "alpha": trace.alpha,
-        "steps": [
-            {"step": s.step, "removed": s.removed, "model": s.model.to_dict()}
-            for s in trace.steps
-        ],
-        "final_model": trace.final_model.to_dict(),
-    }
+    steps = [{**asdict(step), "model": step.model.to_dict()} for step in trace.steps]
+    return {"alpha": trace.alpha, "steps": steps, "final_model": trace.final_model.to_dict()}
 
 
 def cmd_regress(args: argparse.Namespace) -> int:

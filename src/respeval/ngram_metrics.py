@@ -54,6 +54,10 @@ class NgramConfig:
     defined BLEU order. EBLEU credits a synonym match (from ``resources``)
     with ``synonym_score``, and an n-gram holding one of the trailing
     ``rare_words_percent`` reference words with ``rare_words_score``.
+
+    ``respeval score`` sets each field except ``resources`` from the flag of
+    the same name (``--max-n`` sets ``max_n``), and its ``config`` record
+    echoes the field under that name.
     """
 
     max_n: int = 4

@@ -8,9 +8,9 @@ Normal-equation inversion exists only as an independent oracle in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, get_origin, get_type_hints
 
 import numpy as np
 
@@ -205,38 +205,18 @@ class RegressionModel:
         return self.coefficients[0]
 
     def to_dict(self) -> dict:
-        return {
-            "response": self.response,
-            "predictors": list(self.predictors),
-            "coefficients": list(self.coefficients),
-            "std_errors": list(self.std_errors),
-            "t_stats": list(self.t_stats),
-            "p_values": list(self.p_values),
-            "standardized_betas": list(self.standardized_betas),
-            "r2": self.r2,
-            "adjusted_r2": self.adjusted_r2,
-            "n": self.n,
-            "df_resid": self.df_resid,
-        }
+        """The fields by name, tuples as lists: the JSON form of the model."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values.items()}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RegressionModel":
         """Inverse of ``to_dict``. Data ``predict`` could not apply, such as a
-        missing entry or a non-finite coefficient, is a ``RespevalInputError``."""
+        missing entry, a number in place of a list or a non-finite
+        coefficient, is a ``RespevalInputError``."""
+        tuples = {name for name, hint in get_type_hints(cls).items() if get_origin(hint) is tuple}
         try:
-            model = cls(
-                response=data["response"],
-                predictors=tuple(data["predictors"]),
-                coefficients=tuple(data["coefficients"]),
-                std_errors=tuple(data["std_errors"]),
-                t_stats=tuple(data["t_stats"]),
-                p_values=tuple(data["p_values"]),
-                standardized_betas=tuple(data["standardized_betas"]),
-                r2=data["r2"],
-                adjusted_r2=data["adjusted_r2"],
-                n=data["n"],
-                df_resid=data["df_resid"],
-            )
+            model = cls(**{f.name: tuple(data[f.name]) if f.name in tuples else data[f.name] for f in fields(cls)})
         except KeyError as exc:
             raise RespevalInputError(f"the model has no {exc} entry") from None
         except TypeError:
@@ -366,10 +346,13 @@ def backward_eliminate(
     Each stage removes the predictor with the largest p-value above ``alpha``
     (p ties resolved by dropping the later-listed candidate); the trace keeps
     every intermediate model and stops once every survivor is significant or
-    a single predictor remains.
+    a single predictor remains. The response may not be a candidate.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    response = response or table.response
+    if response in candidates:
+        raise RespevalInputError(f"the response {response!r} is also a candidate predictor")
     remaining = list(candidates)
     steps: list[EliminationStep] = []
     step = 1

@@ -197,6 +197,34 @@ def test_score_report_bytes_are_pinned(flags, tmp_path, capsys):
     assert digests == REPORT_DIGESTS[flags]
 
 
+# sha256 of `regress --fixture table1 --json`: the elimination trace and every
+# model field, so a field left out of (or added to) the model JSON shows here.
+TABLE1_TRACE_SHA256 = "3f2d0e21321bb108a6b26814a4494cb2dfa74daea4fcc2c2ddecbe94d1809642"
+
+
+def test_regress_trace_bytes_are_pinned(tmp_path, capsys):
+    trace_json = tmp_path / "model.json"
+    code, out, err = run(capsys, "regress", "--fixture", "table1", "--json", str(trace_json))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(trace_json.read_bytes()).hexdigest() == TABLE1_TRACE_SHA256
+
+
+def test_score_hypothesis_empty_after_stripping(tmp_path, capsys):
+    hyp, ref, out_json = tmp_path / "hyp.txt", tmp_path / "ref.txt", tmp_path / "r.jsonl"
+    hyp.write_text("!!!\nthe dog ran\n", encoding="utf-8")
+    ref.write_text("the dog ran\nthe dog ran\n", encoding="utf-8")
+    code, out, err = run(capsys, "score", str(hyp), str(ref), "--punctuation", "strip", "--json", str(out_json))
+    assert (code, err) == (0, "")
+    first = json.loads(out_json.read_text(encoding="utf-8").splitlines()[1])
+    assert first == {
+        "record": "segment",
+        "index": 1,
+        "ter": 100.0,
+        **dict.fromkeys(("bleu", "nist", "meteor", "ebleu", "ribes"), 0.0),
+        "meteor_pl": None,
+    }
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -456,6 +484,18 @@ LENGTH_ANNOTATIONS = (
             id="fixture-unknown-candidate",
         ),
         pytest.param(
+            {"table": TABLE},
+            ["regress", "{table}", "--response", "y", "--candidates", "y"],
+            "{table}: the response 'y' is also a candidate predictor",
+            id="regress-response-as-candidate",
+        ),
+        pytest.param(
+            {},
+            ["regress", "--fixture", "table1", "--candidates", "NER", "BLEU"],
+            "error: the response 'NER' is also a candidate predictor",
+            id="fixture-response-as-candidate",
+        ),
+        pytest.param(
             {"table": b"y\n1\n2\n3\n"},
             ["regress", "{table}", "--response", "y"],
             "need at least one predictor besides the response 'y'",
@@ -526,6 +566,24 @@ LENGTH_ANNOTATIONS = (
             ["score", "{hyp}", "{ref1}", "{ref2}"],
             "{ref2}: segment count mismatch: hypothesis has 2, reference has 1",
             id="score-reference-count-mismatch",
+        ),
+        pytest.param(
+            {"model": MODEL.replace(b'["BLEU"]', b"5")},
+            ["predict", "{model}", "BLEU=1"],
+            "{model}: the model must be a JSON object of names, lists and numbers",
+            id="predict-predictors-number",
+        ),
+        pytest.param(
+            {"model": MODEL.replace(b"[80.0, 0.2]", b'"80.0, 0.2"')},
+            ["predict", "{model}", "BLEU=1"],
+            "{model}: the model needs one predictor name per coefficient",
+            id="predict-coefficients-string",
+        ),
+        pytest.param(
+            {"hyp": b"!!!\nthe cat\n", "ref": b"?\nthe cat\n"},
+            ["score", "{hyp}", "{ref}", "--punctuation", "strip"],
+            "error: reference segment is empty",
+            id="score-empty-hypothesis-and-reference",
         ),
         pytest.param(
             {"model": b'{"response": "NER",\r "predictors": [}'},
