@@ -80,11 +80,29 @@ class _ReferenceColumns:
             mv = ph & xv
         return pv, mv, score
 
-    def prefix_states(self, tokens: Sequence[str]) -> list[tuple[int, int, int]]:
-        """The state after each prefix of ``tokens``, shortest first."""
-        states = [self.initial]
+    def prefix_states(
+        self, tokens: Sequence[str], state: tuple[int, int, int] | None = None
+    ) -> list[tuple[int, int, int]]:
+        """The state after each prefix of ``tokens`` fed from ``state`` (by
+        default the empty prefix's), shortest first: ``feed`` word by word,
+        with its step inlined."""
+        masks, high, full = self.masks, self.high, self.full
+        states = [state or self.initial]
+        pv, mv, score = states[0]
         for tok in tokens:
-            states.append(self.feed(states[-1], (tok,)))
+            eq = masks.get(tok, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            if ph & high:
+                score += 1
+            elif mh & high:
+                score -= 1
+            ph = (ph << 1) | 1
+            pv = ((mh << 1) | ~(xv | ph)) & full
+            mv = ph & xv
+            states.append((pv, mv, score))
         return states
 
     @cached_property
@@ -145,50 +163,70 @@ def _best_shift(
     candidate before it; ``None`` if no shift lowers the distance.
 
     A candidate agrees with ``current`` on its first ``keep = min(start, pos)``
-    tokens, so it resumes from the cached column state of that prefix. It
-    also agrees on the tokens from ``max(start, pos) + length`` on, and the
-    tokens between are a permutation of ``current``'s own. So its distance is
-    at least both ``_prefix_bounds`` of ``current`` at ``keep`` and those of
-    the reversed sequences at the kept suffix, and a candidate whose bound
-    reaches the best distance so far is skipped: it could not replace the
-    first best. The search stops at the first candidate that reaches
-    ``bound``: no later one can go strictly below it."""
+    tokens and on the tokens from ``kept = max(start, pos) + length`` on, and
+    the tokens between are a permutation of ``current``'s own. So its distance
+    is at least both ``_prefix_bounds`` of ``current`` at ``keep`` and those
+    of the reversed sequences at ``kept``, and a candidate whose bound reaches
+    the best distance so far is skipped: it could not replace the first best.
+    The search stops at the first candidate that reaches ``bound``: no later
+    one can go strictly below it.
+
+    The positions of one block share a chain of column states. A move right
+    is ``current[:start]``, the words the block jumps over, the block and the
+    rest; one chain feeds ``current[end:]`` from the state of
+    ``current[:start]``, and each position feeds only the block and the rest
+    from its link. A move left, read backwards, is the reversed
+    ``current[end:]``, the reversed words jumped over, the reversed block and
+    the reversed ``current[:pos]``; its chain runs on the reversed columns
+    from the state of the reversed ``current[end:]``. A direction whose fixed
+    bound (``head_bounds[start]`` or ``tail_bounds[end]``) rules out every
+    position builds no chain."""
     prefix = columns.prefix_states(current)
     best_distance = prefix[-1][2]
     if best_distance <= bound:
         return best_distance, None
+    n = len(current)
     reverse = current[::-1]
+    backward = columns.reversed
+    suffix = backward.prefix_states(reverse)  # suffix[k]: the state after reverse[:k]
     head_bounds = _prefix_bounds(columns, current, prefix)
-    tail_bounds = _prefix_bounds(columns.reversed, reverse, columns.reversed.prefix_states(reverse))
+    tail_bounds = _prefix_bounds(backward, reverse, suffix)
     tail_bounds.reverse()  # tail_bounds[s] bounds every candidate ending in current[s:]
     best_sequence = None
-    n = len(current)
     masks = columns.masks
     for start in range(n):
         occurs = columns.full  # bit i: the block so far occurs in the reference from ref[i] on
         for length in range(1, min(MAX_SHIFT_LENGTH, n - start) + 1):
-            occurs &= masks.get(current[start + length - 1], 0) >> (length - 1)
+            end = start + length
+            occurs &= masks.get(current[end - 1], 0) >> (length - 1)
             # An extension of a block missing from the reference is missing too.
             if not occurs:
                 break
-            block = current[start : start + length]
-            remainder = current[:start] + current[start + length :]
-            for pos in range(len(remainder) + 1):
-                if pos == start:
-                    continue
-                if pos < start:
-                    keep, kept = pos, start + length
-                else:
-                    keep, kept = start, pos + length
-                if head_bounds[keep] >= best_distance or tail_bounds[kept] >= best_distance:
-                    continue
-                candidate = remainder[:pos] + block + remainder[pos:]
-                d = columns.feed(prefix[keep], candidate[keep:])[2]
-                if d < best_distance:
-                    best_distance = d
-                    best_sequence = candidate
-                    if d == bound:
-                        return best_distance, best_sequence
+            if tail_bounds[end] < best_distance:  # left moves: pos < start, kept = end
+                chain = backward.prefix_states(reverse[n - start :], suffix[n - end])
+                block = reverse[n - end : n - start]
+                for pos in range(start):
+                    if head_bounds[pos] >= best_distance or tail_bounds[end] >= best_distance:
+                        continue
+                    d = backward.feed(chain[start - pos], block + reverse[n - pos :])[2]
+                    if d < best_distance:
+                        best_distance = d
+                        best_sequence = current[:pos] + current[start:end] + current[pos:start] + current[end:]
+                        if d == bound:
+                            return best_distance, best_sequence
+            if head_bounds[start] < best_distance:  # right moves: pos > start, keep = start
+                chain = columns.prefix_states(current[end:], prefix[start])
+                block = current[start:end]
+                for pos in range(start + 1, n - length + 1):
+                    rest = pos + length
+                    if tail_bounds[rest] >= best_distance or head_bounds[start] >= best_distance:
+                        continue
+                    d = columns.feed(chain[pos - start], block + current[rest:])[2]
+                    if d < best_distance:
+                        best_distance = d
+                        best_sequence = current[:start] + current[end:rest] + block + current[rest:]
+                        if d == bound:
+                            return best_distance, best_sequence
     return best_distance, best_sequence
 
 

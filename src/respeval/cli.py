@@ -107,7 +107,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         strip_punctuation=args.punctuation == "strip",
     )
     hyp_corpus = read_segments(args.hypothesis, tok_cfg)
-    ref_files = [read_segments(path, tok_cfg) for path in args.references]
+    ref_files = [read_segments(path, tok_cfg, "reference") for path in args.references]
     for path, segments in zip(args.references, ref_files):
         check_aligned(len(hyp_corpus), len(segments), path)
     ref_corpus = [list(refs) for refs in zip(*ref_files)] if ref_files else []
@@ -131,7 +131,10 @@ def cmd_score(args: argparse.Namespace) -> int:
             "resources": {f"{name}_sha256": _sha256(path) for name, path in resource_files.items()},
         }
     )
-    stats = corpus_stats(hyp_corpus, ref_corpus, ngram_cfg)
+    try:
+        stats = corpus_stats(hyp_corpus, ref_corpus, ngram_cfg)
+    except RespevalInputError as exc:  # the references are aligned to the hypothesis by now
+        raise RespevalInputError(exc.message, args.hypothesis) from None
 
     def ngram_scores(records) -> dict[str, float]:
         return {

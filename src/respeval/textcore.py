@@ -139,10 +139,20 @@ def read_csv(source: str | Path | Iterable[str]) -> list[list[str]]:
         raise RespevalInputError(str(exc), path, reader.line_num) from None
 
 
-def read_segments(path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[TokenSequence]:
-    """Read a transcript file: UTF-8, one segment per line, blank lines skipped."""
-    lines = io.StringIO(read_text(path), newline=None)
-    return [tokenize(line, config) for line in lines if line.strip()]
+def read_segments(
+    path: str | Path, config: TokenizerConfig = DEFAULT_TOKENIZER, role: str | None = None
+) -> list[TokenSequence]:
+    """Read a transcript file: UTF-8, one segment per line, blank lines skipped.
+
+    With a ``role`` such as ``"reference"``, a segment left with no tokens is a
+    ``RespevalInputError`` naming its line, counted as ``line_at`` counts."""
+    segments = []
+    for number, line in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        if line.strip():
+            segments.append(tokenize(line, config))
+            if role and not segments[-1]:
+                raise RespevalInputError(f"{role} segment is empty", path, number)
+    return segments
 
 
 def check_aligned(hyp_count: int, ref_count: int, ref_path: str | Path | None = None) -> None:

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from respeval.align_metrics import (
+    MAX_SHIFT_LENGTH,
     _prefix_bounds,
     _ReferenceColumns,
     kendall_nkt,
@@ -117,7 +118,14 @@ def test_word_edit_distance_matches_oracle():
         expected = oracles.lev(hyp, ref)
         assert columns.feed(columns.initial, hyp)[2] == expected
         cut = rng.randint(0, len(hyp))
-        assert columns.feed(columns.feed(columns.initial, hyp[:cut]), hyp[cut:])[2] == expected
+        state = columns.feed(columns.initial, hyp[:cut])
+        assert columns.feed(state, hyp[cut:])[2] == expected
+        # A chain from a non-initial state holds feed's state after every word.
+        states = columns.prefix_states(hyp[cut:], state)
+        assert states[0] == state and states[-1][2] == expected
+        for k, tok in enumerate(hyp[cut:], start=1):
+            state = columns.feed(state, (tok,))
+            assert states[k] == state
 
 
 def _pareto_word(rng):
@@ -188,6 +196,30 @@ def test_ter_bound_keeps_the_unpruned_answer():
     pairs = [_moved_blocks_pair(rng, (20, 60)) for _ in range(3)]
     pairs += [_moved_blocks_pair(rng, (20, 60), lambda r: r.choice("abc")) for _ in range(3)]
     pairs += [_probe_shaped_pair(rng, length) for length in (20, 40, 60)]
+    for hyp, ref in pairs:
+        result = ter(hyp, ref)
+        assert (result.edits, result.shifts) == oracles.ter_unpruned(hyp, ref), (hyp, ref)
+
+
+def test_ter_chain_ends_keep_the_unpruned_answer():
+    """Pairs whose best shifts start or end a block's chain of column states:
+    a block moved to position 0 or to the very end, a block of
+    ``MAX_SHIFT_LENGTH`` words, a move across the whole sequence, and
+    3-word-vocabulary pairs, where nearly every block is a candidate."""
+    rng = make_rng(27)
+    pairs = []
+    for _ in range(3):
+        ref = [_pareto_word(rng) for _ in range(rng.randint(16, 24))]
+        for length in (1, 3, MAX_SHIFT_LENGTH):
+            start = rng.randrange(1, len(ref) - length)
+            block, rest = ref[start : start + length], ref[:start] + ref[start + length :]
+            pairs += [(block + rest, ref), (rest + block, ref)]
+        for length in (2, MAX_SHIFT_LENGTH):
+            pairs += [(ref[length:] + ref[:length], ref), (ref[-length:] + ref[:-length], ref)]
+    for _ in range(8):
+        ref = [rng.choice("abc") for _ in range(rng.randint(20, 30))]
+        hyp = [rng.choice("abc") for _ in range(rng.randint(20, 30))]
+        pairs += [(hyp, ref), (ref[5:] + ref[:5], ref)]
     for hyp, ref in pairs:
         result = ter(hyp, ref)
         assert (result.edits, result.shifts) == oracles.ter_unpruned(hyp, ref), (hyp, ref)

@@ -582,8 +582,32 @@ LENGTH_ANNOTATIONS = (
         pytest.param(
             {"hyp": b"!!!\nthe cat\n", "ref": b"?\nthe cat\n"},
             ["score", "{hyp}", "{ref}", "--punctuation", "strip"],
-            "error: reference segment is empty",
+            "{ref}: line 1: reference segment is empty",
             id="score-empty-hypothesis-and-reference",
+        ),
+        pytest.param(
+            {"hyp": b"a b\nc d\ne f\n", "ref": b"a b\n\n  \nc d\n?\ne f\n"},
+            ["score", "{hyp}", "{ref}", "--punctuation", "strip"],
+            "{ref}: line 5: reference segment is empty",
+            id="score-empty-reference-after-blank-lines",
+        ),
+        pytest.param(
+            {"hyp": b"a b\nc d\ne f\n", "ref": b"a b\r\rc d\r\n?\re f"},
+            ["score", "{hyp}", "{ref}", "--punctuation", "strip"],
+            "{ref}: line 4: reference segment is empty",
+            id="score-empty-reference-cr-line-breaks",
+        ),
+        pytest.param(
+            {"hyp": b"a b\nc d\n", "ref1": b"a b\nc d\n", "ref2": b"a b\n\n!\n"},
+            ["score", "{hyp}", "{ref1}", "{ref2}", "--punctuation", "strip"],
+            "{ref2}: line 3: reference segment is empty",
+            id="score-empty-segment-in-second-reference",
+        ),
+        pytest.param(
+            {"hyp": b"!\n\n?!\n", "ref": b"a b\nc d\n"},
+            ["score", "{hyp}", "{ref}", "--punctuation", "strip"],
+            "{hyp}: every hypothesis segment is empty",
+            id="score-every-hypothesis-segment-empty",
         ),
         pytest.param(
             {"model": b'{"response": "NER",\r "predictors": [}'},
