@@ -160,38 +160,30 @@ def _best_shift(
 ) -> tuple[int, list[str] | None]:
     """The distance of ``current`` and the first shifted sequence, in (start,
     length, position) order, with a strictly smaller distance than every
-    candidate before it; ``None`` if no shift lowers the distance.
+    candidate before it; ``None`` if no shift lowers the distance. The search
+    stops at the first candidate that reaches ``bound``.
 
-    A candidate agrees with ``current`` on its first ``keep = min(start, pos)``
-    tokens and on the tokens from ``kept = max(start, pos) + length`` on, and
-    the tokens between are a permutation of ``current``'s own. So its distance
-    is at least both ``_prefix_bounds`` of ``current`` at ``keep`` and those
-    of the reversed sequences at ``kept``, and a candidate whose bound reaches
-    the best distance so far is skipped: it could not replace the first best.
-    The search stops at the first candidate that reaches ``bound``: no later
-    one can go strictly below it.
-
-    The positions of one block share a chain of column states. A move right
-    is ``current[:start]``, the words the block jumps over, the block and the
-    rest; one chain feeds ``current[end:]`` from the state of
-    ``current[:start]``, and each position feeds only the block and the rest
-    from its link. A move left, read backwards, is the reversed
-    ``current[end:]``, the reversed words jumped over, the reversed block and
-    the reversed ``current[:pos]``; its chain runs on the reversed columns
-    from the state of the reversed ``current[end:]``. A direction whose fixed
-    bound (``head_bounds[start]`` or ``tail_bounds[end]``) rules out every
-    position builds no chain."""
+    Moves run in two frames ``(columns, sequence, prefix states, bounds by
+    kept prefix, bounds by kept suffix)``: ``current`` and the reversed
+    ``current`` on the reversed columns, where a move left is a move right.
+    A move right keeps ``sequence[:keep]``, and the positions of one block
+    share a chain of column states fed from there over the words after the
+    block; each position then feeds only the block and the rest. A candidate
+    whose ``_prefix_bounds`` reach the best distance so far is skipped: it
+    could not replace the first best."""
     prefix = columns.prefix_states(current)
     best_distance = prefix[-1][2]
     if best_distance <= bound:
         return best_distance, None
     n = len(current)
     reverse = current[::-1]
-    backward = columns.reversed
-    suffix = backward.prefix_states(reverse)  # suffix[k]: the state after reverse[:k]
-    head_bounds = _prefix_bounds(columns, current, prefix)
-    tail_bounds = _prefix_bounds(backward, reverse, suffix)
-    tail_bounds.reverse()  # tail_bounds[s] bounds every candidate ending in current[s:]
+    suffix = columns.reversed.prefix_states(reverse)  # suffix[k]: the state after reverse[:k]
+    head = _prefix_bounds(columns, current, prefix)
+    tail = _prefix_bounds(columns.reversed, reverse, suffix)
+    frames = (  # (mirrored, *frame): left moves first
+        (True, columns.reversed, reverse, suffix, tail, head[::-1]),
+        (False, columns, current, prefix, head, tail[::-1]),
+    )
     best_sequence = None
     masks = columns.masks
     for start in range(n):
@@ -202,29 +194,24 @@ def _best_shift(
             # An extension of a block missing from the reference is missing too.
             if not occurs:
                 break
-            if tail_bounds[end] < best_distance:  # left moves: pos < start, kept = end
-                chain = backward.prefix_states(reverse[n - start :], suffix[n - end])
-                block = reverse[n - end : n - start]
-                for pos in range(start):
-                    if head_bounds[pos] >= best_distance or tail_bounds[end] >= best_distance:
+            for mirrored, cols, seq, states, lead, trail in frames:
+                keep = n - end if mirrored else start
+                if lead[keep] >= best_distance:
+                    continue
+                block_end = keep + length
+                chain = cols.prefix_states(seq[block_end:], states[keep])
+                block = seq[keep:block_end]
+                # Mirrored destinations run from the far end inward: positions ascend in current.
+                destinations = range(n, block_end, -1) if mirrored else range(block_end + 1, n + 1)
+                for rest in destinations:
+                    if trail[rest] >= best_distance or lead[keep] >= best_distance:
                         continue
-                    d = backward.feed(chain[start - pos], block + reverse[n - pos :])[2]
+                    d = cols.feed(chain[rest - block_end], block + seq[rest:])[2]
                     if d < best_distance:
                         best_distance = d
-                        best_sequence = current[:pos] + current[start:end] + current[pos:start] + current[end:]
-                        if d == bound:
-                            return best_distance, best_sequence
-            if head_bounds[start] < best_distance:  # right moves: pos > start, keep = start
-                chain = columns.prefix_states(current[end:], prefix[start])
-                block = current[start:end]
-                for pos in range(start + 1, n - length + 1):
-                    rest = pos + length
-                    if tail_bounds[rest] >= best_distance or head_bounds[start] >= best_distance:
-                        continue
-                    d = columns.feed(chain[pos - start], block + current[rest:])[2]
-                    if d < best_distance:
-                        best_distance = d
-                        best_sequence = current[:start] + current[end:rest] + block + current[rest:]
+                        best_sequence = seq[:keep] + seq[block_end:rest] + block + seq[rest:]
+                        if mirrored:
+                            best_sequence.reverse()
                         if d == bound:
                             return best_distance, best_sequence
     return best_distance, best_sequence
@@ -310,11 +297,6 @@ def _kuhn_max_matching(candidates: dict[int, list[int]]) -> list[tuple[int, int]
                 match_of_ref[candidates[node][tried - 1]] = node
             break
     return sorted((h, r) for r, h in match_of_ref.items())
-
-
-def _crossing_delta(pair: tuple[int, int], others: list[tuple[int, int]]) -> int:
-    h, r = pair
-    return sum(1 for oh, orr in others if (oh - h) * (orr - r) < 0)
 
 
 def _exact_stage_matching(
@@ -404,21 +386,29 @@ def _best_stage_matching(
     Also returns whether the search finished.
 
     The depth-first search tries each hyp node's candidates in order, then
-    leaving the node unmatched, from an explicit stack of states. It stops
-    after ``METEOR_NODE_CAP`` nodes. It then keeps the best matching found
-    so far, or Kuhn's maximum matching if it found none, so the size is
-    always maximum.
+    leaving the node unmatched, from an explicit stack of states. Nodes come
+    in hypothesis order, so a candidate ``r`` crosses exactly the chosen
+    matches with a higher reference index: the set bits of ``used`` above
+    ``r``. Its crossings with ``prior`` are counted once, before the search.
+    It stops after ``METEOR_NODE_CAP`` nodes. It then keeps the best matching
+    found so far, or Kuhn's maximum matching if it found none, so the size
+    is always maximum.
     """
     hyp_nodes = sorted(candidates)
     if not hyp_nodes:
         return [], True
     fallback = _kuhn_max_matching(candidates)
     target = len(fallback)
+    # Per node, its candidates ``(r, crossings with prior)``, last-tried first.
+    options = [
+        [(r, sum(1 for ph, pr in prior if (ph - h) * (pr - r) < 0)) for r in reversed(candidates[h])]
+        for h in hyp_nodes
+    ]
     best: list[tuple[int, int]] | None = None
     best_crossings = math.inf
     visited = 0
-    # A state: (hyp node index, crossings, used ref indices, matches so far).
-    stack: list[tuple] = [(0, 0, frozenset(), ())]
+    # A state: (hyp node index, crossings, used ref indices as bits, matches so far).
+    stack: list[tuple] = [(0, 0, 0, ())]
     while stack:
         visited += 1
         if visited > METEOR_NODE_CAP:
@@ -431,19 +421,19 @@ def _best_stage_matching(
             continue
         h = hyp_nodes[idx]
         stack.append((idx + 1, crossings, used, chosen))
-        for r in reversed(candidates[h]):
-            if r not in used:
-                delta = _crossing_delta((h, r), chosen) + _crossing_delta((h, r), prior)
-                stack.append((idx + 1, crossings + delta, used | {r}, chosen + ((h, r),)))
+        for r, prior_crossings in options[idx]:
+            if not used >> r & 1:
+                delta = prior_crossings + (used >> (r + 1)).bit_count()
+                stack.append((idx + 1, crossings + delta, used | 1 << r, chosen + ((h, r),)))
     return (fallback if best is None else best), True
 
 
-def _count_chunks(matches: list[tuple[int, int, str]]) -> int:
+def _count_chunks(matches: tuple[tuple[int, int, str], ...]) -> int:
+    """The chunks of ``matches``, sorted by hypothesis index."""
     if not matches:
         return 0
-    ordered = sorted(matches)
     chunks = 1
-    for (h1, r1, _), (h2, r2, _) in zip(ordered, ordered[1:]):
+    for (h1, r1, _), (h2, r2, _) in zip(matches, matches[1:]):
         if h2 != h1 + 1 or r2 != r1 + 1:
             chunks += 1
     return chunks
@@ -487,7 +477,7 @@ def meteor_align(
     ordered = tuple(sorted(all_matches))
     return MeteorAlignment(
         matches=ordered,
-        chunks=_count_chunks(list(ordered)),
+        chunks=_count_chunks(ordered),
         matched_unigrams=len(ordered),
         exhaustive=exhaustive,
     )

@@ -146,8 +146,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     per_segment: list[dict[str, float | None]] = []
     for index, (hyp, refs, seg_stats) in enumerate(zip(hyp_corpus, ref_corpus, stats), start=1):
         scores = _score_segment(hyp, refs, resources, args)
-        # BLEU's brevity penalty is undefined for an empty hypothesis
-        scores.update(ngram_scores([seg_stats]) if hyp else dict.fromkeys(("bleu", "nist", "ebleu"), 0.0))
+        scores.update(ngram_scores([seg_stats]))
         per_segment.append(scores)
         report.segments.append(
             {"index": index, **{name: _round6(scores[name]) for name in METRIC_FIELDS}}

@@ -261,8 +261,9 @@ def _pool(
 ) -> NgramScore:
     """Pool ``credit_for(stats)(record, n)`` over the hypothesis n-gram totals
     per order, clamped per segment to a perfect order, and combine the bases
-    through the running log-mean ``C_i = exp(s / i)``. ``sentence_level`` takes
-    the mean of the one-record scores instead, 0 for an empty hypothesis."""
+    through the running log-mean ``C_i = exp(s / i)``. An empty hypothesis has
+    brevity penalty 0. ``sentence_level`` takes the mean of the one-record
+    scores instead."""
     credit = credit_for(stats)
     nums = [0.0] * max_n
     dens = [0] * max_n
@@ -290,12 +291,10 @@ def _pool(
         included += 1
         cumulative.append(math.exp(log_sum / included) if log_sum > -math.inf else 0.0)
     core = next((cum for cum in reversed(cumulative) if cum is not None), 0.0)
-    bp = brevity_penalty(c, r)
+    bp = brevity_penalty(c, r) if c else 0.0
     score = max(0.0, min(1.0, bp * core))
     if sentence_level:
-        score = sum(
-            _pool([rec], max_n, credit_for, smooth).score if rec.hyp_len else 0.0 for rec in stats
-        ) / len(stats)
+        score = sum(_pool([rec], max_n, credit_for, smooth).score for rec in stats) / len(stats)
     return NgramScore(score, bases, tuple(cumulative), bp, c, r)
 
 
@@ -328,7 +327,7 @@ def ebleu_from_stats(stats: Sequence[SegmentStats], config: NgramConfig = NgramC
 
 
 def nist_from_stats(stats: Sequence[SegmentStats], config: NgramConfig = NgramConfig()) -> float:
-    """NIST of the segments behind ``stats``; see ``nist``."""
+    """NIST of the segments behind ``stats``; see ``nist``. 0 for an empty hypothesis."""
     max_n = config.nist_max_n
     ref_counts = _pooled_ref_counts(stats, max_n)
     total_ref_tokens = sum(sum(rec.ref_lens) for rec in stats)
@@ -352,7 +351,7 @@ def nist_from_stats(stats: Sequence[SegmentStats], config: NgramConfig = NgramCo
                 credits[n - 1] += matched * info(gram)
     score = sum(cr / tot for cr, tot in zip(credits, totals) if tot > 0)
 
-    if r_bar <= 0:
+    if c == 0 or r_bar <= 0:
         return 0.0
     ratio = min(c / r_bar, 1.0)
     return score * math.exp(NIST_BETA * math.log(ratio) ** 2)

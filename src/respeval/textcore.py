@@ -118,11 +118,11 @@ def line_at(text: str, pos: int) -> int:
 
 
 def read_text(path: str | Path) -> str:
-    """The whole of a UTF-8 file; bytes that do not decode are a ``RespevalInputError``
-    naming the line they are on."""
+    """The whole of a UTF-8 file, less one leading byte-order mark; bytes that do
+    not decode are a ``RespevalInputError`` naming the line they are on."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         before = data[: exc.start].decode("utf-8")
         line = line_at(before, len(before))

@@ -101,6 +101,16 @@ def test_score_machine_output_is_byte_identical(transcript_pair, tmp_path, capsy
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_score_ignores_a_byte_order_mark(transcript_pair, tmp_path, capsys):
+    hyp, ref = transcript_pair
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + hyp.read_bytes())
+    plain, bom = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+    assert run(capsys, "score", str(hyp), str(ref), "--json", str(plain))[0] == 0
+    assert run(capsys, "score", str(marked), str(ref), "--json", str(bom))[0] == 0
+    assert bom.read_bytes() == plain.read_bytes()
+
+
 def test_score_round_trips_at_six_decimals(transcript_pair, tmp_path, capsys):
     hyp, ref = transcript_pair
     out_json = tmp_path / "r.jsonl"
@@ -282,6 +292,16 @@ def test_ner_command(tmp_path, capsys):
     assert len(lines) == 3
     assert "100.00" in lines[1] and "10.00" in lines[1]
     assert "99.00" in lines[2] and "0.00" in lines[2]
+
+
+def test_ner_csv_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("N,minor_count,standard_count,serious_count,R_weighted\n100,2,1,0,1\n", encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    code, out, err = run(capsys, "ner", str(marked))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "ner", str(plain))[1]
+    assert "98.00" in out.splitlines()[1]
 
 
 def test_ner_header_only(tmp_path, capsys):

@@ -16,6 +16,7 @@ from respeval.ngram_metrics import (
     nist,
     nist_from_stats,
     rare_reference_words,
+    segment_stats,
 )
 from respeval.resources import LanguageResources
 from respeval.textcore import RespevalInputError, ngrams
@@ -343,6 +344,16 @@ def test_sentence_level_tolerates_empty_segment():
     refs = [[["a", "b"]], [["c"]]]
     assert bleu(hyp, refs, NgramConfig(max_n=1, sentence_level=True)).score == pytest.approx(0.5)
     assert ebleu(hyp, refs, NgramConfig(max_n=1, sentence_level=True)).score == pytest.approx(0.5)
+
+
+def test_reductions_of_an_empty_hypothesis_record_are_zero():
+    # the record corpus_stats builds for an empty segment among others
+    record = segment_stats([], [["a", "b"]])
+    for sentence_level in (False, True):
+        config = NgramConfig(sentence_level=sentence_level)
+        assert bleu_from_stats([record], config).score == 0.0
+        assert ebleu_from_stats([record], config).score == 0.0
+        assert nist_from_stats([record], config) == 0.0
 
 
 def test_ebleu_config_validation():

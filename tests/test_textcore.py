@@ -139,6 +139,15 @@ def test_read_text_counts_cr_lf_and_crlf_as_line_breaks(tmp_path):
         read_text(path)
 
 
+def test_read_text_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfone\ntwo\n")
+    assert read_text(path) == "\ufeffone\ntwo\n"
+    path.write_bytes(b"\xef\xbb\xbfone\ntw\xffo\n")
+    with pytest.raises(RespevalInputError, match="t.txt: line 2: not valid UTF-8"):
+        read_text(path)
+
+
 def test_check_aligned():
     check_aligned(3, 3)
     with pytest.raises(RespevalInputError, match="hypothesis has 3, reference has 2"):
