@@ -13,7 +13,6 @@ from .align_metrics import (
     kendall_nkt,
     meteor,
     meteor_align,
-    meteor_pl,
     ribes,
     spearman_nsr,
     ter,
@@ -66,7 +65,6 @@ __all__ = [
     "load_resources",
     "meteor",
     "meteor_align",
-    "meteor_pl",
     "ner_accuracy",
     "ngrams",
     "nist",

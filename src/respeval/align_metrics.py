@@ -60,8 +60,14 @@ class _ReferenceColumns:
         self.full = (self.high << 1) - 1
         self.initial = (self.full, 0, len(ref))
 
-    def feed(self, state: tuple[int, int, int], tokens: Sequence[str]) -> tuple[int, int, int]:
-        """The state after ``tokens`` follow the prefix that gave ``state``."""
+    def feed(
+        self,
+        state: tuple[int, int, int],
+        tokens: Sequence[str],
+        states: list[tuple[int, int, int]] | None = None,
+    ) -> tuple[int, int, int]:
+        """The state after ``tokens`` follow the prefix that gave ``state``.
+        Given a list ``states``, appends the state after each word to it."""
         masks, high, full = self.masks, self.high, self.full
         pv, mv, score = state
         for tok in tokens:
@@ -78,31 +84,17 @@ class _ReferenceColumns:
             ph = (ph << 1) | 1
             pv = ((mh << 1) | ~(xv | ph)) & full
             mv = ph & xv
+            if states is not None:
+                states.append((pv, mv, score))
         return pv, mv, score
 
     def prefix_states(
         self, tokens: Sequence[str], state: tuple[int, int, int] | None = None
     ) -> list[tuple[int, int, int]]:
         """The state after each prefix of ``tokens`` fed from ``state`` (by
-        default the empty prefix's), shortest first: ``feed`` word by word,
-        with its step inlined."""
-        masks, high, full = self.masks, self.high, self.full
+        default the empty prefix's), shortest first."""
         states = [state or self.initial]
-        pv, mv, score = states[0]
-        for tok in tokens:
-            eq = masks.get(tok, 0)
-            xv = eq | mv
-            xh = (((eq & pv) + pv) ^ pv) | eq
-            ph = mv | ~(xh | pv)
-            mh = pv & xh
-            if ph & high:
-                score += 1
-            elif mh & high:
-                score -= 1
-            ph = (ph << 1) | 1
-            pv = ((mh << 1) | ~(xv | ph)) & full
-            mv = ph & xv
-            states.append((pv, mv, score))
+        self.feed(states[0], tokens, states)
         return states
 
     @cached_property
@@ -530,21 +522,6 @@ def meteor(
         penalty_exponent=penalty_exponent,
         alignment=alignment,
     )
-
-
-def meteor_pl(
-    hyp: TokenSequence,
-    ref: TokenSequence,
-    resources: LanguageResources,
-    penalty_exponent: float = 1.0,
-) -> MeteorScore:
-    """METEOR parameterized by a Polish-format resource bundle (multi-stem
-    matching active); requires at least one loaded resource."""
-    if resources is None or resources.is_empty():
-        raise RespevalInputError(
-            "the Polish variant needs synonyms, stems or function words loaded"
-        )
-    return meteor(hyp, ref, resources, penalty_exponent)
 
 
 # --- rank statistics and RIBES -----------------------------------------------

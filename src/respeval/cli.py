@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .align_metrics import meteor, meteor_pl, ribes, ter
+from .align_metrics import meteor, ribes, ter
 from .fixtures import FIXTURE_NAMES, METRIC_COLUMNS, RESPONSE_COLUMN, fixture_csv, load_fixture
 from .ngram_metrics import NgramConfig, bleu_from_stats, corpus_stats, ebleu_from_stats, nist_from_stats
 from .ner import ner_accuracy, parse_ner_annotations, reduction_rate
@@ -86,7 +86,7 @@ def _score_segment(hyp, refs, resources, args) -> dict[str, float | None]:
         meteor_pl_value = None
     else:
         meteor_pl_value = max(
-            meteor_pl(hyp, ref, resources, penalty_exponent=args.meteor_penalty_exp).score
+            meteor(hyp, ref, resources, penalty_exponent=args.meteor_penalty_exp).score
             for ref in refs
         )
     ribes_value = max(
@@ -110,7 +110,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     ref_files = [read_segments(path, tok_cfg, "reference") for path in args.references]
     for path, segments in zip(args.references, ref_files):
         check_aligned(len(hyp_corpus), len(segments), path)
-    ref_corpus = [list(refs) for refs in zip(*ref_files)] if ref_files else []
+    ref_corpus = [list(refs) for refs in zip(*ref_files)]
     resource_files = {name: getattr(args, name) for name in ("synonyms", "stems", "function_words")}
     resources = load_resources(**resource_files, function_word_weight=args.function_word_weight)
     # score's flags share their dests with NgramConfig's fields; the report echoes them by name

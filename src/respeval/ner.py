@@ -126,9 +126,11 @@ def parse_ner_annotations(
             f"header must start with {','.join(ANNOTATION_COLUMNS)}, got {','.join(header)}", path, 1
         )
     extras = header[len(ANNOTATION_COLUMNS) :]
-    for name in extras:
+    for k, name in enumerate(extras):
         if name not in OPTIONAL_COLUMNS:
             raise RespevalInputError(f"unknown column {name!r}", path, 1)
+        if name in extras[:k]:
+            raise RespevalInputError(f"duplicate column {name!r}", path, 1)
     unit = "chars" if use_chars else "tokens"
 
     records: list[NerRecord] = []

@@ -148,6 +148,9 @@ class DataTable:
         if not raw:
             raise RespevalInputError("empty CSV: missing header row", path)
         header = [cell.strip() for cell in raw[0][1]]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise RespevalInputError(f"duplicate column {name!r}", path, raw[0][0])
 
         def numeric(cell: str) -> bool:
             try:
@@ -199,10 +202,6 @@ class RegressionModel:
     adjusted_r2: float
     n: int
     df_resid: int
-
-    @property
-    def intercept(self) -> float:
-        return self.coefficients[0]
 
     def to_dict(self) -> dict:
         """The fields by name, tuples as lists: the JSON form of the model."""

@@ -11,7 +11,6 @@ from respeval.align_metrics import (
     kendall_nkt,
     meteor,
     meteor_align,
-    meteor_pl,
     ribes,
     spearman_nsr,
     ter,
@@ -120,12 +119,11 @@ def test_word_edit_distance_matches_oracle():
         cut = rng.randint(0, len(hyp))
         state = columns.feed(columns.initial, hyp[:cut])
         assert columns.feed(state, hyp[cut:])[2] == expected
-        # A chain from a non-initial state holds feed's state after every word.
+        # A chain from a non-initial state holds the distance of every longer prefix.
         states = columns.prefix_states(hyp[cut:], state)
-        assert states[0] == state and states[-1][2] == expected
-        for k, tok in enumerate(hyp[cut:], start=1):
-            state = columns.feed(state, (tok,))
-            assert states[k] == state
+        assert states[0] == state
+        for k, (_, _, distance) in enumerate(states, start=cut):
+            assert distance == oracles.lev(hyp[:k], ref)
 
 
 def _pareto_word(rng):
@@ -467,22 +465,17 @@ def test_meteor_bounded():
         assert 0.0 <= meteor(hyp, ref).score <= 1.0
 
 
-def test_meteor_pl_requires_resources():
-    with pytest.raises(RespevalInputError, match="needs synonyms, stems or function words"):
-        meteor_pl(["a"], ["a"], LanguageResources())
-
-
 def test_meteor_pl_synonyms_strictly_increase_score():
     hyp = ["the", "cat", "sat"]
     ref = ["the", "dog", "sat"]
     bare = meteor(hyp, ref).score
-    loaded = meteor_pl(hyp, ref, SYN_CAT_DOG).score
+    loaded = meteor(hyp, ref, SYN_CAT_DOG).score
     assert loaded > bare
 
 
 def test_meteor_pl_identity_matches_meteor():
     seq = ["ala", "ma", "kota"]
-    assert meteor_pl(seq, seq, SYN_CAT_DOG).score == meteor(seq, seq).score
+    assert meteor(seq, seq, SYN_CAT_DOG).score == meteor(seq, seq).score
 
 
 # --- rank statistics ----------------------------------------------------------------

@@ -516,6 +516,18 @@ LENGTH_ANNOTATIONS = (
             id="fixture-response-as-candidate",
         ),
         pytest.param(
+            {"table": b"A,y,y\n1,2,3\n2,3,5\n3,5,7\n"},
+            ["regress", "{table}", "--response", "y"],
+            "{table}: line 1: duplicate column 'y'",
+            id="regress-duplicate-column",
+        ),
+        pytest.param(
+            {"ann": LENGTH_ANNOTATIONS.replace(b"subtitle_tokens", b"original_tokens")},
+            ["ner", "{ann}"],
+            "{ann}: line 1: duplicate column 'original_tokens'",
+            id="ner-duplicate-column",
+        ),
+        pytest.param(
             {"table": b"y\n1\n2\n3\n"},
             ["regress", "{table}", "--response", "y"],
             "need at least one predictor besides the response 'y'",
