@@ -224,6 +224,8 @@ def _trace_to_dict(trace: EliminationTrace) -> dict:
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
+    if args.fixture and args.csv:
+        raise RespevalInputError("give a CSV path or --fixture, not both")
     if args.fixture:
         table = load_fixture(args.fixture)
         response = args.response or RESPONSE_COLUMN
@@ -271,6 +273,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     scores: dict[str, float] = {}
     for item in args.scores:
         name, sep, value = item.partition("=")
+        if name in scores:
+            raise RespevalInputError(f"score {name!r} given twice")
         try:
             scores[name] = float(value) if sep else math.nan
         except ValueError:

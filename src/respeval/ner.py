@@ -64,6 +64,8 @@ class NerRecord:
             )
         if self.original_length is not None and self.original_length <= 0:
             raise RespevalInputError(f"original length must be positive, got {self.original_length}")
+        if self.subtitle_length is not None and self.subtitle_length < 0:
+            raise RespevalInputError(f"subtitle length must be >= 0, got {self.subtitle_length}")
         total = self.weighted_edition_errors + self.recognition_errors
         if total > self.tokens:
             raise RespevalInputError(

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, get_origin, get_type_hints
 
-import numpy as np
-
 from .textcore import RespevalInputError, read_csv
 
 
@@ -241,6 +239,8 @@ def ols_fit(
     p-values are two-sided under Student's t; standardized betas rescale each
     coefficient by sd(x) / sd(y).
     """
+    import numpy as np  # only fits need it; scoring starts without it
+
     response = response or table.response
     if response is None:
         raise ValueError("no response column specified")

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -647,6 +650,24 @@ LENGTH_ANNOTATIONS = (
             "{model}: line 2: not valid JSON (Expecting value)",
             id="predict-malformed-json-cr-line-breaks",
         ),
+        pytest.param(
+            {"table": TABLE},
+            ["regress", "{table}", "--fixture", "table2"],
+            "give a CSV path or --fixture, not both",
+            id="regress-csv-and-fixture",
+        ),
+        pytest.param(
+            {"model": MODEL},
+            ["predict", "{model}", "BLEU=30", "NIST=6", "EBLEU=30", "BLEU=40"],
+            "score 'BLEU' given twice",
+            id="predict-repeated-name",
+        ),
+        pytest.param(
+            {"ann": LENGTH_ANNOTATIONS + b"100,1,0,0,0.5,120,-5\n"},
+            ["ner", "{ann}"],
+            "{ann}: line 4: subtitle length must be >= 0, got -5",
+            id="ner-negative-subtitle-length",
+        ),
     ],
 )
 def test_bad_input_exits_2_naming_where(files, argv, message, tmp_path, capsys):
@@ -657,6 +678,44 @@ def test_bad_input_exits_2_naming_where(files, argv, message, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert message.format(**paths) in err
+
+
+def _python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(respeval.ngram_metrics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
+
+
+def test_import_does_not_load_numpy():
+    done = _python("import sys, respeval.cli; print('numpy' in sys.modules)")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+import respeval
+from respeval.cli import main
+data, ann, model = sys.argv[1:]
+commands = [
+    ["score", f"{data}/hyp.txt", f"{data}/ref1.txt", f"{data}/ref2.txt", "--synonyms", f"{data}/synonyms.tsv",
+     "--stems", f"{data}/stems.tsv", "--function-words", f"{data}/function_words.txt"],
+    ["ner", ann],
+    ["predict", model, "BLEU=30", "NIST=6", "EBLEU=30"],
+    ["fixture", "table1"],
+]
+print([main(argv) for argv in commands], file=sys.stderr)
+"""
+
+
+def test_score_ner_predict_and_fixture_run_without_numpy(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run(capsys, "regress", "--fixture", "table1", "--json", str(model))[0] == 0
+    ann = tmp_path / "ann.csv"
+    ann.write_bytes(LENGTH_ANNOTATIONS)
+    done = _python(WITHOUT_NUMPY, str(REPORT_DATA), str(ann), str(model))
+    assert (done.returncode, done.stderr) == (0, "[0, 0, 0, 0]\n")
 
 
 def _mutate(rng, data: bytes) -> bytes:

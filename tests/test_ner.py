@@ -139,6 +139,14 @@ def test_parse_optional_reduction_columns():
     assert records[0].subtitle_length == 100
 
 
+def test_parse_rejects_negative_subtitle_length_and_keeps_zero():
+    header = f"{HEADER},original_tokens,subtitle_tokens\n"
+    with pytest.raises(RespevalInputError, match="^line 3: subtitle length must be >= 0, got -5"):
+        parse_ner_annotations(io.StringIO(f"{header}100,0,0,0,0,120,100\n100,0,0,0,0,120,-5\n"))
+    record = parse_ner_annotations(io.StringIO(f"{header}100,0,0,0,0,120,0\n"))[0]
+    assert reduction_rate(record.original_length, record.subtitle_length) == 100.0
+
+
 def test_parse_chars_columns_selected_by_flag():
     text = f"{HEADER},original_chars,subtitle_chars\n100,0,0,0,0,600,480\n"
     assert parse_ner_annotations(io.StringIO(text))[0].original_length is None
