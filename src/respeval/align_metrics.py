@@ -65,11 +65,21 @@ class _ReferenceColumns:
         state: tuple[int, int, int],
         tokens: Sequence[str],
         states: list[tuple[int, int, int]] | None = None,
+        limit: int | None = None,
     ) -> tuple[int, int, int]:
         """The state after ``tokens`` follow the prefix that gave ``state``.
-        Given a list ``states``, appends the state after each word to it."""
+        Given a list ``states``, appends the state after each word to it.
+
+        Given a ``limit``, stops after the first word that leaves ``score -
+        words left >= limit`` (Ukkonen 1985): deleting a word lowers the
+        distance by at most one, so the rest of ``tokens`` could not bring it
+        below ``limit``. The score returned is then already ``>= limit``; one
+        below ``limit`` is the exact distance."""
         masks, high, full = self.masks, self.high, self.full
         pv, mv, score = state
+        if limit is None:
+            limit = score + len(tokens) + 1  # out of reach: a word adds at most one
+        stop = limit + len(tokens)
         for tok in tokens:
             eq = masks.get(tok, 0)
             xv = eq | mv
@@ -86,15 +96,22 @@ class _ReferenceColumns:
             mv = ph & xv
             if states is not None:
                 states.append((pv, mv, score))
+            stop -= 1  # the limit plus the words left
+            if score >= stop:
+                break
         return pv, mv, score
 
     def prefix_states(
-        self, tokens: Sequence[str], state: tuple[int, int, int] | None = None
+        self,
+        tokens: Sequence[str],
+        state: tuple[int, int, int] | None = None,
+        limit: int | None = None,
     ) -> list[tuple[int, int, int]]:
         """The state after each prefix of ``tokens`` fed from ``state`` (by
-        default the empty prefix's), shortest first."""
+        default the empty prefix's), shortest first, up to where ``feed``
+        stops at ``limit``."""
         states = [state or self.initial]
-        self.feed(states[0], tokens, states)
+        self.feed(states[0], tokens, states, limit)
         return states
 
     @cached_property
@@ -162,7 +179,14 @@ def _best_shift(
     share a chain of column states fed from there over the words after the
     block; each position then feeds only the block and the rest. A candidate
     whose ``_prefix_bounds`` reach the best distance so far is skipped: it
-    could not replace the first best."""
+    could not replace the first best.
+
+    Feeds stop early by ``_ReferenceColumns.feed``'s cut-off: a candidate at
+    the best distance so far, a chain at that plus the block length. A cut
+    feed's score already reaches the best distance, so it loses the strict
+    ``<`` test as the full feed would, and every pick stays the same. Along a
+    chain, score less words left never falls, so the positions past a cut
+    chain's end are all lost too."""
     prefix = columns.prefix_states(current)
     best_distance = prefix[-1][2]
     if best_distance <= bound:
@@ -191,14 +215,17 @@ def _best_shift(
                 if lead[keep] >= best_distance:
                     continue
                 block_end = keep + length
-                chain = cols.prefix_states(seq[block_end:], states[keep])
+                # A candidate feeds the block and the rest after a chain state, so the chain
+                # stops at best_distance + length; no position past its end could win.
+                chain = cols.prefix_states(seq[block_end:], states[keep], best_distance + length)
                 block = seq[keep:block_end]
                 # Mirrored destinations run from the far end inward: positions ascend in current.
-                destinations = range(n, block_end, -1) if mirrored else range(block_end + 1, n + 1)
+                last = block_end + len(chain) - 1
+                destinations = range(last, block_end, -1) if mirrored else range(block_end + 1, last + 1)
                 for rest in destinations:
                     if trail[rest] >= best_distance or lead[keep] >= best_distance:
                         continue
-                    d = cols.feed(chain[rest - block_end], block + seq[rest:])[2]
+                    d = cols.feed(chain[rest - block_end], block + seq[rest:], limit=best_distance)[2]
                     if d < best_distance:
                         best_distance = d
                         best_sequence = seq[:keep] + seq[block_end:rest] + block + seq[rest:]

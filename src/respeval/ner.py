@@ -87,6 +87,8 @@ def reduction_rate(original_tokens: int, subtitle_tokens: int) -> float:
     """
     if original_tokens <= 0:
         raise RespevalInputError(f"original length must be positive, got {original_tokens}")
+    if subtitle_tokens < 0:
+        raise RespevalInputError(f"subtitle length must be >= 0, got {subtitle_tokens}")
     return (original_tokens - subtitle_tokens) / original_tokens * 100.0
 
 

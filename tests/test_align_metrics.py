@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -126,6 +127,28 @@ def test_word_edit_distance_matches_oracle():
             assert distance == oracles.lev(hyp[:k], ref)
 
 
+def test_feed_limit_stops_after_the_first_word_that_leaves_the_limit_out_of_reach():
+    rng = make_rng(28)
+    for _ in range(400):
+        vocab = "abcdef"[: rng.randint(1, 6)]
+        columns = _ReferenceColumns([rng.choice(vocab) for _ in range(rng.randint(1, 70))])
+        start = columns.feed(columns.initial, [rng.choice(vocab) for _ in range(rng.randint(0, 10))])
+        tokens = [rng.choice(vocab + "z") for _ in range(rng.randint(0, 30))]
+        unlimited = columns.prefix_states(tokens, start)
+        n = len(tokens)
+        for limit in [unlimited[-1][2], unlimited[-1][2] + 1] + [rng.randint(0, start[2] + n + 1) for _ in range(4)]:
+            got = columns.feed(start, tokens, limit=limit)
+            if got[2] < limit:
+                assert got == unlimited[-1]
+            else:
+                assert unlimited[-1][2] >= limit
+            # The feed ends after the first word k with score - (n - k) >= limit.
+            end = next((k for k in range(1, n + 1) if unlimited[k][2] - (n - k) >= limit), n)
+            states = columns.prefix_states(tokens, start, limit)
+            assert states == unlimited[: end + 1]
+            assert states[-1] == got
+
+
 def _pareto_word(rng):
     return f"w{min(int(rng.paretovariate(1.2)), 60)}"
 
@@ -221,6 +244,21 @@ def test_ter_chain_ends_keep_the_unpruned_answer():
     for hyp, ref in pairs:
         result = ter(hyp, ref)
         assert (result.edits, result.shifts) == oracles.ter_unpruned(hyp, ref), (hyp, ref)
+
+
+def test_ter_pins_pairs_too_long_for_the_oracles():
+    """(edits, shifts) recorded before feeds stopped at a limit, on the pairs
+    where they stop most: re-spoken sentences of 60-100 words with moved
+    blocks, probe-shaped pairs of 80 and 100 words, and 60-word pairs over a
+    3-word vocabulary. The seed is fixed, not ``make_rng``'s, because the
+    answers are pinned."""
+    rng = random.Random("long TER pairs")
+    pairs = [_moved_blocks_pair(rng, (60, 100)) for _ in range(4)]
+    pairs += [_probe_shaped_pair(rng, length) for length in (80, 100)]
+    pairs += [_moved_blocks_pair(rng, (60, 60), lambda r: r.choice("abc")) for _ in range(2)]
+    results = [ter(hyp, ref) for hyp, ref in pairs]
+    expected = [(2, 1), (1, 1), (2, 1), (4, 2), (11, 2), (12, 2), (2, 2), (4, 1)]
+    assert [(result.edits, result.shifts) for result in results] == expected
 
 
 def test_shift_bounds_never_exceed_a_candidate_distance():

@@ -97,6 +97,12 @@ def test_reduction_rate_rejects_zero_original():
         reduction_rate(0, 5)
 
 
+def test_reduction_rate_rejects_negative_subtitle_and_keeps_zero():
+    with pytest.raises(RespevalInputError, match="subtitle length must be >= 0, got -5"):
+        reduction_rate(120, -5)
+    assert reduction_rate(120, 0) == 100.0
+
+
 HEADER = "N,minor_count,standard_count,serious_count,R_weighted"
 
 
