@@ -458,15 +458,29 @@ def _count_chunks(matches: tuple[tuple[int, int, str], ...]) -> int:
     return chunks
 
 
+def _alignment(matches: list[tuple[int, int, str]], exhaustive: bool) -> MeteorAlignment:
+    ordered = tuple(sorted(matches))
+    return MeteorAlignment(ordered, _count_chunks(ordered), len(ordered), exhaustive)
+
+
 def meteor_align(
     hyp: TokenSequence,
     ref: TokenSequence,
     resources: LanguageResources = _EMPTY_RESOURCES,
+    exact: MeteorAlignment | None = None,
 ) -> MeteorAlignment:
     """Incremental alignment: exact matches first, then stem matches, then
-    synonym matches; each stage only considers words left unmatched before it."""
-    pairs, exhaustive = _exact_stage_matching(hyp, ref)
-    all_matches = [(h, r, STAGE_EXACT) for h, r in pairs]
+    synonym matches; each stage only considers words left unmatched before it.
+
+    ``exact``, when given, is ``meteor_align(hyp, ref)``: the exact stage
+    alone, which the later stages then extend instead of searching it again."""
+    if exact is None:
+        pairs, exhaustive = _exact_stage_matching(hyp, ref)
+        exact = _alignment([(h, r, STAGE_EXACT) for h, r in pairs], exhaustive)
+    if not (resources.stems or resources.synonyms):
+        return exact
+    all_matches = list(exact.matches)
+    exhaustive = exact.exhaustive
     # A hyp word and a ref word match at a stage when their keys meet: stems
     # for both, or the hyp word's synonyms and the ref word itself.
     for stage, hyp_keys, ref_keys, active in (
@@ -493,13 +507,7 @@ def meteor_align(
         pairs, finished = _best_stage_matching(candidates, prior)
         all_matches += [(h, r, stage) for h, r in pairs]
         exhaustive = exhaustive and finished
-    ordered = tuple(sorted(all_matches))
-    return MeteorAlignment(
-        matches=ordered,
-        chunks=_count_chunks(ordered),
-        matched_unigrams=len(ordered),
-        exhaustive=exhaustive,
-    )
+    return _alignment(all_matches, exhaustive)
 
 
 @dataclass(frozen=True)
@@ -518,14 +526,18 @@ def meteor(
     ref: TokenSequence,
     resources: LanguageResources = _EMPTY_RESOURCES,
     penalty_exponent: float = 1.0,
+    exact: MeteorAlignment | None = None,
 ) -> MeteorScore:
     """Harmonic mean 10PR/(R+9P) discounted by the fragmentation penalty
     0.5 * (chunks / matched)^exponent.
 
     When the bundle defines function words, precision and recall weight
     content words 1 and function words ``function_word_weight``.
+    ``exact``, when given, is ``meteor_align(hyp, ref)``, such as plain
+    METEOR's alignment of the pair; the alignment then reuses it as its exact
+    stage (see ``meteor_align``).
     """
-    alignment = meteor_align(hyp, ref, resources)
+    alignment = meteor_align(hyp, ref, resources, exact)
     matched = alignment.matched_unigrams
     if matched == 0:
         return MeteorScore(0.0, 0.0, 0.0, 0.0, 0.0, penalty_exponent, alignment)

@@ -17,7 +17,14 @@ from pathlib import Path
 from . import __version__
 from .align_metrics import meteor, ribes, ter
 from .fixtures import FIXTURE_NAMES, METRIC_COLUMNS, RESPONSE_COLUMN, fixture_csv, load_fixture
-from .ngram_metrics import NgramConfig, bleu_from_stats, corpus_stats, ebleu_from_stats, nist_from_stats
+from .ngram_metrics import (
+    MAX_NGRAM_ORDER,
+    NgramConfig,
+    bleu_from_stats,
+    corpus_stats,
+    ebleu_from_stats,
+    nist_from_stats,
+)
 from .ner import ner_accuracy, parse_ner_annotations, reduction_rate
 from .resources import load_resources
 from .stats import DataTable, EliminationTrace, RegressionModel, backward_eliminate, predict
@@ -79,15 +86,15 @@ def _fmt_cell(value: float | None) -> str:
 
 def _score_segment(hyp, refs, resources, args) -> dict[str, float | None]:
     ter_value = min(ter(hyp, ref).ter for ref in refs)
-    meteor_value = max(
-        meteor(hyp, ref, penalty_exponent=args.meteor_penalty_exp).score for ref in refs
-    )
+    plain = [meteor(hyp, ref, penalty_exponent=args.meteor_penalty_exp) for ref in refs]
+    meteor_value = max(score.score for score in plain)
     if resources.is_empty():
         meteor_pl_value = None
     else:
+        # METEOR-PL extends each pair's exact stage: plain METEOR's whole alignment
         meteor_pl_value = max(
-            meteor(hyp, ref, resources, penalty_exponent=args.meteor_penalty_exp).score
-            for ref in refs
+            meteor(hyp, ref, resources, args.meteor_penalty_exp, exact=score.alignment).score
+            for ref, score in zip(refs, plain)
         )
     ribes_value = max(
         ribes(hyp, ref, alpha=args.ribes_alpha, variant=args.ribes_variant).score for ref in refs
@@ -308,7 +315,7 @@ def _checked(convert, accept, expected: str):
     return parse
 
 
-ORDER = _checked(int, lambda v: v >= 1, "an integer >= 1")
+ORDER = _checked(int, lambda v: 1 <= v <= MAX_NGRAM_ORDER, f"an integer from 1 to {MAX_NGRAM_ORDER}")
 SYNONYM_SCORE = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 UNIT_INTERVAL = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 OPEN_UNIT_INTERVAL = _checked(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")

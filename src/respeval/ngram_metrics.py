@@ -11,8 +11,10 @@ segment order.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Sequence
 
 from .resources import LanguageResources
@@ -40,6 +42,11 @@ def closest_ref_length(c: int, ref_lengths: Sequence[int]) -> int:
     return min(ref_lengths, key=lambda rl: (abs(rl - c), rl))
 
 
+# The highest n-gram order ``NgramConfig`` accepts for ``max_n`` and
+# ``nist_max_n``. Counting costs time in proportion to the order, so an
+# unbounded order could keep one segment busy for minutes.
+MAX_NGRAM_ORDER = 100
+
 # Beta makes NIST's length factor exp(beta * ln^2(c/r)) equal 0.5 at ratio 2/3.
 NIST_BETA = math.log(0.5) / math.log(1.5) ** 2
 
@@ -49,10 +56,11 @@ class NgramConfig:
     """Settings of BLEU, NIST and EBLEU, read alike by counting and reducing.
 
     BLEU and EBLEU weigh orders 1 to ``max_n`` uniformly, NIST sums orders 1
-    to ``nist_max_n``. ``sentence_level`` averages per-segment BLEU and EBLEU
-    scores instead of pooling; ``smooth`` applies add-one smoothing to every
-    defined BLEU order. EBLEU credits a synonym match (from ``resources``)
-    with ``synonym_score``, and an n-gram holding one of the trailing
+    to ``nist_max_n``; both orders lie in [1, ``MAX_NGRAM_ORDER``].
+    ``sentence_level`` averages per-segment BLEU and EBLEU scores instead of
+    pooling; ``smooth`` applies add-one smoothing to every defined BLEU order.
+    EBLEU credits a synonym match (from ``resources``) with
+    ``synonym_score``, and an n-gram holding one of the trailing
     ``rare_words_percent`` reference words with ``rare_words_score``.
 
     ``respeval score`` sets each field except ``resources`` from the flag of
@@ -70,8 +78,8 @@ class NgramConfig:
     resources: LanguageResources = field(default_factory=LanguageResources)
 
     def __post_init__(self) -> None:
-        if self.max_n < 1 or self.nist_max_n < 1:
-            raise ValueError("max_n and nist_max_n must be >= 1")
+        if not (1 <= self.max_n <= MAX_NGRAM_ORDER and 1 <= self.nist_max_n <= MAX_NGRAM_ORDER):
+            raise ValueError(f"max_n and nist_max_n must lie in [1, {MAX_NGRAM_ORDER}]")
         if not 0.0 < self.synonym_score <= 1.0:
             raise ValueError("synonym_score must lie in (0, 1]")
         if not 0.0 <= self.rare_words_percent <= 1.0:
@@ -149,8 +157,10 @@ def _annotate(
 def rare_reference_words(unigrams: NGramCounts, percent: float) -> frozenset[str]:
     """Trailing ``percent`` of distinct reference words ranked by descending
     frequency (ties broken lexicographically) in ``ngrams``-keyed ``unigrams``."""
+    k = int(len(unigrams) * percent)
+    if k == 0:
+        return frozenset()
     ranked = sorted(unigrams, key=lambda gram: (-unigrams[gram], gram))
-    k = int(len(ranked) * percent)
     return frozenset(word for (word,) in ranked[len(ranked) - k :])
 
 
@@ -192,27 +202,37 @@ def segment_stats(
 ) -> SegmentStats:
     """Count the n-grams of ``hyp`` and its (non-empty) ``refs`` once, orders 1
     to the higher of ``max_n`` and ``nist_max_n``, and weigh the synonym-expanded
-    hypothesis n-grams of orders 1 to ``max_n``."""
+    hypothesis n-grams of orders 1 to ``max_n``.
+
+    Each order clips against one table of each n-gram's highest count in any
+    single reference. When no hypothesis token was rewritten to a synonym,
+    every n-gram that can match has factors 1, so its weights are its clipped
+    count of 1.0s.
+    """
     effective, factors = _annotate(hyp, refs, config.resources, config.synonym_score)
+    rewritten = effective != hyp
     clipped, ref_counts, weighted = [], [], []
     for n in range(1, max(config.max_n, config.nist_max_n) + 1):
         ref_grams = [ngrams(ref, n) for ref in refs]
         ref_counts.append(ref_grams[0] if len(ref_grams) == 1 else sum(ref_grams, Counter()))
-        clipped.append({
-            gram: matched
-            for gram, count in ngrams(hyp, n).items()
-            if (matched := min(count, max(rg.get(gram, 0) for rg in ref_grams)))
+        get = reduce(operator.or_, ref_grams).get  # with one reference, its own table
+        clipped.append(
+            {gram: matched for gram, count in ngrams(hyp, n).items() if (matched := min(count, get(gram, 0)))}
+        )
+        if n > config.max_n:
+            continue
+        if not rewritten:
+            weighted.append({gram: (1.0,) * matched for gram, matched in clipped[-1].items()})
+            continue
+        occurrences: dict[Gram, list[float]] = {}
+        for i in range(len(hyp) - n + 1):
+            gram = tuple(effective[i : i + n])
+            occurrences.setdefault(gram, []).append(math.prod(factors[i : i + n]))
+        weighted.append({
+            gram: tuple(sorted(weights, reverse=True)[:matched])
+            for gram, weights in occurrences.items()
+            if (matched := min(len(weights), get(gram, 0)))
         })
-        if n <= config.max_n:
-            occurrences: dict[Gram, list[float]] = {}
-            for i in range(len(hyp) - n + 1):
-                gram = tuple(effective[i : i + n])
-                occurrences.setdefault(gram, []).append(math.prod(factors[i : i + n]))
-            weighted.append({
-                gram: tuple(sorted(weights, reverse=True)[:matched])
-                for gram, weights in occurrences.items()
-                if (matched := min(len(weights), max(rg.get(gram, 0) for rg in ref_grams)))
-            })
     lens = tuple(len(ref) for ref in refs)
     return SegmentStats(len(hyp), lens, tuple(clipped), tuple(ref_counts), tuple(weighted))
 
@@ -304,9 +324,11 @@ def _bleu_credit(stats: Sequence[SegmentStats]) -> Credit:
 
 def _ebleu_credit(stats: Sequence[SegmentStats], config: NgramConfig) -> Credit:
     rare = rare_reference_words(_pooled_ref_counts(stats, 1)[0], config.rare_words_percent)
-    # The bonus multiplies each weight before summing, once per n-gram.
+    bonus = config.rare_words_score
+    # The bonus multiplies each weight before summing, once per n-gram; an
+    # n-gram with no rare word sums its weights as they are (times 1.0).
     return lambda rec, n: sum(
-        sum(w * (1.0 if rare.isdisjoint(gram) else config.rare_words_score) for w in weights)
+        sum(weights) if rare.isdisjoint(gram) else sum(w * bonus for w in weights)
         for gram, weights in rec.ebleu_weights[n - 1].items()
     )
 

@@ -20,10 +20,6 @@ from pathlib import Path
 from .textcore import RespevalInputError, read_text
 
 
-def _norm(word: str) -> str:
-    return unicodedata.normalize("NFC", word)
-
-
 @dataclass
 class LanguageResources:
     """Immutable-after-load resource bundle; shareable across threads.
@@ -56,7 +52,13 @@ class LanguageResources:
 
 
 def _data_lines(path: str | Path):
-    for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+    """The stripped, NFC-normalized data lines of ``path`` with their numbers.
+
+    The text is normalized whole: whitespace and line ends stay whitespace and
+    line ends and never compose with a neighbour, so every word comes out as
+    if normalized on its own."""
+    text = unicodedata.normalize("NFC", read_text(path))
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -69,8 +71,8 @@ def _load_tab_table(path: str | Path, kind: str) -> dict[str, set[str]]:
         if "\t" not in line:
             raise RespevalInputError(f"expected 'word<TAB>{kind}...'", path, lineno)
         word, _, rest = line.partition("\t")
-        word = _norm(word.strip())
-        values = {_norm(v) for v in rest.split()}
+        word = word.strip()
+        values = set(rest.split())
         if not word or not values:
             raise RespevalInputError(f"empty word or {kind} list", path, lineno)
         table.setdefault(word, set()).update(values)
@@ -93,7 +95,7 @@ def load_stems(path: str | Path) -> dict[str, frozenset[str]]:
 
 
 def load_function_words(path: str | Path) -> frozenset[str]:
-    return frozenset(_norm(line) for _, line in _data_lines(path))
+    return frozenset(line for _, line in _data_lines(path))
 
 
 def load_resources(

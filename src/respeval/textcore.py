@@ -100,14 +100,17 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> TokenSeq
 
 
 def ngrams(seq: TokenSequence, n: int) -> NGramCounts:
-    """Count all contiguous n-grams of ``seq`` with multiplicity.
+    """Count all contiguous n-grams of ``seq`` with multiplicity, in one pass
+    that zips ``n`` staggered views of it.
 
     ``n`` beyond the sequence length yields empty counts; n-grams never
     cross segment boundaries because a segment is the unit passed in.
     """
     if n < 1:
         raise ValueError(f"n-gram order must be >= 1, got {n}")
-    return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
+    if n > len(seq):
+        return Counter()
+    return Counter(zip(*[seq[i:] for i in range(n)]))
 
 
 def line_at(text: str, pos: int) -> int:

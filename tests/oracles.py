@@ -6,7 +6,8 @@ columns (checked against ``lev`` on their own) to isolate TER's lower bound.
 The oracles: plain-Python Levenshtein, the greedy TER shift search scored with
 it, the same search with no candidate skipped, breadth-first shift search,
 per-metric BLEU / NIST / EBLEU that count n-grams afresh for every score,
-pairwise rank enumeration, RIBES word alignment from tables of every n-gram,
+the per-segment n-gram record built gram by gram, resource tables
+normalized word by word, pairwise rank enumeration, RIBES word alignment from tables of every n-gram,
 METEOR stage matchings by enumerating every matching, the METEOR exact stage
 by enumerating every in-order choice per word, cofactor-inverted normal
 equations, and adaptive Simpson quadrature of the t density.
@@ -14,9 +15,12 @@ equations, and adaptive Simpson quadrature of the t density.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+import unicodedata
 from collections import Counter
+from pathlib import Path
 
 from respeval.align_metrics import _ReferenceColumns
 
@@ -259,6 +263,27 @@ def nist_oracle(hyps, refss, max_n, beta=math.log(0.5) / math.log(1.5) ** 2):
     return score * math.exp(beta * math.log(min(c / r_bar, 1.0)) ** 2)
 
 
+def _synonym_expand(hyp, refs, synonyms, synonym_score):
+    """Each hypothesis token's effective token and credit factor: itself at 1
+    when a reference has it, else the first reference word among its
+    synonyms at ``synonym_score``, else itself at 0."""
+    vocab = {tok for ref in refs for tok in ref}
+    effective, factors = [], []
+    for tok in hyp:
+        syns = synonyms.get(tok, set())
+        match = next((w for ref in refs for w in ref if w in syns), None)
+        if tok in vocab:
+            effective.append(tok)
+            factors.append(1.0)
+        elif match is not None:
+            effective.append(match)
+            factors.append(synonym_score)
+        else:
+            effective.append(tok)
+            factors.append(0.0)
+    return effective, factors
+
+
 def ebleu_oracle(
     hyps, refss, max_n, synonyms, synonym_score, rare_percent, rare_score, sentence_level=False
 ):
@@ -279,20 +304,7 @@ def ebleu_oracle(
     for hyp, refs in zip(hyps, refss):
         c += len(hyp)
         r += _closest(len(hyp), refs)
-        vocab = {tok for ref in refs for tok in ref}
-        effective, factors = [], []
-        for tok in hyp:
-            syns = synonyms.get(tok, set())
-            match = next((w for ref in refs for w in ref if w in syns), None)
-            if tok in vocab:
-                effective.append(tok)
-                factors.append(1.0)
-            elif match is not None:
-                effective.append(match)
-                factors.append(synonym_score)
-            else:
-                effective.append(tok)
-                factors.append(0.0)
+        effective, factors = _synonym_expand(hyp, refs, synonyms, synonym_score)
         for n in range(1, max_n + 1):
             total = len(hyp) - n + 1
             if total <= 0:
@@ -313,6 +325,62 @@ def ebleu_oracle(
             nums[n - 1] += min(seg, total)
     bases = [min(x / d, 1.0) if d > 0 else None for x, d in zip(nums, dens)]
     return max(0.0, min(1.0, _bp(c, r) * _log_mean(bases)))
+
+
+def segment_record_oracle(hyp, refs, max_n, nist_max_n, synonyms, synonym_score):
+    """The fields of ``ngram_metrics.SegmentStats`` for one segment, each
+    order's tables built gram by gram: a hypothesis n-gram clips against its
+    highest count in any one reference, and EBLEU weighs every
+    synonym-expanded occurrence, whether or not a token was rewritten."""
+    effective, factors = _synonym_expand(hyp, refs, synonyms, synonym_score)
+    clipped, ref_counts, weighted = [], [], []
+    for n in range(1, max(max_n, nist_max_n) + 1):
+        ref_grams = [count_ngrams(ref, n) for ref in refs]
+        ref_counts.append(ref_grams[0] if len(ref_grams) == 1 else sum(ref_grams, Counter()))
+        clipped.append({
+            g: matched
+            for g, count in count_ngrams(hyp, n).items()
+            if (matched := min(count, max(rg.get(g, 0) for rg in ref_grams)))
+        })
+        if n <= max_n:
+            occurrences = {}
+            for i in range(len(hyp) - n + 1):
+                g = tuple(effective[i : i + n])
+                occurrences.setdefault(g, []).append(math.prod(factors[i : i + n]))
+            weighted.append({
+                g: tuple(sorted(weights, reverse=True)[:matched])
+                for g, weights in occurrences.items()
+                if (matched := min(len(weights), max(rg.get(g, 0) for rg in ref_grams)))
+            })
+    lens = tuple(len(ref) for ref in refs)
+    return len(hyp), lens, tuple(clipped), tuple(ref_counts), tuple(weighted)
+
+
+# --- resource files read word by word ------------------------------------------
+
+
+def resource_lines_per_word(path, tab_separated):
+    """The table or the word list a resource file holds, each word
+    NFC-normalized on its own after the line is split, or the 1-based line
+    of the first malformed line (no tab, or an empty word or value list)."""
+    text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    table, words = {}, []
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not tab_separated:
+            words.append(unicodedata.normalize("NFC", line))
+            continue
+        if "\t" not in line:
+            return lineno
+        word, _, rest = line.partition("\t")
+        word = unicodedata.normalize("NFC", word.strip())
+        values = {unicodedata.normalize("NFC", v) for v in rest.split()}
+        if not word or not values:
+            return lineno
+        table.setdefault(word, set()).update(values)
+    return table if tab_separated else frozenset(words)
 
 
 # --- rank statistics by direct pair enumeration -------------------------------

@@ -5,8 +5,10 @@ import tracemalloc
 
 import pytest
 
+from respeval import align_metrics
 from respeval.align_metrics import (
     MAX_SHIFT_LENGTH,
+    METEOR_NODE_CAP,
     _prefix_bounds,
     _ReferenceColumns,
     kendall_nkt,
@@ -514,6 +516,50 @@ def test_meteor_pl_synonyms_strictly_increase_score():
 def test_meteor_pl_identity_matches_meteor():
     seq = ["ala", "ma", "kota"]
     assert meteor(seq, seq, SYN_CAT_DOG).score == meteor(seq, seq).score
+
+
+def _meteor_pair_from_one_alignment(hyp, ref, resources, exponent):
+    """METEOR and METEOR-PL as ``respeval score`` computes them: the second
+    extends the first's alignment."""
+    plain = meteor(hyp, ref, penalty_exponent=exponent)
+    return plain, meteor(hyp, ref, resources, exponent, exact=plain.alignment)
+
+
+def test_meteor_pl_from_plain_alignment_equals_separate_calls(monkeypatch):
+    rng = make_rng(31)
+    words = ("a", "b", "c", "d", "e", "f")
+    cut_short = {False: 0, True: 0}
+    for cap in (30, 200, METEOR_NODE_CAP):
+        monkeypatch.setattr(align_metrics, "METEOR_NODE_CAP", cap)
+        for trial in range(300):
+            vocab = words[: rng.randint(1, 6)]
+            hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 14))]
+            ref = [rng.choice(vocab) for _ in range(rng.randint(0, 14))]
+            stems, synonyms = _random_resources(rng, vocab)
+            function_words = frozenset(rng.sample(vocab, rng.randint(0, len(vocab))))
+            resources = LanguageResources(synonyms, stems, function_words)
+            exponent = rng.choice((1.0, 2.0))
+            plain, pl = _meteor_pair_from_one_alignment(hyp, ref, resources, exponent)
+            assert plain == meteor(hyp, ref, penalty_exponent=exponent)
+            assert pl == meteor(hyp, ref, resources, exponent)
+            cut_short[plain.alignment.exhaustive] += 1
+            cut_short[pl.alignment.exhaustive] += 1
+    assert min(cut_short.values()) > 50
+
+
+def test_meteor_pl_from_plain_alignment_keeps_each_stage_cut_off():
+    # The synonym stage of this pair stops at the node cap, its exact stage does not.
+    hyp, ref, resources = _cut_short_synonym_pair()
+    plain, pl = _meteor_pair_from_one_alignment(hyp, ref, resources, 1.0)
+    assert (plain, pl) == (meteor(hyp, ref), meteor(hyp, ref, resources))
+    assert plain.alignment.exhaustive and not pl.alignment.exhaustive
+    # The exact stage of this pair stops at the node cap: both are cut short.
+    hyp = "a b c c a a b a c b b a c b a a b b a a a a b a a b c b b c a a a".split()
+    ref = "b a b c a b c c b c a a a b c b c c c c c c a a a b".split()
+    resources = LanguageResources(stems={"a": frozenset({"b"}), "b": frozenset({"b"})})
+    plain, pl = _meteor_pair_from_one_alignment(hyp, ref, resources, 1.0)
+    assert (plain, pl) == (meteor(hyp, ref), meteor(hyp, ref, resources))
+    assert not plain.alignment.exhaustive and not pl.alignment.exhaustive
 
 
 # --- rank statistics ----------------------------------------------------------------

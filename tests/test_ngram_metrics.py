@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -300,6 +301,13 @@ def test_rare_reference_words_trailing_fraction():
     assert rare_reference_words(unigrams, 2 / 3) == frozenset({"zeta", "beta"})
 
 
+def test_rare_reference_words_none_when_the_share_rounds_to_zero():
+    assert rare_reference_words(ngrams([], 1), 0.5) == frozenset()
+    assert rare_reference_words(ngrams(["a", "b", "c"], 1), 0.3) == frozenset()
+    # k == 0 returns before ranking: these keys cannot even be sorted
+    assert rare_reference_words({("a",): 1, (1,): 1}, 0.4) == frozenset()
+
+
 def test_ebleu_rare_word_bonus():
     # "rare" appears once among five reference tokens; 50% of the two
     # distinct words makes exactly it rare.
@@ -354,6 +362,15 @@ def test_reductions_of_an_empty_hypothesis_record_are_zero():
         assert bleu_from_stats([record], config).score == 0.0
         assert ebleu_from_stats([record], config).score == 0.0
         assert nist_from_stats([record], config) == 0.0
+
+
+def test_ngram_orders_are_bounded():
+    top = ngram_metrics.MAX_NGRAM_ORDER
+    config = NgramConfig(max_n=top, nist_max_n=top)
+    assert len(segment_stats(["a", "b"], [["a", "b"]], config).clipped) == top
+    for orders in ({"max_n": top + 1}, {"nist_max_n": top + 1}, {"max_n": 0}, {"nist_max_n": 0}):
+        with pytest.raises(ValueError):
+            NgramConfig(**orders)
 
 
 def test_ebleu_config_validation():
@@ -430,3 +447,34 @@ def test_records_match_per_metric_oracles():
         for hyp, refs, rec in zip(hyps, refss, stats):
             if hyp:
                 assert reduced([rec]) == expected([hyp], [refs])
+
+
+def _ordered(hyp_len, ref_lens, *tables):
+    """A record's fields with each table as its list of items, so that order counts."""
+    return hyp_len, ref_lens, [[list(table.items()) for table in orders] for orders in tables]
+
+
+def test_segment_records_equal_the_gram_by_gram_oracle():
+    synonyms = {"cat": {"dog", "kitten"}, "dog": {"cat"}, "kitten": {"cat"}, "big": {"large"}, "large": {"big"}}
+    resources = LanguageResources(synonyms={w: frozenset(s) for w, s in synonyms.items()})
+    vocab = VOCAB + ("large", "kitten")
+    rng = make_rng(19)
+    rewritten = 0
+    for _ in range(1500):
+        refs = [random_segment(rng, 9, rng.choice((VOCAB[:4], VOCAB))) for _ in range(rng.randint(1, 3))]
+        hyp = random_segment(rng, 9, rng.choice((vocab[:4], vocab))) if rng.random() > 0.1 else []
+        config = NgramConfig(
+            max_n=rng.randint(1, 6),
+            nist_max_n=rng.randint(1, 6),
+            synonym_score=rng.choice((0.5, 0.9, 1.0)),
+            resources=resources if rng.random() < 0.7 else LanguageResources(),
+        )
+        record = segment_stats(hyp, refs, config)
+        table = synonyms if config.resources.synonyms else {}
+        expected = oracles.segment_record_oracle(
+            hyp, refs, config.max_n, config.nist_max_n, table, config.synonym_score
+        )
+        fields = [getattr(record, field.name) for field in dataclasses.fields(record)]
+        assert _ordered(*fields) == _ordered(*expected), (hyp, refs, config)
+        rewritten += ngram_metrics._annotate(hyp, refs, config.resources, 0.9)[0] != hyp
+    assert rewritten > 100

@@ -1,0 +1,78 @@
+import unicodedata
+
+import pytest
+
+from respeval import resources
+from respeval.textcore import RespevalInputError
+
+from helpers import make_rng
+import oracles
+
+# Pieces of resource lines: decomposed and composed Polish letters, combining
+# marks that follow a space or a tab, the quads U+2000 and U+2001 (NFC maps
+# them to other spaces), comment marks and every line end.
+PIECES = (
+    "ala", "kot", "\u017c", "z\u0307", "\u00f3", "o\u0301", "n\u0301", "l\u0301",
+    "\u0301", "\u0307", " ", " \u0301", "\t", "\t\u0307", "\u2000", "\u2001", "#",
+)
+LINE_ENDS = ("\n", "\r", "\r\n")
+
+
+def _random_file(rng) -> str:
+    text = "\ufeff" if rng.random() < 0.2 else ""
+    for _ in range(rng.randint(0, 8)):
+        line = "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 7)))
+        text += line + rng.choice(LINE_ENDS)
+    return text
+
+
+def _load(path, tab_separated):
+    """The package's reading of ``path`` in the oracle's shape."""
+    try:
+        if tab_separated:
+            return resources._load_tab_table(path, "synonym")
+        return resources.load_function_words(path)
+    except RespevalInputError as exc:
+        assert exc.path == path
+        return exc.line
+
+
+def test_resource_files_read_as_if_each_word_were_normalized(tmp_path):
+    rng = make_rng(41)
+    changed = outcomes = 0
+    for trial in range(600):
+        text = _random_file(rng)
+        path = tmp_path / f"{trial}.txt"
+        path.write_bytes(text.encode("utf-8"))
+        changed += unicodedata.normalize("NFC", text) != text
+        for tab_separated in (True, False):
+            expected = oracles.resource_lines_per_word(path, tab_separated)
+            got = _load(path, tab_separated)
+            assert got == expected, (text, tab_separated)
+            if isinstance(expected, dict):
+                assert list(got.items()) == list(expected.items())
+                outcomes += 1
+    assert changed > 300 and outcomes > 50
+
+
+@pytest.mark.parametrize(
+    "text, table",
+    [
+        ("z\u0307aba\tz\u0307o\u0301\u0142w\r\n", {"\u017caba": {"\u017c\u00f3\u0142w"}}),
+        ("kot\t\u0301pies\n", {"kot": {"\u0301pies"}}),
+        ("kot \u0301\tpies\u2000lis\n", {"kot \u0301": {"pies", "lis"}}),
+        ("\ufeff# komentarz\rkot\tpies\n", {"kot": {"pies"}}),
+    ],
+)
+def test_resource_table_examples(tmp_path, text, table):
+    path = tmp_path / "table.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert resources._load_tab_table(path, "synonym") == table
+
+
+def test_resource_error_keeps_its_line_after_normalization(tmp_path):
+    path = tmp_path / "stems.tsv"
+    path.write_bytes("# a\r\nz\u0307\tz\u0307\rz\u0307 o\u0301\n".encode("utf-8"))
+    with pytest.raises(RespevalInputError) as exc:
+        resources.load_stems(path)
+    assert exc.value.line == 3

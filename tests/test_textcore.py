@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from respeval.ngram_metrics import NgramConfig, segment_stats
@@ -77,6 +79,18 @@ def test_ngram_bigrams():
 
 def test_ngram_order_beyond_length():
     assert ngrams(["a"], 2) == {}
+    for seq, n in (([], 1), (["a", "b"], 3), (("a",) * 5, 10**9)):
+        counts = ngrams(seq, n)
+        assert isinstance(counts, Counter) and not counts
+
+
+def test_ngram_counts_keep_first_occurrence_order_random_sequences():
+    rng = make_rng(3)
+    for _ in range(200):
+        seq = [rng.choice("abc") for _ in range(rng.randint(0, 12))]
+        for n in range(1, 8):
+            expected = Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
+            assert list(ngrams(seq, n).items()) == list(expected.items())
 
 
 def test_ngram_rejects_zero_order():
