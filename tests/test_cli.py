@@ -246,14 +246,14 @@ def test_score_hypothesis_empty_after_stripping(tmp_path, capsys):
         (["score", "h", "r", "--rare-words-percent", "2"], "--rare-words-percent"),
         (["score", "h", "r", "--max-n", "0"], "--max-n"),
         (["score", "h", "r", "--nist-max-n", "0"], "--nist-max-n"),
-        (["score", "h", "r", "--max-n", "101"], "--max-n"),
-        (["score", "h", "r", "--nist-max-n", "100000"], "--nist-max-n"),
         (["score", "h", "r", "--ribes-alpha", "1"], "--ribes-alpha"),
         (["score", "h", "r", "--function-word-weight", "1.5"], "--function-word-weight"),
         (["regress", "--fixture", "table1", "--alpha", "2"], "--alpha"),
         (["score", "h", "r", "--meteor-penalty-exp", "nan"], "--meteor-penalty-exp"),
         (["score", "h", "r", "--meteor-penalty-exp", "-5"], "--meteor-penalty-exp"),
         (["score", "h", "r", "--meteor-penalty-exp", "inf"], "--meteor-penalty-exp"),
+        (["score", "h", "r", "--max-n", "101"], "--max-n"),
+        (["score", "h", "r", "--nist-max-n", "100000"], "--nist-max-n"),
     ],
 )
 def test_bad_numeric_flag_is_a_usage_error(argv, flag, capsys):
