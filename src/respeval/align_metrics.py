@@ -535,8 +535,10 @@ def meteor(
     content words 1 and function words ``function_word_weight``.
     ``exact``, when given, is ``meteor_align(hyp, ref)``, such as plain
     METEOR's alignment of the pair; the alignment then reuses it as its exact
-    stage (see ``meteor_align``).
+    stage (see ``meteor_align``). ``penalty_exponent`` is a finite number > 0.
     """
+    if not 0.0 < penalty_exponent < math.inf:
+        raise ValueError("penalty_exponent must be a finite number > 0")
     alignment = meteor_align(hyp, ref, resources, exact)
     matched = alignment.matched_unigrams
     if matched == 0:

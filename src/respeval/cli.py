@@ -196,19 +196,16 @@ def cmd_ner(args: argparse.Namespace) -> int:
 
 
 def _format_model(model: RegressionModel, stage: int, removed: str | None, alpha: float) -> str:
-    rows = [("(constant)", model.coefficients[0], model.std_errors[0], None, model.t_stats[0], model.p_values[0])]
-    for j, name in enumerate(model.predictors):
-        rows.append(
-            (
-                name,
-                model.coefficients[j + 1],
-                model.std_errors[j + 1],
-                model.standardized_betas[j],
-                model.t_stats[j + 1],
-                model.p_values[j + 1],
-            )
-        )
-    width = max(len("(constant)"), max(len(name) for name in model.predictors))
+    names = ("(constant)", *model.predictors)
+    rows = zip(
+        names,
+        model.coefficients,
+        model.std_errors,
+        (None, *model.standardized_betas),
+        model.t_stats,
+        model.p_values,
+    )
+    width = max(len(name) for name in names)
     lines = [
         f"model {stage}  (adjusted R-square {model.adjusted_r2:.3f}, n = {model.n})",
         f"  {'predictor':<{width}}  {'B':>10}  {'Std. Error':>10}  {'Beta':>8}  {'t':>8}  {'Sig.':>6}",

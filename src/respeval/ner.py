@@ -97,18 +97,12 @@ ANNOTATION_COLUMNS = ("N", "minor_count", "standard_count", "serious_count", "R_
 OPTIONAL_COLUMNS = ("original_tokens", "subtitle_tokens", "original_chars", "subtitle_chars")
 
 
-def _parse_int(value: str, column: str) -> int:
+def _parse_cell(value: str, column: str, kind: type = int) -> int | float:
     try:
-        return int(value.strip())
+        return kind(value.strip())
     except ValueError:
-        raise RespevalInputError(f"column {column!r} must be an integer, got {value!r}") from None
-
-
-def _parse_float(value: str, column: str) -> float:
-    try:
-        return float(value.strip())
-    except ValueError:
-        raise RespevalInputError(f"column {column!r} must be a number, got {value!r}") from None
+        expected = "an integer" if kind is int else "a number"
+        raise RespevalInputError(f"column {column!r} must be {expected}, got {value!r}") from None
 
 
 def parse_ner_annotations(
@@ -151,14 +145,14 @@ def parse_ner_annotations(
 def _parse_record(row: list[str], header: list[str], extras: list[str], unit: str) -> NerRecord:
     if len(row) != len(header):
         raise RespevalInputError(f"expected {len(header)} fields, got {len(row)}")
-    tokens = _parse_int(row[0], "N")
+    tokens = _parse_cell(row[0], "N")
     edition_errors = tuple(
-        (severity, _parse_int(cell, column))
+        (severity, _parse_cell(cell, column))
         for severity, cell, column in zip(ErrorSeverity, row[1:4], ANNOTATION_COLUMNS[1:4])
     )
-    recognition_errors = _parse_float(row[4], "R_weighted")
+    recognition_errors = _parse_cell(row[4], "R_weighted", float)
     named = {
-        name: _parse_int(row[len(ANNOTATION_COLUMNS) + k], name) for k, name in enumerate(extras)
+        name: _parse_cell(row[len(ANNOTATION_COLUMNS) + k], name) for k, name in enumerate(extras)
     }
     record = NerRecord(
         tokens,

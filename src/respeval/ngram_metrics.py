@@ -78,13 +78,13 @@ class NgramConfig:
     resources: LanguageResources = field(default_factory=LanguageResources)
 
     def __post_init__(self) -> None:
-        if not (1 <= self.max_n <= MAX_NGRAM_ORDER and 1 <= self.nist_max_n <= MAX_NGRAM_ORDER):
-            raise ValueError(f"max_n and nist_max_n must lie in [1, {MAX_NGRAM_ORDER}]")
+        if not all(isinstance(n, int) and 1 <= n <= MAX_NGRAM_ORDER for n in (self.max_n, self.nist_max_n)):
+            raise ValueError(f"max_n and nist_max_n must be integers from 1 to {MAX_NGRAM_ORDER}")
         if not 0.0 < self.synonym_score <= 1.0:
             raise ValueError("synonym_score must lie in (0, 1]")
         if not 0.0 <= self.rare_words_percent <= 1.0:
             raise ValueError("rare_words_percent must lie in [0, 1]")
-        if self.rare_words_score < 1.0:
+        if not self.rare_words_score >= 1.0:
             raise ValueError("rare_words_score must be >= 1")
 
 

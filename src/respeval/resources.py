@@ -71,11 +71,7 @@ def _load_tab_table(path: str | Path, kind: str) -> dict[str, set[str]]:
         if "\t" not in line:
             raise RespevalInputError(f"expected 'word<TAB>{kind}...'", path, lineno)
         word, _, rest = line.partition("\t")
-        word = word.strip()
-        values = set(rest.split())
-        if not word or not values:
-            raise RespevalInputError(f"empty word or {kind} list", path, lineno)
-        table.setdefault(word, set()).update(values)
+        table.setdefault(word.strip(), set()).update(rest.split())
     return table
 
 

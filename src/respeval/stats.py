@@ -36,25 +36,18 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numerator / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numerator / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for numerator in (even, odd):
+            d = 1.0 + numerator * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + numerator / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
@@ -354,23 +347,18 @@ def backward_eliminate(
         raise RespevalInputError(f"the response {response!r} is also a candidate predictor")
     remaining = list(candidates)
     steps: list[EliminationStep] = []
-    step = 1
     while True:
         model = ols_fit(table, remaining, response)
         worst_idx: int | None = None
         worst_p = alpha
-        for j in range(len(remaining)):
-            p = model.p_values[j + 1]
-            if p > alpha and (worst_idx is None or p >= worst_p):
+        for j, p in enumerate(model.p_values[1:]):
+            if p > alpha and p >= worst_p:
                 worst_idx = j
                 worst_p = p
-        if worst_idx is None or len(remaining) == 1:
-            steps.append(EliminationStep(step, model, None))
-            break
-        steps.append(EliminationStep(step, model, remaining[worst_idx]))
-        remaining.pop(worst_idx)
-        step += 1
-    return EliminationTrace(steps=tuple(steps), alpha=alpha)
+        removed = None if worst_idx is None or len(remaining) == 1 else remaining.pop(worst_idx)
+        steps.append(EliminationStep(len(steps) + 1, model, removed))
+        if removed is None:
+            return EliminationTrace(steps=tuple(steps), alpha=alpha)
 
 
 def predict(model: RegressionModel, scores: Mapping[str, float]) -> float:

@@ -484,6 +484,10 @@ def test_meteor_hand_example():
 def test_meteor_penalty_exponent():
     score = meteor(["a", "b", "c", "d"], ["a", "b", "x", "d"], penalty_exponent=3.0)
     assert score.penalty == pytest.approx(0.5 * (2 / 3) ** 3)
+    # the range --meteor-penalty-exp states: a finite number > 0
+    for exponent in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            meteor(["a", "b"], ["a", "b"], penalty_exponent=exponent)
 
 
 def test_meteor_function_word_weighting():

@@ -213,6 +213,10 @@ def test_score_report_bytes_are_pinned(flags, tmp_path, capsys):
 # sha256 of `regress --fixture table1 --json`: the elimination trace and every
 # model field, so a field left out of (or added to) the model JSON shows here.
 TABLE1_TRACE_SHA256 = "3f2d0e21321bb108a6b26814a4494cb2dfa74daea4fcc2c2ddecbe94d1809642"
+# sha256 of the text tables: `regress --fixture table1` stdout, and `ner`
+# stdout on LENGTH_ANNOTATIONS, a file with the reduction-rate columns.
+TABLE1_STDOUT_SHA256 = "95a1f7005514c6727c0aed19b937bc10cd025845955f95146bfeea36e113fb00"
+NER_STDOUT_SHA256 = "4a19ad0daf3a18cbf1c6c0e0deaa1fc8a2c5a442a2ddb45eb637f98d6872e377"
 
 
 def test_regress_trace_bytes_are_pinned(tmp_path, capsys):
@@ -220,6 +224,15 @@ def test_regress_trace_bytes_are_pinned(tmp_path, capsys):
     code, out, err = run(capsys, "regress", "--fixture", "table1", "--json", str(trace_json))
     assert (code, err) == (0, "")
     assert hashlib.sha256(trace_json.read_bytes()).hexdigest() == TABLE1_TRACE_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE1_STDOUT_SHA256
+
+
+def test_ner_text_bytes_are_pinned(tmp_path, capsys):
+    csv = tmp_path / "ann.csv"
+    csv.write_bytes(LENGTH_ANNOTATIONS)
+    code, out, err = run(capsys, "ner", str(csv))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == NER_STDOUT_SHA256
 
 
 def test_score_hypothesis_empty_after_stripping(tmp_path, capsys):
@@ -315,6 +328,20 @@ def test_ner_header_only(tmp_path, capsys):
     code, out, err = run(capsys, "ner", str(csv))
     assert code == 0
     assert len(out.splitlines()) == 1  # header only
+
+
+def test_ner_blank_line_between_rows(tmp_path, capsys):
+    csv = tmp_path / "ann.csv"
+    csv.write_text(
+        "N,minor_count,standard_count,serious_count,R_weighted\n100,0,0,0,0\n\n200,2,1,0,1\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "ner", str(csv))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "   1     100      0.00      0.00    100.00         -",
+        "   2     200      1.00      1.00     99.00         -",
+    ]
 
 
 def test_ner_malformed_row(tmp_path, capsys):
@@ -669,6 +696,42 @@ LENGTH_ANNOTATIONS = (
             ["ner", "{ann}"],
             "{ann}: line 4: subtitle length must be >= 0, got -5",
             id="ner-negative-subtitle-length",
+        ),
+        pytest.param(
+            {"ann": ANNOTATIONS.replace(b"100,1,", b"100,-1,")},
+            ["ner", "{ann}"],
+            "{ann}: line 2: edition error counts must be non-negative",
+            id="ner-negative-edition-count",
+        ),
+        pytest.param(
+            {"ann": ANNOTATIONS.replace(b",0.5\n", b",x\n")},
+            ["ner", "{ann}"],
+            "{ann}: line 2: column 'R_weighted' must be a number, got 'x'",
+            id="ner-non-numeric-recognition-errors",
+        ),
+        pytest.param(
+            {"ann": b""},
+            ["ner", "{ann}"],
+            "{ann}: line 1: missing header row",
+            id="ner-empty-file",
+        ),
+        pytest.param(
+            {"table": b""},
+            ["regress", "{table}", "--response", "y"],
+            "{table}: empty CSV: missing header row",
+            id="regress-empty-csv",
+        ),
+        pytest.param(
+            {},
+            ["regress"],
+            "either a CSV path or --fixture is required",
+            id="regress-no-input",
+        ),
+        pytest.param(
+            {"model": MODEL},
+            ["predict", "{model}", "BLEU=abc"],
+            "scores look like NAME=VALUE, VALUE a finite number; got 'BLEU=abc'",
+            id="predict-non-numeric-score",
         ),
     ],
 )

@@ -368,7 +368,11 @@ def test_ngram_orders_are_bounded():
     top = ngram_metrics.MAX_NGRAM_ORDER
     config = NgramConfig(max_n=top, nist_max_n=top)
     assert len(segment_stats(["a", "b"], [["a", "b"]], config).clipped) == top
-    for orders in ({"max_n": top + 1}, {"nist_max_n": top + 1}, {"max_n": 0}, {"nist_max_n": 0}):
+    bad_orders = (
+        {"max_n": top + 1}, {"nist_max_n": top + 1}, {"max_n": 0}, {"nist_max_n": 0},
+        {"max_n": 2.0}, {"nist_max_n": 2.0},
+    )
+    for orders in bad_orders:
         with pytest.raises(ValueError):
             NgramConfig(**orders)
 
@@ -378,6 +382,8 @@ def test_ebleu_config_validation():
         NgramConfig(synonym_score=0.0)
     with pytest.raises(ValueError):
         NgramConfig(rare_words_score=0.5)
+    with pytest.raises(ValueError):
+        NgramConfig(rare_words_score=math.nan)
     with pytest.raises(ValueError):
         NgramConfig(rare_words_percent=1.5)
 

@@ -62,6 +62,7 @@ def test_resource_files_read_as_if_each_word_were_normalized(tmp_path):
         ("kot\t\u0301pies\n", {"kot": {"\u0301pies"}}),
         ("kot \u0301\tpies\u2000lis\n", {"kot \u0301": {"pies", "lis"}}),
         ("\ufeff# komentarz\rkot\tpies\n", {"kot": {"pies"}}),
+        ("a \t b\n", {"a": {"b"}}),
     ],
 )
 def test_resource_table_examples(tmp_path, text, table):
@@ -76,3 +77,13 @@ def test_resource_error_keeps_its_line_after_normalization(tmp_path):
     with pytest.raises(RespevalInputError) as exc:
         resources.load_stems(path)
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("line", ["word\t", "\tstem", "word\t \t"])
+def test_resource_line_whose_only_tab_is_at_an_end(tmp_path, line):
+    # stripping the line removes the tab, so no line reads as an empty word or list
+    path = tmp_path / "stems.tsv"
+    path.write_text("kot\tkot\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(RespevalInputError, match="expected 'word<TAB>stem...'") as exc:
+        resources.load_stems(path)
+    assert exc.value.line == 2

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from respeval import stats
 from respeval.fixtures import load_fixture
 from respeval.stats import (
     DataTable,
@@ -248,6 +249,21 @@ def test_elimination_keeps_last_predictor():
     trace = backward_eliminate(table, ["x"])
     assert len(trace.steps) == 1
     assert trace.final_model.predictors == ("x",)
+
+
+def test_elimination_tie_drops_the_later_listed_candidate(monkeypatch):
+    def tied_fit(table, predictors, response):
+        # every predictor insignificant at the same p-value
+        k = len(predictors)
+        return RegressionModel(
+            "y", tuple(predictors), (0.0,) * (k + 1), (1.0,) * (k + 1), (0.0,) * (k + 1),
+            (1.0,) + (0.5,) * k, (0.0,) * k, 0.0, 0.0, 10, 10 - k - 1,
+        )
+
+    monkeypatch.setattr(stats, "ols_fit", tied_fit)
+    trace = backward_eliminate(make_table(["a", "b", "c", "y"], [], "y"), ["a", "b", "c"])
+    assert [(step.step, step.removed) for step in trace.steps] == [(1, "c"), (2, "b"), (3, None)]
+    assert trace.final_model.predictors == ("a",)
 
 
 # --- predict ------------------------------------------------------------------------
