@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -33,6 +32,7 @@ from .textcore import (
     TokenizerConfig,
     check_aligned,
     line_at,
+    read_number,
     read_segments,
     read_text,
 )
@@ -276,15 +276,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise RespevalInputError(exc.message, args.model) from None
     scores: dict[str, float] = {}
     for item in args.scores:
-        name, sep, value = item.partition("=")
+        name, _, value = item.partition("=")  # no "=": the value is "", which read_number rejects
         if name in scores:
             raise RespevalInputError(f"score {name!r} given twice")
         try:
-            scores[name] = float(value) if sep else math.nan
-        except ValueError:
-            scores[name] = math.nan
-        if not math.isfinite(scores[name]):
-            raise RespevalInputError(f"scores look like NAME=VALUE, VALUE a finite number; got {item!r}")
+            scores[name] = read_number(value, name)
+        except RespevalInputError:
+            message = f"scores look like NAME=VALUE, VALUE a finite number; got {item!r}"
+            raise RespevalInputError(message) from None
     value = predict(model, scores)
     sys.stdout.write(f"{value:.4f}\n")
     return EXIT_OK
@@ -299,25 +298,25 @@ def cmd_fixture(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _checked(convert, accept, expected: str):
-    """An argparse ``type``: a value failing ``accept`` exits 2 naming the flag."""
+def _checked(accept, expected: str, integer: bool = False):
+    """An argparse ``type`` on ``read_number``: bad text, or a value failing ``accept``, exits 2."""
 
     def parse(text: str):
-        value = convert(text)
+        value = read_number(text, "value", integer)  # a ValueError: argparse reports "invalid float value"
         if not accept(value):
             raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
         return value
 
-    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    parse.__name__ = "int" if integer else "float"
     return parse
 
 
-ORDER = _checked(int, lambda v: 1 <= v <= MAX_NGRAM_ORDER, f"an integer from 1 to {MAX_NGRAM_ORDER}")
-SYNONYM_SCORE = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-UNIT_INTERVAL = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-OPEN_UNIT_INTERVAL = _checked(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
-RARE_WORDS_SCORE = _checked(float, lambda v: v >= 1.0, ">= 1")
-POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+ORDER = _checked(lambda v: 1 <= v <= MAX_NGRAM_ORDER, f"an integer from 1 to {MAX_NGRAM_ORDER}", True)
+SYNONYM_SCORE = _checked(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+UNIT_INTERVAL = _checked(lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+OPEN_UNIT_INTERVAL = _checked(lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
+RARE_WORDS_SCORE = _checked(lambda v: v >= 1.0, ">= 1")
+POSITIVE = _checked(lambda v: v > 0.0, "a finite number > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:

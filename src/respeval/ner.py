@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from .textcore import RespevalInputError, read_csv
+from .textcore import RespevalInputError, read_number, read_table
 
 
 class ErrorSeverity(Enum):
@@ -97,14 +97,6 @@ ANNOTATION_COLUMNS = ("N", "minor_count", "standard_count", "serious_count", "R_
 OPTIONAL_COLUMNS = ("original_tokens", "subtitle_tokens", "original_chars", "subtitle_chars")
 
 
-def _parse_cell(value: str, column: str, kind: type = int) -> int | float:
-    try:
-        return kind(value.strip())
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise RespevalInputError(f"column {column!r} must be {expected}, got {value!r}") from None
-
-
 def parse_ner_annotations(
     source: str | Path | Iterable[str], use_chars: bool = False
 ) -> list[NerRecord]:
@@ -115,51 +107,28 @@ def parse_ner_annotations(
     ``original_chars,subtitle_chars``) columns feed the reduction rate.
     """
     path = source if isinstance(source, (str, Path)) else None
-    rows = read_csv(source)
-    if not rows:
-        raise RespevalInputError("missing header row", path, 1)
-    header = [cell.strip() for cell in rows[0]]
-    if tuple(header[: len(ANNOTATION_COLUMNS)]) != ANNOTATION_COLUMNS:
-        raise RespevalInputError(
-            f"header must start with {','.join(ANNOTATION_COLUMNS)}, got {','.join(header)}", path, 1
-        )
-    extras = header[len(ANNOTATION_COLUMNS) :]
-    for k, name in enumerate(extras):
+    (header_line, header), *body = read_table(source, ANNOTATION_COLUMNS)
+    for name in header[len(ANNOTATION_COLUMNS) :]:
         if name not in OPTIONAL_COLUMNS:
-            raise RespevalInputError(f"unknown column {name!r}", path, 1)
-        if name in extras[:k]:
-            raise RespevalInputError(f"duplicate column {name!r}", path, 1)
+            raise RespevalInputError(f"unknown column {name!r}", path, header_line)
     unit = "chars" if use_chars else "tokens"
 
     records: list[NerRecord] = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for line, row in body:
         try:
-            records.append(_parse_record(row, header, extras, unit))
+            cells = {
+                name: read_number(cell, f"column {name!r}", integer=name != "R_weighted")
+                for name, cell in zip(header, row)
+            }
+            record = NerRecord(
+                cells["N"],
+                tuple(zip(ErrorSeverity, (cells[column] for column in ANNOTATION_COLUMNS[1:4]))),
+                cells["R_weighted"],
+                original_length=cells.get(f"original_{unit}"),
+                subtitle_length=cells.get(f"subtitle_{unit}"),
+            )
+            record.validate()
         except RespevalInputError as exc:
             raise RespevalInputError(exc.message, path, line) from None
+        records.append(record)
     return records
-
-
-def _parse_record(row: list[str], header: list[str], extras: list[str], unit: str) -> NerRecord:
-    if len(row) != len(header):
-        raise RespevalInputError(f"expected {len(header)} fields, got {len(row)}")
-    tokens = _parse_cell(row[0], "N")
-    edition_errors = tuple(
-        (severity, _parse_cell(cell, column))
-        for severity, cell, column in zip(ErrorSeverity, row[1:4], ANNOTATION_COLUMNS[1:4])
-    )
-    recognition_errors = _parse_cell(row[4], "R_weighted", float)
-    named = {
-        name: _parse_cell(row[len(ANNOTATION_COLUMNS) + k], name) for k, name in enumerate(extras)
-    }
-    record = NerRecord(
-        tokens,
-        edition_errors,
-        recognition_errors,
-        original_length=named.get(f"original_{unit}"),
-        subtitle_length=named.get(f"subtitle_{unit}"),
-    )
-    record.validate()
-    return record

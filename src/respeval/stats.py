@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, get_origin, get_type_hints
 
-from .textcore import RespevalInputError, read_csv
+from .textcore import RespevalInputError, read_number, read_table
 
 
 RANK_PIVOT_THRESHOLD = 1e-10
@@ -131,17 +131,7 @@ class DataTable:
     @classmethod
     def from_csv(cls, source: str | Path | Iterable[str], response: str | None = None) -> "DataTable":
         path = source if isinstance(source, (str, Path)) else None
-        raw = [
-            (lineno, row)
-            for lineno, row in enumerate(read_csv(source), start=1)
-            if any(cell.strip() for cell in row)
-        ]
-        if not raw:
-            raise RespevalInputError("empty CSV: missing header row", path)
-        header = [cell.strip() for cell in raw[0][1]]
-        for i, name in enumerate(header):
-            if name in header[:i]:
-                raise RespevalInputError(f"duplicate column {name!r}", path, raw[0][0])
+        (_, header), *body = read_table(source)
 
         def numeric(cell: str) -> bool:
             try:
@@ -150,25 +140,18 @@ class DataTable:
             except ValueError:
                 return False
 
-        body = raw[1:]
+        # float()'s wider grammar decides only the id column: a typo such as
+        # 1_0 in a numeric first column is reported below, never read as an id
         id_first = bool(body) and not all(numeric(row[0]) for _, row in body)
         columns = header[1:] if id_first else header
-        row_ids: list[str] = []
+        row_ids = [row[0].strip() for _, row in body] if id_first else []
         rows: list[list[float]] = []
         for lineno, row in body:
-            if len(row) != len(header):
-                raise RespevalInputError(f"expected {len(header)} fields, got {len(row)}", path, lineno)
             cells = row[1:] if id_first else row
-            if id_first:
-                row_ids.append(row[0].strip())
             try:
-                values = [float(cell) for cell in cells]
-            except ValueError as exc:
-                raise RespevalInputError(f"non-numeric value ({exc})", path, lineno) from None
-            bad = [cell for cell, value in zip(cells, values) if not math.isfinite(value)]
-            if bad:
-                raise RespevalInputError(f"non-finite value {bad[0]!r}", path, lineno)
-            rows.append(values)
+                rows.append([read_number(cell, f"column {name!r}") for name, cell in zip(columns, cells)])
+            except RespevalInputError as exc:
+                raise RespevalInputError(exc.message, path, lineno) from None
         if response is not None and response not in columns:
             raise RespevalInputError(f"response column {response!r} not in {columns}", path)
         return cls(columns=columns, rows=rows, response=response, row_ids=row_ids)

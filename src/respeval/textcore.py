@@ -1,6 +1,6 @@
 """Tokenization and n-gram extraction shared by every metric,
 plus what every module shares for outside input: the one error type for bad
-input and the UTF-8 file readers.
+input, the UTF-8 file readers, the CSV table reader and the number reader.
 
 All functions apart from the readers are pure and operate on immutable-ish
 inputs; they are safe to call concurrently.
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -132,14 +134,56 @@ def read_text(path: str | Path) -> str:
         raise RespevalInputError(f"not valid UTF-8 ({exc.reason})", path, line) from None
 
 
-def read_csv(source: str | Path | Iterable[str]) -> list[list[str]]:
-    """The rows of a CSV file (decoded by ``read_text``) or of an iterable of lines."""
+def read_table(
+    source: str | Path | Iterable[str], required: tuple[str, ...] = ()
+) -> list[tuple[int, list[str]]]:
+    """The non-blank rows of a CSV file (decoded by ``read_text``) or of an
+    iterable of lines, each with its 1-based line number (its record number,
+    should a quoted cell span lines); the header comes first, its cells stripped.
+
+    A file with no header, a header that does not start with the ``required``
+    columns, a column name given twice and a row whose width differs from the
+    header's are each a ``RespevalInputError`` naming the line."""
     path = source if isinstance(source, (str, Path)) else None
     reader = csv.reader(source if path is None else io.StringIO(read_text(path), newline=""))
     try:
-        return list(reader)
+        rows = [(line, row) for line, row in enumerate(reader, start=1) if any(cell.strip() for cell in row)]
     except csv.Error as exc:
         raise RespevalInputError(str(exc), path, reader.line_num) from None
+    if not rows:
+        raise RespevalInputError("missing header row", path, 1)
+    header_line, header = rows[0][0], [cell.strip() for cell in rows[0][1]]
+    if tuple(header[: len(required)]) != required:
+        raise RespevalInputError(
+            f"header must start with {','.join(required)}, got {','.join(header)}", path, header_line
+        )
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise RespevalInputError(f"duplicate column {name!r}", path, header_line)
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise RespevalInputError(f"expected {len(header)} fields, got {len(row)}", path, line)
+    return [(header_line, header), *rows[1:]]
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def read_number(text: str, what: str, integer: bool = False) -> int | float:
+    """The finite number in ``text``: an optional sign, ASCII digits and (unless
+    ``integer``) an optional decimal point and exponent, whitespace around it
+    allowed. Anything else, such as ``1_0``, ``١٠``, ``nan`` or ``inf``, is a
+    ``RespevalInputError``: "WHAT must be a number (an integer), got TEXT"."""
+    body = text.strip()
+    if integer and _INTEGER.fullmatch(body):
+        try:
+            return int(body)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    elif not integer and _NUMBER.fullmatch(body) and math.isfinite(value := float(body)):
+        return value
+    raise RespevalInputError(f"{what} must be {'an integer' if integer else 'a number'}, got {text!r}")
 
 
 def read_segments(

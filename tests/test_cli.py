@@ -267,6 +267,8 @@ def test_score_hypothesis_empty_after_stripping(tmp_path, capsys):
         (["score", "h", "r", "--meteor-penalty-exp", "inf"], "--meteor-penalty-exp"),
         (["score", "h", "r", "--max-n", "101"], "--max-n"),
         (["score", "h", "r", "--nist-max-n", "100000"], "--nist-max-n"),
+        (["score", "h", "r", "--max-n", "1_0"], "--max-n"),
+        (["regress", "--fixture", "table1", "--alpha", "٠.٠٥"], "--alpha"),
     ],
 )
 def test_bad_numeric_flag_is_a_usage_error(argv, flag, capsys):
@@ -586,19 +588,19 @@ LENGTH_ANNOTATIONS = (
         pytest.param(
             {"ann": ANNOTATIONS + b"50,0,0,0,nan\n"},
             ["ner", "{ann}"],
-            "{ann}: line 3: recognition errors must be a finite number >= 0, got nan",
+            "{ann}: line 3: column 'R_weighted' must be a number, got 'nan'",
             id="ner-nan",
         ),
         pytest.param(
             {"table": TABLE + b"\n6,1,nan\n"},
             ["regress", "{table}", "--response", "y"],
-            "{table}: line 8: non-finite value 'nan'",
+            "{table}: line 8: column 'y' must be a number, got 'nan'",
             id="regress-nan-cell",
         ),
         pytest.param(
             {"table": TABLE.replace(b"3.9", b"-inf")},
             ["regress", "{table}", "--response", "y"],
-            "{table}: line 3: non-finite value '-inf'",
+            "{table}: line 3: column 'y' must be a number, got '-inf'",
             id="regress-inf-cell",
         ),
         pytest.param(
@@ -718,7 +720,7 @@ LENGTH_ANNOTATIONS = (
         pytest.param(
             {"table": b""},
             ["regress", "{table}", "--response", "y"],
-            "{table}: empty CSV: missing header row",
+            "{table}: line 1: missing header row",
             id="regress-empty-csv",
         ),
         pytest.param(
@@ -732,6 +734,36 @@ LENGTH_ANNOTATIONS = (
             ["predict", "{model}", "BLEU=abc"],
             "scores look like NAME=VALUE, VALUE a finite number; got 'BLEU=abc'",
             id="predict-non-numeric-score",
+        ),
+        pytest.param(
+            {"ann": ANNOTATIONS.replace(b"100,1,", b"1_00,1,")},
+            ["ner", "{ann}"],
+            "{ann}: line 2: column 'N' must be an integer, got '1_00'",
+            id="ner-underscore-in-count",
+        ),
+        pytest.param(
+            {"ann": ANNOTATIONS.replace(b"100,1,", "١٠٠,1,".encode())},
+            ["ner", "{ann}"],
+            "{ann}: line 2: column 'N' must be an integer, got '١٠٠'",
+            id="ner-arabic-indic-digits",
+        ),
+        pytest.param(
+            {"table": TABLE.replace(b"3,0,6.2", b"3,1_0,6.2")},
+            ["regress", "{table}", "--response", "y"],
+            "{table}: line 4: column 'z' must be a number, got '1_0'",
+            id="regress-underscore-in-cell",
+        ),
+        pytest.param(
+            {"model": MODEL},
+            ["predict", "{model}", "BLEU=1_0"],
+            "scores look like NAME=VALUE, VALUE a finite number; got 'BLEU=1_0'",
+            id="predict-underscore-in-score",
+        ),
+        pytest.param(
+            {"model": MODEL},
+            ["predict", "{model}", "BLEU=٥"],
+            "scores look like NAME=VALUE, VALUE a finite number; got 'BLEU=٥'",
+            id="predict-arabic-indic-digit",
         ),
     ],
 )

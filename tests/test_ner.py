@@ -166,6 +166,18 @@ def test_parse_rejects_unknown_column():
         parse_ner_annotations(io.StringIO(f"{HEADER},bogus\n1,0,0,0,0,1\n"))
 
 
+def test_parse_skips_blank_lines_before_header():
+    records = parse_ner_annotations(io.StringIO(f"\n , \n{HEADER}\n\n100,0,0,0,0\n"))
+    assert [record.tokens for record in records] == [100]
+    with pytest.raises(RespevalInputError, match="^line 3: unknown column 'bogus'"):
+        parse_ner_annotations(io.StringIO(f"\n\n{HEADER},bogus\n1,0,0,0,0,1\n"))
+
+
+def test_parse_rejects_repeated_column():
+    with pytest.raises(RespevalInputError, match="^line 1: duplicate column 'N'$"):
+        parse_ner_annotations(io.StringIO(f"{HEADER},N\n100,0,0,0,0,100\n"))
+
+
 def test_parse_from_path(tmp_path):
     path = tmp_path / "ann.csv"
     path.write_text(f"{HEADER}\n50,1,0,0,0.5\n", encoding="utf-8")

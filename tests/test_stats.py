@@ -362,8 +362,15 @@ def test_from_csv_non_numeric_first_column_becomes_ids():
 
 def test_from_csv_rejects_non_numeric_body():
     text = "A,B\n1.0,x\n"
-    with pytest.raises(RespevalInputError, match="^line 2: non-numeric value"):
+    with pytest.raises(RespevalInputError, match="^line 2: column 'B' must be a number, got 'x'$"):
         DataTable.from_csv(io.StringIO(text))
+
+
+def test_from_csv_typo_in_numeric_first_column_is_reported_not_an_id():
+    # float() reads 1_0, so SPKR stays a data column; the number reader rejects the cell
+    text = "SPKR,A,y\n1,2.0,3.0\n1_0,4.0,5.0\n3,1.0,2.0\n"
+    with pytest.raises(RespevalInputError, match="^line 3: column 'SPKR' must be a number, got '1_0'$"):
+        DataTable.from_csv(io.StringIO(text), response="y")
 
 
 def test_from_csv_rejects_missing_response():

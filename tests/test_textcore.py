@@ -1,6 +1,9 @@
+import io
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from respeval.ngram_metrics import NgramConfig, segment_stats
 from respeval.textcore import (
@@ -8,12 +11,14 @@ from respeval.textcore import (
     TokenizerConfig,
     check_aligned,
     ngrams,
+    read_number,
     read_segments,
+    read_table,
     read_text,
     tokenize,
 )
 
-from helpers import make_rng
+from helpers import SEED, make_rng
 
 
 def test_tokenize_defaults():
@@ -166,3 +171,99 @@ def test_check_aligned():
     check_aligned(3, 3)
     with pytest.raises(RespevalInputError, match="hypothesis has 3, reference has 2"):
         check_aligned(3, 2)
+
+
+def test_read_table_rows_with_line_numbers():
+    rows = read_table(io.StringIO("\n A , b\n1,2\n , \n3,4\n"))
+    assert rows == [(2, ["A", "b"]), (3, ["1", "2"]), (5, ["3", "4"])]
+
+
+@pytest.mark.parametrize(
+    "text, required, message",
+    [
+        ("", (), "^line 1: missing header row$"),
+        ("\n \n", (), "^line 1: missing header row$"),
+        ("\nx,y\n1,2\n", ("y",), "^line 2: header must start with y, got x,y$"),
+        ("a,b,a\n1,2,3\n", (), "^line 1: duplicate column 'a'$"),
+        ("a,b\n1,2\n3\n", (), "^line 3: expected 2 fields, got 1$"),
+    ],
+)
+def test_read_table_rejects(text, required, message):
+    with pytest.raises(RespevalInputError, match=message):
+        read_table(io.StringIO(text), required)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1", 1.0), (" -2.5 ", -2.5), ("+.5", 0.5), ("3.", 3.0), ("1e3", 1000.0), ("2E-2", 0.02), ("0", 0.0)],
+)
+def test_read_number_examples(text, value):
+    assert read_number(text, "x") == value
+
+
+@pytest.mark.parametrize(
+    "text", ["", " ", "1_0", "١٠", "٠.٠٥", "nan", "inf", "-Infinity", "1e999", "0x10", ".", "e3", "1e", "1 2", "--1"]
+)
+def test_read_number_rejects(text):
+    with pytest.raises(RespevalInputError, match=f"^cell must be a number, got {text!r}$"):
+        read_number(text, "cell")
+
+
+@pytest.mark.parametrize("text", ["1.0", "1e2", "1_0", "٥", "", "9" * 5000])
+def test_read_number_integer_rejects(text):
+    with pytest.raises(RespevalInputError, match="^N must be an integer, got "):
+        read_number(text, "N", integer=True)
+
+
+def test_read_number_integer_keeps_int():
+    assert (read_number(" -007 ", "N", integer=True), read_number("+5", "N", integer=True)) == (-7, 5)
+    assert type(read_number("5", "N", integer=True)) is int
+
+
+_space = st.sampled_from(["", " ", "\t", "  "])
+_sign = st.sampled_from(["", "+", "-"])
+_digits = st.text("0123456789", min_size=1, max_size=12)
+_mantissa = st.one_of(
+    _digits,
+    st.builds("{}.".format, _digits),
+    st.builds("{}.{}".format, _digits, _digits),
+    st.builds(".{}".format, _digits),
+)
+_exponent = st.one_of(
+    st.just(""),
+    st.builds("{}{}{}".format, st.sampled_from("eE"), _sign, st.text("0123456789", min_size=1, max_size=3)),
+)
+_decimal = st.builds("{}{}{}{}{}".format, _space, _sign, _mantissa, _exponent, _space)
+_integer = st.builds("{}{}{}{}".format, _space, _sign, _digits, _space)
+
+
+@seed(SEED)
+@settings(database=None, max_examples=300)
+@given(_decimal)
+def test_read_number_equals_float_on_ascii_decimals(text):
+    value = float(text)
+    if math.isfinite(value):
+        assert read_number(text, "x") == value
+    else:  # an exponent past the float range
+        with pytest.raises(RespevalInputError):
+            read_number(text, "x")
+
+
+@seed(SEED)
+@settings(database=None, max_examples=300)
+@given(_integer)
+def test_read_number_integer_equals_int_on_ascii_integers(text):
+    assert read_number(text, "x", integer=True) == int(text)
+
+
+@seed(SEED)
+@settings(database=None, max_examples=300)
+@given(
+    st.one_of(_decimal, st.just("")),
+    st.one_of(st.just("_"), st.characters(categories=["Nd"], min_codepoint=128)),
+    st.one_of(_decimal, st.just("")),
+    st.booleans(),
+)
+def test_read_number_rejects_underscore_and_non_ascii_digits(before, bad, after, integer):
+    with pytest.raises(RespevalInputError):
+        read_number(before + bad + after, "x", integer)
