@@ -119,7 +119,13 @@ def cmd_score(args: argparse.Namespace) -> int:
         check_aligned(len(hyp_corpus), len(segments), path)
     ref_corpus = [list(refs) for refs in zip(*ref_files)]
     resource_files = {name: getattr(args, name) for name in ("synonyms", "stems", "function_words")}
-    resources = load_resources(**resource_files, function_word_weight=args.function_word_weight)
+    # every resource lookup is on a token of the transcripts, so only their entries are built
+    vocabulary = None
+    if any(resource_files.values()):
+        vocabulary = {tok for segments in (hyp_corpus, *ref_files) for seg in segments for tok in seg}
+    resources = load_resources(
+        **resource_files, function_word_weight=args.function_word_weight, vocabulary=vocabulary
+    )
     # score's flags share their dests with NgramConfig's fields; the report echoes them by name
     ngram_settings = {f.name: getattr(args, f.name) for f in fields(NgramConfig) if f.name != "resources"}
     ngram_cfg = NgramConfig(**ngram_settings, resources=resources)

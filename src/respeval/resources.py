@@ -12,8 +12,8 @@ File formats (all UTF-8, ``#``-prefixed lines are comments):
 
 from __future__ import annotations
 
-import io
 import unicodedata
+from collections.abc import Set
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,42 +56,65 @@ def _data_lines(path: str | Path):
 
     The text is normalized whole: whitespace and line ends stay whitespace and
     line ends and never compose with a neighbour, so every word comes out as
-    if normalized on its own."""
-    text = unicodedata.normalize("NFC", read_text(path))
-    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+    if normalized on its own. CR LF, CR and LF each end a line."""
+    text = unicodedata.normalize("NFC", read_text(path)).replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
-def _load_tab_table(path: str | Path, kind: str) -> dict[str, set[str]]:
+def _load_tab_table(
+    path: str | Path, kind: str, vocabulary: Set[str] | None = None, symmetric: bool = False
+) -> dict[str, set[str]]:
+    """The ``word<TAB>value...`` table of ``path``; every line is checked.
+
+    With a ``vocabulary``, a line is built only when its word is in it or,
+    in a ``symmetric`` table, one of its values is; the first data line is
+    always built, so the table is empty exactly when the file holds no entry."""
     table: dict[str, set[str]] = {}
     for lineno, line in _data_lines(path):
-        if "\t" not in line:
+        word, tab, rest = line.partition("\t")
+        if not tab:
             raise RespevalInputError(f"expected 'word<TAB>{kind}...'", path, lineno)
-        word, _, rest = line.partition("\t")
-        table.setdefault(word.strip(), set()).update(rest.split())
+        word = word.strip()
+        if (
+            vocabulary is None
+            or not table
+            or word in vocabulary
+            or (symmetric and not vocabulary.isdisjoint(rest.split()))
+        ):
+            table.setdefault(word, set()).update(rest.split())
     return table
 
 
-def load_synonyms(path: str | Path) -> dict[str, frozenset[str]]:
-    """Load a synonym table and apply the symmetric closure."""
-    table = _load_tab_table(path, "synonym")
+def load_synonyms(path: str | Path, vocabulary: Set[str] | None = None) -> dict[str, frozenset[str]]:
+    """Load a synonym table and apply the symmetric closure.
+
+    With a ``vocabulary``, only the lines that name one of its words are
+    built; each vocabulary word still gets the synonyms of a full load."""
     closed: dict[str, set[str]] = {}
-    for word, syns in table.items():
+    for word, syns in _load_tab_table(path, "synonym", vocabulary, symmetric=True).items():
         for syn in syns:
             closed.setdefault(word, set()).add(syn)
             closed.setdefault(syn, set()).add(word)
     return {w: frozenset(s) for w, s in closed.items()}
 
 
-def load_stems(path: str | Path) -> dict[str, frozenset[str]]:
-    return {w: frozenset(s) for w, s in _load_tab_table(path, "stem").items()}
+def load_stems(path: str | Path, vocabulary: Set[str] | None = None) -> dict[str, frozenset[str]]:
+    """Load a stem table; with a ``vocabulary``, only the lines whose word is
+    one of its words are built."""
+    return {w: frozenset(s) for w, s in _load_tab_table(path, "stem", vocabulary).items()}
 
 
-def load_function_words(path: str | Path) -> frozenset[str]:
-    return frozenset(line for _, line in _data_lines(path))
+def load_function_words(path: str | Path, vocabulary: Set[str] | None = None) -> frozenset[str]:
+    """Load a function-word list; with a ``vocabulary``, only its words are
+    kept, and the first listed word, so the list is empty exactly when the
+    file is."""
+    words = [word for _, word in _data_lines(path)]
+    if vocabulary is not None:
+        words = words[:1] + [word for word in words if word in vocabulary]
+    return frozenset(words)
 
 
 def load_resources(
@@ -99,11 +122,18 @@ def load_resources(
     stems: str | Path | None = None,
     function_words: str | Path | None = None,
     function_word_weight: float = 0.2,
+    vocabulary: Set[str] | None = None,
 ) -> LanguageResources:
-    """Assemble a bundle from any subset of the three resource files."""
+    """Assemble a bundle from any subset of the three resource files.
+
+    Every line of every file is read and checked. With a ``vocabulary``, only
+    the entries that a lookup of one of its words can reach are built:
+    ``synonyms_of``, ``stems_of`` and ``token_weight`` of those words,
+    ``is_empty()`` and the truth of each table answer as after a full load.
+    Without one, every entry is kept."""
     return LanguageResources(
-        synonyms=load_synonyms(synonyms) if synonyms else {},
-        stems=load_stems(stems) if stems else {},
-        function_words=load_function_words(function_words) if function_words else frozenset(),
+        synonyms=load_synonyms(synonyms, vocabulary) if synonyms else {},
+        stems=load_stems(stems, vocabulary) if stems else {},
+        function_words=load_function_words(function_words, vocabulary) if function_words else frozenset(),
         function_word_weight=function_word_weight,
     )

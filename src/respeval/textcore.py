@@ -138,16 +138,20 @@ def read_table(
     source: str | Path | Iterable[str], required: tuple[str, ...] = ()
 ) -> list[tuple[int, list[str]]]:
     """The non-blank rows of a CSV file (decoded by ``read_text``) or of an
-    iterable of lines, each with its 1-based line number (its record number,
-    should a quoted cell span lines); the header comes first, its cells stripped.
+    iterable of lines, each with the 1-based number of the line it starts on
+    (a quoted cell may span lines); the header comes first, its cells stripped.
 
     A file with no header, a header that does not start with the ``required``
     columns, a column name given twice and a row whose width differs from the
     header's are each a ``RespevalInputError`` naming the line."""
     path = source if isinstance(source, (str, Path)) else None
     reader = csv.reader(source if path is None else io.StringIO(read_text(path), newline=""))
+    rows, start = [], 1
     try:
-        rows = [(line, row) for line, row in enumerate(reader, start=1) if any(cell.strip() for cell in row)]
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                rows.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise RespevalInputError(str(exc), path, reader.line_num) from None
     if not rows:

@@ -2,12 +2,14 @@
 
 Everything here is deliberately brute force and shares no code path with the
 package, except that ``ter_unpruned`` scores with the package's bit-parallel
-columns (checked against ``lev`` on their own) to isolate TER's lower bound.
-The oracles: plain-Python Levenshtein, the greedy TER shift search scored with
-it, the same search with no candidate skipped, breadth-first shift search,
-per-metric BLEU / NIST / EBLEU that count n-grams afresh for every score,
-the per-segment n-gram record built gram by gram, resource tables
-normalized word by word, pairwise rank enumeration, RIBES word alignment from tables of every n-gram,
+columns (checked against ``lev`` on their own) to isolate TER's lower bound,
+and ``resource_bundle`` hands its tables to the package's ``LanguageResources``
+for their lookups. The oracles: plain-Python Levenshtein, the greedy TER
+shift search scored with it, the same search with no candidate skipped,
+breadth-first shift search, per-metric BLEU / NIST / EBLEU that count n-grams
+afresh for every score, the per-segment n-gram record built gram by gram,
+resource tables normalized word by word and the full bundle built from them,
+pairwise rank enumeration, RIBES word alignment from tables of every n-gram,
 METEOR stage matchings by enumerating every matching, the METEOR exact stage
 by enumerating every in-order choice per word, cofactor-inverted normal
 equations, and adaptive Simpson quadrature of the t density.
@@ -23,6 +25,7 @@ from collections import Counter
 from pathlib import Path
 
 from respeval.align_metrics import _ReferenceColumns
+from respeval.resources import LanguageResources
 
 
 # --- word edit distance and exhaustive edit+shift search ---------------------
@@ -381,6 +384,33 @@ def resource_lines_per_word(path, tab_separated):
             return lineno
         table.setdefault(word, set()).update(values)
     return table if tab_separated else frozenset(words)
+
+
+def resource_bundle(synonyms=None, stems=None, function_words=None):
+    """The full ``LanguageResources`` of the given files, each read by
+    ``resource_lines_per_word`` and the synonym table closed symmetrically;
+    or ``(path, line)`` of the first malformed line, the files taken in the
+    order synonyms, stems, function words."""
+    tables = {}
+    for name, path, tab_separated in (
+        ("synonyms", synonyms, True), ("stems", stems, True), ("function_words", function_words, False)
+    ):
+        if path is None:
+            continue
+        table = resource_lines_per_word(path, tab_separated)
+        if isinstance(table, int):
+            return path, table
+        tables[name] = table
+    closed = {}
+    for word, syns in tables.get("synonyms", {}).items():
+        for syn in syns:
+            closed.setdefault(word, set()).add(syn)
+            closed.setdefault(syn, set()).add(word)
+    return LanguageResources(
+        synonyms={w: frozenset(s) for w, s in closed.items()},
+        stems={w: frozenset(s) for w, s in tables.get("stems", {}).items()},
+        function_words=tables.get("function_words", frozenset()),
+    )
 
 
 # --- rank statistics by direct pair enumeration -------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import respeval.cli
 import respeval.ngram_metrics
 from respeval.cli import main
 
@@ -208,6 +209,56 @@ def test_score_report_bytes_are_pinned(flags, tmp_path, capsys):
     assert (code, err) == (0, "")
     digests = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(out_json.read_bytes()).hexdigest())
     assert digests == REPORT_DIGESTS[flags]
+
+
+def _scores(report: Path) -> list[dict]:
+    """The segment and aggregate records of a ``--json`` report."""
+    records = [json.loads(line) for line in report.read_text(encoding="utf-8").splitlines()]
+    return [record for record in records if record["record"] != "config"]
+
+
+@pytest.mark.parametrize("synonyms, meteor_pl", [("x\ty\n", 50.0), ("# x\ty\n", None)], ids=["entry", "comment"])
+def test_score_resource_entries_off_the_corpus_score_as_a_full_load(
+    synonyms, meteor_pl, tmp_path, capsys, monkeypatch
+):
+    # score builds only the entries of its tokens, yet a file whose one entry
+    # touches none of them still turns METEOR-PL on, as a full load does
+    paths = {name: tmp_path / name for name in ("hyp.txt", "ref.txt", "syn.tsv", "r.jsonl")}
+    for name, text in (("hyp.txt", "a b c\n"), ("ref.txt", "a c b\n"), ("syn.tsv", synonyms)):
+        paths[name].write_text(text, encoding="utf-8")
+    argv = ["score", str(paths["hyp.txt"]), str(paths["ref.txt"]), "--synonyms", str(paths["syn.tsv"])]
+    reports = []
+    for full_load in (False, True):
+        if full_load:
+            loading = respeval.cli.load_resources
+            monkeypatch.setattr(respeval.cli, "load_resources", lambda vocabulary, **files: loading(**files))
+        code, out, err = run(capsys, *argv, "--json", str(paths["r.jsonl"]))
+        assert (code, err) == (0, "")
+        reports.append(_scores(paths["r.jsonl"]))
+    assert reports[0] == reports[1]
+    assert [record["meteor_pl"] for record in reports[0]] == [meteor_pl, meteor_pl]
+
+
+def test_score_stems_padded_off_the_corpus_score_as_unpadded(tmp_path, capsys):
+    padding = [f"w{i}\ts{i % 97}\n" for i in range(200_000)]
+    padded = tmp_path / "stems.tsv"
+    stems = (REPORT_DATA / "stems.tsv").read_text(encoding="utf-8")
+    padded.write_text("".join(padding[:100_000]) + stems + "".join(padding[100_000:]), encoding="utf-8")
+    reports = []
+    for stems_path in (REPORT_DATA / "stems.tsv", padded):
+        out_json = tmp_path / "r.jsonl"
+        code, out, err = run(
+            capsys,
+            "score",
+            *(str(REPORT_DATA / name) for name in ("hyp.txt", "ref1.txt", "ref2.txt")),
+            "--synonyms", str(REPORT_DATA / "synonyms.tsv"),
+            "--stems", str(stems_path),
+            "--function-words", str(REPORT_DATA / "function_words.txt"),
+            "--json", str(out_json),
+        )
+        assert (code, err) == (0, "")
+        reports.append(_scores(out_json))
+    assert reports[0] == reports[1]
 
 
 # sha256 of `regress --fixture table1 --json`: the elimination trace and every
@@ -764,6 +815,18 @@ LENGTH_ANNOTATIONS = (
             ["predict", "{model}", "BLEU=٥"],
             "scores look like NAME=VALUE, VALUE a finite number; got 'BLEU=٥'",
             id="predict-arabic-indic-digit",
+        ),
+        pytest.param(
+            {"table": b'name,A,y\n"first\nrow",1,2\nsecond,x,3\n'},
+            ["regress", "{table}", "--response", "y"],
+            "{table}: line 4: column 'A' must be a number, got 'x'",
+            id="regress-row-after-a-cell-spanning-lines",
+        ),
+        pytest.param(
+            {"ann": ANNOTATIONS + b'"100\r\n",1,0,0,0.5\r\n\r\n100,1,0,0,x\n'},
+            ["ner", "{ann}"],
+            "{ann}: line 6: column 'R_weighted' must be a number, got 'x'",
+            id="ner-row-after-a-cell-spanning-lines",
         ),
     ],
 )

@@ -87,3 +87,56 @@ def test_resource_line_whose_only_tab_is_at_an_end(tmp_path, line):
     with pytest.raises(RespevalInputError, match="expected 'word<TAB>stem...'") as exc:
         resources.load_stems(path)
     assert exc.value.line == 2
+
+
+# Words of the random bundles: heads, a word found only as a synonym or stem,
+# composed and decomposed spellings of one word, and tokens found in no file.
+HEADS = ("kot", "pies", "\u017caba", "z\u0307aba", "dom")
+VALUES_ONLY = ("lis", "o\u0301wka")
+ABSENT = ("brak", "\u017c\u00f3\u0142w")
+
+
+def _random_resource_file(rng, tab_separated) -> str:
+    lines = []
+    for _ in range(rng.randint(0, 6)):
+        head = rng.choice(HEADS)
+        if rng.random() < 0.15:
+            lines.append(rng.choice(("", "# " + head)))
+        elif tab_separated:
+            lines.append(head + "\t" + " ".join(rng.sample(HEADS + VALUES_ONLY, rng.randint(1, 3))))
+        else:
+            lines.append(head)
+    if tab_separated and rng.random() < 0.15:
+        # malformed, and touching no vocabulary word
+        lines.insert(rng.randint(0, len(lines)), "bez tabulatora")
+    return "\n".join(lines) + "\n"
+
+
+def test_vocabulary_load_answers_every_lookup_as_the_full_load(tmp_path):
+    rng = make_rng(43)
+    tokens = HEADS + VALUES_ONLY + ABSENT
+    tokens += tuple(unicodedata.normalize(form, tok) for form in ("NFC", "NFD") for tok in tokens)
+    errors = restricted = 0
+    for trial in range(400):
+        paths = {}
+        for name in ("synonyms", "stems", "function_words"):
+            if rng.random() < 0.8:
+                paths[name] = tmp_path / f"{trial}-{name}.txt"
+                paths[name].write_text(_random_resource_file(rng, name != "function_words"), encoding="utf-8")
+        vocabulary = set(rng.sample(tokens, rng.randint(0, 4)))
+        expected = oracles.resource_bundle(**paths)
+        try:
+            got = resources.load_resources(**paths, vocabulary=vocabulary)
+        except RespevalInputError as exc:
+            assert (exc.path, exc.line) == expected
+            errors += 1
+            continue
+        assert resources.load_resources(**paths) == expected
+        for tok in vocabulary:
+            assert got.synonyms_of(tok) == expected.synonyms_of(tok)
+            assert got.stems_of(tok) == expected.stems_of(tok)
+            assert got.token_weight(tok) == expected.token_weight(tok)
+        assert got.is_empty() == expected.is_empty()
+        assert (bool(got.stems), bool(got.synonyms)) == (bool(expected.stems), bool(expected.synonyms))
+        restricted += got != expected
+    assert errors > 20 and restricted > 100
