@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 internal/numeric failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -325,7 +326,11 @@ RARE_WORDS_SCORE = _checked(lambda v: v >= 1.0, ">= 1")
 POSITIVE = _checked(lambda v: v > 0.0, "a finite number > 0")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing leaves
+    it unchanged, and a ``cmd_*`` function looks up the names it calls when it
+    runs."""
     parser = argparse.ArgumentParser(
         prog="respeval",
         description="Score re-speaking/subtitle transcripts and model NER accuracy.",

@@ -1,11 +1,11 @@
 """N-gram precision metrics: BLEU, NIST and the synonym/rare-word extension EBLEU.
 
 One ``NgramConfig`` holds the settings of all three. Each segment's n-grams
-are counted once into a ``SegmentStats`` record; every score reduces a list of
-records, pooling clipped matches and totals before dividing
-(``sentence_level`` averages one-record scores instead). All scorers
-are pure; segments may be counted in parallel as long as the reduction keeps
-segment order.
+are counted once into a ``SegmentStats`` record, one table across orders with
+its clipped-match total per order; every score reduces a list of records,
+pooling clipped matches and totals before dividing (``sentence_level``
+averages one-record scores instead). All scorers are pure; segments may be
+counted in parallel as long as the reduction keeps segment order.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .resources import LanguageResources
-from .textcore import NGramCounts, RespevalInputError, TokenSequence, ngrams
+from .textcore import NGramCounts, RespevalInputError, TokenSequence, ngram_table
 
 Gram = tuple[str, ...]
 
@@ -154,13 +154,15 @@ def _annotate(
     return tokens, factors
 
 
-def rare_reference_words(unigrams: NGramCounts, percent: float) -> frozenset[str]:
+def rare_reference_words(counts: Mapping[Gram, int], percent: float) -> frozenset[str]:
     """Trailing ``percent`` of distinct reference words ranked by descending
-    frequency (ties broken lexicographically) in ``ngrams``-keyed ``unigrams``."""
+    frequency (ties broken lexicographically) among the unigrams of the
+    ``ngrams``-keyed ``counts``, which may hold grams of any order."""
+    unigrams = [gram for gram in counts if len(gram) == 1]
     k = int(len(unigrams) * percent)
     if k == 0:
         return frozenset()
-    ranked = sorted(unigrams, key=lambda gram: (-unigrams[gram], gram))
+    ranked = sorted(unigrams, key=lambda gram: (-counts[gram], gram))
     return frozenset(word for (word,) in ranked[len(ranked) - k :])
 
 
@@ -183,58 +185,60 @@ def ebleu(
 @dataclass(frozen=True)
 class SegmentStats:
     """One segment's n-gram counts, from which BLEU, NIST and EBLEU are all
-    reduced. Index ``n - 1`` of each tuple holds order ``n``: ``clipped`` maps
-    each matching hypothesis n-gram to min(its count, its highest count in one
-    reference); ``ref_counts`` sums the references' n-grams (NIST's
-    information weights and EBLEU's rare-word list); ``ebleu_weights`` maps
-    each matching synonym-expanded n-gram to the discount products of its
-    credited occurrences, highest first, before any rare-word bonus."""
+    reduced. Each table holds every order, inserted order by order; a gram's
+    order is its length. ``clipped`` maps each matching hypothesis n-gram to
+    min(its count, its highest count in one reference), and index ``n - 1``
+    of ``matches`` sums its values of order ``n``; ``ref_counts`` sums the
+    references' n-grams (NIST's information weights and EBLEU's rare-word
+    list). Only when a hypothesis token was rewritten to a synonym does
+    ``ebleu_weights`` map each matching synonym-expanded n-gram to the
+    discount products of its credited occurrences, highest first, before any
+    rare-word bonus; otherwise it is None, and EBLEU credits ``clipped`` at
+    factor 1."""
 
     hyp_len: int
     ref_lens: tuple[int, ...]
-    clipped: tuple[dict[Gram, int], ...]
-    ref_counts: tuple[NGramCounts, ...]
-    ebleu_weights: tuple[dict[Gram, tuple[float, ...]], ...]
+    clipped: dict[Gram, int]
+    matches: tuple[int, ...]
+    ref_counts: NGramCounts
+    ebleu_weights: dict[Gram, tuple[float, ...]] | None
 
 
 def segment_stats(
     hyp: TokenSequence, refs: Sequence[TokenSequence], config: NgramConfig = NgramConfig()
 ) -> SegmentStats:
-    """Count the n-grams of ``hyp`` and its (non-empty) ``refs`` once, orders 1
-    to the higher of ``max_n`` and ``nist_max_n``, and weigh the synonym-expanded
-    hypothesis n-grams of orders 1 to ``max_n``.
+    """Count the n-grams of ``hyp`` and of each of its (non-empty) ``refs``
+    once, orders 1 to the higher of ``max_n`` and ``nist_max_n``, and weigh
+    the synonym-expanded hypothesis n-grams of orders 1 to ``max_n`` when a
+    token was rewritten.
 
-    Each order clips against one table of each n-gram's highest count in any
-    single reference. When no hypothesis token was rewritten to a synonym,
-    every n-gram that can match has factors 1, so its weights are its clipped
-    count of 1.0s.
+    Hypothesis n-grams clip against one table of each n-gram's highest count
+    in any single reference.
     """
+    top = max(config.max_n, config.nist_max_n)
+    ref_tables = [ngram_table(ref, top) for ref in refs]
+    ref_counts = ref_tables[0] if len(ref_tables) == 1 else sum(ref_tables, Counter())
+    get = reduce(operator.or_, ref_tables).get  # with one reference, its own table
+    clipped: dict[Gram, int] = {}
+    matches = [0] * top
+    for gram, count in ngram_table(hyp, top).items():
+        if most := get(gram):
+            clipped[gram] = matched = count if count < most else most
+            matches[len(gram) - 1] += matched
     effective, factors = _annotate(hyp, refs, config.resources, config.synonym_score)
-    rewritten = effective != hyp
-    clipped, ref_counts, weighted = [], [], []
-    for n in range(1, max(config.max_n, config.nist_max_n) + 1):
-        ref_grams = [ngrams(ref, n) for ref in refs]
-        ref_counts.append(ref_grams[0] if len(ref_grams) == 1 else sum(ref_grams, Counter()))
-        get = reduce(operator.or_, ref_grams).get  # with one reference, its own table
-        clipped.append(
-            {gram: matched for gram, count in ngrams(hyp, n).items() if (matched := min(count, get(gram, 0)))}
-        )
-        if n > config.max_n:
-            continue
-        if not rewritten:
-            weighted.append({gram: (1.0,) * matched for gram, matched in clipped[-1].items()})
-            continue
+    weighted = None
+    if effective != hyp:
         occurrences: dict[Gram, list[float]] = {}
-        for i in range(len(hyp) - n + 1):
-            gram = tuple(effective[i : i + n])
-            occurrences.setdefault(gram, []).append(math.prod(factors[i : i + n]))
-        weighted.append({
+        for n in range(1, config.max_n + 1):
+            for i in range(len(hyp) - n + 1):
+                occurrences.setdefault(tuple(effective[i : i + n]), []).append(math.prod(factors[i : i + n]))
+        weighted = {
             gram: tuple(sorted(weights, reverse=True)[:matched])
             for gram, weights in occurrences.items()
             if (matched := min(len(weights), get(gram, 0)))
-        })
+        }
     lens = tuple(len(ref) for ref in refs)
-    return SegmentStats(len(hyp), lens, tuple(clipped), tuple(ref_counts), tuple(weighted))
+    return SegmentStats(len(hyp), lens, clipped, tuple(matches), ref_counts, weighted)
 
 
 def corpus_stats(
@@ -256,19 +260,23 @@ def corpus_stats(
     return [segment_stats(hyp, refs, config) for hyp, refs in zip(hyp_corpus, ref_corpus)]
 
 
-# A metric's credit for one record at order n, given the records pooled.
-Credit = Callable[[SegmentStats, int], float]
+# A metric's credit for one record, indexed by order - 1 up to at least max_n,
+# given the records pooled.
+Credit = Callable[[SegmentStats], Sequence[float]]
 CreditFor = Callable[[Sequence[SegmentStats]], Credit]
 
 
-def _pooled_ref_counts(stats: Sequence[SegmentStats], max_n: int) -> Sequence[NGramCounts]:
-    """Reference n-gram counts of orders 1 to ``max_n`` summed over ``stats``."""
+def _pooled_ref_counts(stats: Sequence[SegmentStats], max_n: int) -> Mapping[Gram, int]:
+    """Reference n-gram counts of orders 1 to ``max_n`` summed over ``stats``;
+    a lone record's own table, which may hold higher orders too."""
     if len(stats) == 1:
         return stats[0].ref_counts
-    pooled: list[NGramCounts] = [Counter() for _ in range(max_n)]
+    pooled: dict[Gram, int] = {}
+    get = pooled.get
     for rec in stats:
-        for total, counts in zip(pooled, rec.ref_counts):
-            total.update(counts)
+        for gram, count in rec.ref_counts.items():
+            if len(gram) <= max_n:
+                pooled[gram] = get(gram, 0) + count
     return pooled
 
 
@@ -279,7 +287,7 @@ def _pool(
     smooth: bool = False,
     sentence_level: bool = False,
 ) -> NgramScore:
-    """Pool ``credit_for(stats)(record, n)`` over the hypothesis n-gram totals
+    """Pool ``credit_for(stats)(record)`` over the hypothesis n-gram totals
     per order, clamped per segment to a perfect order, and combine the bases
     through the running log-mean ``C_i = exp(s / i)``. An empty hypothesis has
     brevity penalty 0. ``sentence_level`` takes the mean of the one-record
@@ -291,10 +299,11 @@ def _pool(
     for rec in stats:
         c += rec.hyp_len
         r += closest_ref_length(rec.hyp_len, rec.ref_lens)
-        for n in range(1, max_n + 1):
-            total = max(rec.hyp_len - n + 1, 0)
-            dens[n - 1] += total
-            nums[n - 1] += min(credit(rec, n), total)
+        earned = credit(rec)
+        for i in range(max_n):
+            total = max(rec.hyp_len - i, 0)
+            dens[i] += total
+            nums[i] += min(earned[i], total)
     if smooth:
         nums = [num + 1 if den > 0 else num for num, den in zip(nums, dens)]
         dens = [den + 1 if den > 0 else den for den in dens]
@@ -319,18 +328,29 @@ def _pool(
 
 
 def _bleu_credit(stats: Sequence[SegmentStats]) -> Credit:
-    return lambda rec, n: sum(rec.clipped[n - 1].values())
+    return lambda rec: rec.matches
 
 
 def _ebleu_credit(stats: Sequence[SegmentStats], config: NgramConfig) -> Credit:
-    rare = rare_reference_words(_pooled_ref_counts(stats, 1)[0], config.rare_words_percent)
-    bonus = config.rare_words_score
-    # The bonus multiplies each weight before summing, once per n-gram; an
-    # n-gram with no rare word sums its weights as they are (times 1.0).
-    return lambda rec, n: sum(
-        sum(weights) if rare.isdisjoint(gram) else sum(w * bonus for w in weights)
-        for gram, weights in rec.ebleu_weights[n - 1].items()
-    )
+    max_n, bonus = config.max_n, config.rare_words_score
+    rare = rare_reference_words(_pooled_ref_counts(stats, 1), config.rare_words_percent)
+
+    def credit(rec: SegmentStats) -> Sequence[float]:
+        if rec.ebleu_weights is None and not rare:
+            return rec.matches
+        # The bonus multiplies each weight before summing, once per n-gram; an
+        # n-gram with no rare word sums its weights as they are (times 1.0).
+        sums = [0] * max_n
+        if rec.ebleu_weights is None:  # each n-gram's weights: its clipped count of 1.0s
+            for gram, matched in rec.clipped.items():
+                if len(gram) <= max_n:
+                    sums[len(gram) - 1] += matched if rare.isdisjoint(gram) else sum([bonus] * matched)
+            return sums
+        for gram, weights in rec.ebleu_weights.items():
+            sums[len(gram) - 1] += sum(weights) if rare.isdisjoint(gram) else sum(w * bonus for w in weights)
+        return sums
+
+    return credit
 
 
 # The reductions take the records that ``segment_stats`` / ``corpus_stats``
@@ -354,12 +374,6 @@ def nist_from_stats(stats: Sequence[SegmentStats], config: NgramConfig = NgramCo
     ref_counts = _pooled_ref_counts(stats, max_n)
     total_ref_tokens = sum(sum(rec.ref_lens) for rec in stats)
 
-    def info(gram: Gram) -> float:
-        n = len(gram)
-        denom = ref_counts[n - 1][gram]
-        numer = ref_counts[n - 2][gram[:-1]] if n > 1 else total_ref_tokens
-        return math.log2(numer / denom)
-
     c = 0
     r_bar = 0.0
     credits = [0.0] * max_n
@@ -369,8 +383,11 @@ def nist_from_stats(stats: Sequence[SegmentStats], config: NgramConfig = NgramCo
         r_bar += sum(rec.ref_lens) / len(rec.ref_lens)
         for n in range(1, max_n + 1):
             totals[n - 1] += max(rec.hyp_len - n + 1, 0)
-            for gram, matched in rec.clipped[n - 1].items():
-                credits[n - 1] += matched * info(gram)
+        for gram, matched in rec.clipped.items():
+            n = len(gram)
+            if n <= max_n:
+                numer = ref_counts[gram[:-1]] if n > 1 else total_ref_tokens
+                credits[n - 1] += matched * math.log2(numer / ref_counts[gram])
     score = sum(cr / tot for cr, tot in zip(credits, totals) if tot > 0)
 
     if c == 0 or r_bar <= 0:

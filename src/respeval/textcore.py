@@ -15,6 +15,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -90,7 +91,9 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> TokenSeq
         text = text.lower()
     tokens: TokenSequence = []
     for word in text.split():
-        if config.split_punctuation:
+        if word.isalnum():  # no letter or digit is punctuation: the word stays whole in every mode
+            tokens.append(word)
+        elif config.split_punctuation:
             tokens.extend(_split_punct(word))
         elif config.strip_punctuation:
             stripped = "".join(ch for ch in word if not _is_punct(ch))
@@ -113,6 +116,16 @@ def ngrams(seq: TokenSequence, n: int) -> NGramCounts:
     if n > len(seq):
         return Counter()
     return Counter(zip(*[seq[i:] for i in range(n)]))
+
+
+def ngram_table(seq: TokenSequence, max_n: int) -> NGramCounts:
+    """Count the n-grams of ``seq`` of every order from 1 to ``max_n`` into one
+    table, in one ``Counter`` pass that inserts them order by order; a gram's
+    order is its length."""
+    if max_n < 1:
+        raise ValueError(f"n-gram order must be >= 1, got {max_n}")
+    orders = range(1, min(max_n, len(seq)) + 1)
+    return Counter(chain.from_iterable(zip(*[seq[i:] for i in range(n)]) for n in orders))
 
 
 def line_at(text: str, pos: int) -> int:

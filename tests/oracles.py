@@ -4,10 +4,11 @@ Everything here is deliberately brute force and shares no code path with the
 package, except that ``ter_unpruned`` scores with the package's bit-parallel
 columns (checked against ``lev`` on their own) to isolate TER's lower bound,
 and ``resource_bundle`` hands its tables to the package's ``LanguageResources``
-for their lookups. The oracles: plain-Python Levenshtein, the greedy TER
-shift search scored with it, the same search with no candidate skipped,
-breadth-first shift search, per-metric BLEU / NIST / EBLEU that count n-grams
-afresh for every score, the per-segment n-gram record built gram by gram,
+for their lookups. The oracles: the tokenizer character by character,
+plain-Python Levenshtein, the greedy TER shift search scored with it, the
+same search with no candidate skipped, breadth-first shift search,
+per-metric BLEU / NIST / EBLEU that count n-grams afresh for every score,
+the per-segment n-gram record built gram by gram,
 resource tables normalized word by word and the full bundle built from them,
 pairwise rank enumeration, RIBES word alignment from tables of every n-gram,
 METEOR stage matchings by enumerating every matching, the METEOR exact stage
@@ -26,6 +27,36 @@ from pathlib import Path
 
 from respeval.align_metrics import _ReferenceColumns
 from respeval.resources import LanguageResources
+
+
+# --- the tokenizer, character by character --------------------------------------
+
+
+def tokenize_oracle(text, lowercase=True, split_punctuation=True, strip_punctuation=False):
+    """NFC, optional lowercasing and whitespace words, each word's characters
+    examined one by one: a punctuation character (Unicode category P*) is a
+    token of its own, is dropped, or stays in its word."""
+    text = unicodedata.normalize("NFC", text)
+    if lowercase:
+        text = text.lower()
+    tokens = []
+    for word in text.split():
+        if not (split_punctuation or strip_punctuation):
+            tokens.append(word)
+            continue
+        buf = ""
+        for ch in word:
+            if not unicodedata.category(ch).startswith("P"):
+                buf += ch
+                continue
+            if split_punctuation:
+                if buf:
+                    tokens.append(buf)
+                tokens.append(ch)
+                buf = ""
+        if buf:
+            tokens.append(buf)
+    return tokens
 
 
 # --- word edit distance and exhaustive edit+shift search ---------------------
@@ -331,32 +362,43 @@ def ebleu_oracle(
 
 
 def segment_record_oracle(hyp, refs, max_n, nist_max_n, synonyms, synonym_score):
-    """The fields of ``ngram_metrics.SegmentStats`` for one segment, each
-    order's tables built gram by gram: a hypothesis n-gram clips against its
-    highest count in any one reference, and EBLEU weighs every
-    synonym-expanded occurrence, whether or not a token was rewritten."""
+    """The fields of ``ngram_metrics.SegmentStats`` for one segment, built
+    gram by gram, each table holding every order inserted order by order: a
+    hypothesis n-gram clips against its highest count in any one reference,
+    each order's clipped matches are summed, the references' tables are
+    summed in reference order, and, only when a token was rewritten, EBLEU
+    weighs every synonym-expanded occurrence."""
+    top = max(max_n, nist_max_n)
+
+    def table(seq):
+        counts = Counter()
+        for n in range(1, top + 1):
+            for i in range(len(seq) - n + 1):
+                counts[tuple(seq[i : i + n])] += 1
+        return counts
+
     effective, factors = _synonym_expand(hyp, refs, synonyms, synonym_score)
-    clipped, ref_counts, weighted = [], [], []
-    for n in range(1, max(max_n, nist_max_n) + 1):
-        ref_grams = [count_ngrams(ref, n) for ref in refs]
-        ref_counts.append(ref_grams[0] if len(ref_grams) == 1 else sum(ref_grams, Counter()))
-        clipped.append({
-            g: matched
-            for g, count in count_ngrams(hyp, n).items()
-            if (matched := min(count, max(rg.get(g, 0) for rg in ref_grams)))
-        })
-        if n <= max_n:
+    ref_tables = [table(ref) for ref in refs]
+    ref_counts = ref_tables[0] if len(ref_tables) == 1 else sum(ref_tables, Counter())
+    clipped = {
+        g: matched
+        for g, count in table(hyp).items()
+        if (matched := min(count, max(rt.get(g, 0) for rt in ref_tables)))
+    }
+    matches = tuple(sum(m for g, m in clipped.items() if len(g) == n) for n in range(1, top + 1))
+    weighted = None
+    if effective != hyp:
+        weighted = {}
+        for n in range(1, max_n + 1):
             occurrences = {}
             for i in range(len(hyp) - n + 1):
                 g = tuple(effective[i : i + n])
                 occurrences.setdefault(g, []).append(math.prod(factors[i : i + n]))
-            weighted.append({
-                g: tuple(sorted(weights, reverse=True)[:matched])
-                for g, weights in occurrences.items()
-                if (matched := min(len(weights), max(rg.get(g, 0) for rg in ref_grams)))
-            })
+            for g, weights in occurrences.items():
+                if matched := min(len(weights), max(rt.get(g, 0) for rt in ref_tables)):
+                    weighted[g] = tuple(sorted(weights, reverse=True)[:matched])
     lens = tuple(len(ref) for ref in refs)
-    return len(hyp), lens, tuple(clipped), tuple(ref_counts), tuple(weighted)
+    return len(hyp), lens, clipped, matches, ref_counts, weighted
 
 
 # --- resource files read word by word ------------------------------------------

@@ -105,6 +105,26 @@ def test_score_machine_output_is_byte_identical(transcript_pair, tmp_path, capsy
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_one_parser_serves_every_call_of_a_process(transcript_pair, tmp_path, capsys):
+    # main parses with one parser per process: flags from an earlier call
+    # must not leak into a later one, and a usage error still exits 2
+    hyp, ref = transcript_pair
+    lone, after = tmp_path / "lone.jsonl", tmp_path / "after.jsonl"
+    respeval.cli.build_parser.cache_clear()
+    assert run(capsys, "score", str(hyp), str(ref), "--json", str(lone))[0] == 0
+    respeval.cli.build_parser.cache_clear()
+    assert run(capsys, "score", str(hyp), str(ref), "--max-n", "2", "--smooth")[0] == 0
+    parser = respeval.cli.build_parser()
+    assert run(capsys, "score", str(hyp), str(ref), "--json", str(after))[0] == 0
+    assert after.read_bytes() == lone.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["score", str(hyp), "--max-n", "0"])
+    assert exc.value.code == 2
+    assert run(capsys, "score", str(hyp), str(ref), "--json", str(after))[0] == 0
+    assert after.read_bytes() == lone.read_bytes()
+    assert respeval.cli.build_parser() is parser
+
+
 def test_score_ignores_a_byte_order_mark(transcript_pair, tmp_path, capsys):
     hyp, ref = transcript_pair
     marked = tmp_path / "marked.txt"
@@ -132,15 +152,15 @@ def test_score_counts_each_segment_once(tmp_path, capsys, monkeypatch):
     refs[0].write_text("the cat sat on a mat\na dog ran to home\none two three four six\n", encoding="utf-8")
     refs[1].write_text("a cat sat on the mat\nthe dog ran home\none two four three five\n", encoding="utf-8")
     calls = []
-    counting = respeval.ngram_metrics.ngrams
+    counting = respeval.ngram_metrics.ngram_table
     monkeypatch.setattr(
-        respeval.ngram_metrics, "ngrams", lambda seq, n: calls.append(n) or counting(seq, n)
+        respeval.ngram_metrics, "ngram_table", lambda seq, n: calls.append(n) or counting(seq, n)
     )
     argv = ["score", str(hyp), *map(str, refs), "--max-n", "4", "--nist-max-n", "5"]
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    # segments x highest order x (hypothesis + references)
-    assert len(calls) == 3 * 5 * (1 + 2)
+    # segments x (hypothesis + references), each counted once to the highest order
+    assert calls == [5] * 3 * (1 + 2)
 
 
 def test_score_segment_columns_use_their_own_references(tmp_path, capsys):

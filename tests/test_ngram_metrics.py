@@ -20,7 +20,7 @@ from respeval.ngram_metrics import (
     segment_stats,
 )
 from respeval.resources import LanguageResources
-from respeval.textcore import RespevalInputError, ngrams
+from respeval.textcore import RespevalInputError, ngram_table, ngrams
 
 import oracles
 from helpers import VOCAB, make_rng, random_corpus, random_segment
@@ -299,6 +299,10 @@ def test_rare_reference_words_trailing_fraction():
     unigrams = ngrams(["alpha", "beta", "alpha", "beta", "zeta"], 1)
     assert rare_reference_words(unigrams, 1 / 3) == frozenset({"zeta"})
     assert rare_reference_words(unigrams, 2 / 3) == frozenset({"zeta", "beta"})
+    # a table of every order: only its unigrams are words
+    table = ngram_table(["alpha", "beta", "alpha", "beta", "zeta"], 3)
+    assert rare_reference_words(table, 1 / 3) == frozenset({"zeta"})
+    assert rare_reference_words(table, 2 / 3) == frozenset({"zeta", "beta"})
 
 
 def test_rare_reference_words_none_when_the_share_rounds_to_zero():
@@ -328,6 +332,22 @@ def test_ebleu_rare_bonus_multiplies_each_weight():
         synonym_score=0.9, rare_words_percent=0.67, rare_words_score=1.3, max_n=1, resources=resources
     )
     assert ebleu(hyp, refs, config).precisions[0] == (0.9 * 1.3 + 0.9 * 1.3 + 0.9 * 1.3) / 7
+
+
+def test_ebleu_rare_bonus_in_unrewritten_segments_adds_each_weight():
+    # No token is rewritten, so EBLEU credits the clipped counts at factor 1.
+    # The rare "x" matches six times in the first segment: adding 1.1 six
+    # times differs in the last bit from 6 * 1.1, and so from any shortcut
+    # that scales a clipped count or a per-order total by the bonus.
+    assert sum([1.1] * 6) != 6 * 1.1
+    hyps = [["x"] * 6 + ["z", "a", "b", "z"], ["a", "x", "x", "x", "z", "b", "c"]]
+    refss = [[["a"] * 8 + ["b"] * 8 + ["x"] * 6], [["c", "x", "a", "b"] * 3 + ["a", "b", "c"]]]
+    for hyp, refs in zip(hyps, refss):  # "x" is rare in each segment and in the corpus
+        assert "x" in rare_reference_words(segment_stats(hyp, refs).ref_counts, 0.5)
+    for max_n in range(1, 5):  # the exp and log of the score can absorb a last bit at one order
+        config = NgramConfig(max_n=max_n, rare_words_percent=0.5, rare_words_score=1.1)
+        for h, r in [*zip([[hyp] for hyp in hyps], [[refs] for refs in refss]), (hyps, refss)]:
+            assert ebleu(h, r, config).score == oracles.ebleu_oracle(h, r, max_n, {}, 0.9, 0.5, 1.1)
 
 
 def test_ebleu_rare_bonus_keeps_sentence_within_one():
@@ -367,7 +387,10 @@ def test_reductions_of_an_empty_hypothesis_record_are_zero():
 def test_ngram_orders_are_bounded():
     top = ngram_metrics.MAX_NGRAM_ORDER
     config = NgramConfig(max_n=top, nist_max_n=top)
-    assert len(segment_stats(["a", "b"], [["a", "b"]], config).clipped) == top
+    seq = [f"w{i}" for i in range(top)]
+    record = segment_stats(seq, [seq], config)
+    assert record.clipped[tuple(seq)] == 1
+    assert len(record.matches) == top and record.matches[top - 1] == 1
     bad_orders = (
         {"max_n": top + 1}, {"nist_max_n": top + 1}, {"max_n": 0}, {"nist_max_n": 0},
         {"max_n": 2.0}, {"nist_max_n": 2.0},
@@ -455,9 +478,10 @@ def test_records_match_per_metric_oracles():
                 assert reduced([rec]) == expected([hyp], [refs])
 
 
-def _ordered(hyp_len, ref_lens, *tables):
+def _ordered(hyp_len, ref_lens, clipped, matches, ref_counts, ebleu_weights):
     """A record's fields with each table as its list of items, so that order counts."""
-    return hyp_len, ref_lens, [[list(table.items()) for table in orders] for orders in tables]
+    weights = None if ebleu_weights is None else list(ebleu_weights.items())
+    return hyp_len, ref_lens, list(clipped.items()), matches, list(ref_counts.items()), weights
 
 
 def test_segment_records_equal_the_gram_by_gram_oracle():

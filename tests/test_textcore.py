@@ -1,5 +1,7 @@
 import io
 import math
+import sys
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -10,6 +12,7 @@ from respeval.textcore import (
     RespevalInputError,
     TokenizerConfig,
     check_aligned,
+    ngram_table,
     ngrams,
     read_number,
     read_segments,
@@ -18,7 +21,14 @@ from respeval.textcore import (
     tokenize,
 )
 
+import oracles
 from helpers import SEED, make_rng
+
+TOKENIZER_MODES = [
+    TokenizerConfig(lowercase=lowercase, split_punctuation=mode == "split", strip_punctuation=mode == "strip")
+    for mode in ("split", "strip", "keep")
+    for lowercase in (True, False)
+]
 
 
 def test_tokenize_defaults():
@@ -74,6 +84,38 @@ def test_tokenize_idempotent_on_rejoined_output(config):
         assert tokenize(" ".join(once), config) == once
 
 
+def test_no_alphanumeric_character_is_punctuation():
+    # tokenize keeps a word for which str.isalnum() holds whole in every mode
+    alphanumeric_punctuation = [
+        code
+        for code in range(sys.maxunicode + 1)
+        if chr(code).isalnum() and unicodedata.category(chr(code)).startswith("P")
+    ]
+    assert alphanumeric_punctuation == []
+
+
+_tokenizer_text = st.lists(
+    st.one_of(
+        st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", "\u3000"]),
+        st.sampled_from(["a", "Z", "ż", "Ł", "ß", "İ", "ǅ", "7", "²", "٣", "Ⅻ", "x1"]),
+        st.sampled_from([".", ",", "!", "?", "'", "-", "«", "»", "…", "¿", "_", "\u2019", "(", ")", "@", "$", "+"]),
+        st.sampled_from(["\u0301", "\u0307", "\u0328", "\u0308", "o\u0301", "z\u0307", "e\u0328", "A\u030a"]),
+        st.characters(categories=["L", "N", "P", "M", "S", "Zs"]),
+    ),
+    max_size=24,
+).map("".join)
+
+
+@seed(SEED)
+@settings(database=None, max_examples=400)
+@given(_tokenizer_text, st.sampled_from(TOKENIZER_MODES))
+def test_tokenize_equals_the_character_by_character_oracle(text, config):
+    expected = oracles.tokenize_oracle(
+        text, config.lowercase, config.split_punctuation, config.strip_punctuation
+    )
+    assert tokenize(text, config) == expected
+
+
 def test_ngram_unigrams():
     assert ngrams(["a", "b", "a"], 1) == {("a",): 2, ("b",): 1}
 
@@ -96,11 +138,16 @@ def test_ngram_counts_keep_first_occurrence_order_random_sequences():
         for n in range(1, 8):
             expected = Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
             assert list(ngrams(seq, n).items()) == list(expected.items())
+        # one table across orders 1 to 7, inserted order by order
+        orders = [item for n in range(1, 8) for item in ngrams(seq, n).items()]
+        assert list(ngram_table(seq, 7).items()) == orders
 
 
 def test_ngram_rejects_zero_order():
     with pytest.raises(ValueError):
         ngrams(["a"], 0)
+    with pytest.raises(ValueError):
+        ngram_table(["a"], 0)
 
 
 def test_ngram_total_counts_random_sequences():
@@ -112,12 +159,16 @@ def test_ngram_total_counts_random_sequences():
             assert sum(ngrams(seq, n).values()) == max(0, length - n + 1)
 
 
-# Clipped matches at order n: the sum over ``segment_stats(...).clipped[n - 1]``,
-# each hypothesis n-gram counted at most as often as in one reference.
+# Clipped matches at order n: the sum over the n-grams of ``segment_stats(...).clipped``,
+# each hypothesis n-gram counted at most as often as in one reference; the
+# record's per-order total ``matches[n - 1]`` holds the same sum.
 
 
 def clipped_matches(hyp, refs, n):
-    return sum(segment_stats(hyp, refs, NgramConfig(max_n=n)).clipped[n - 1].values())
+    record = segment_stats(hyp, refs, NgramConfig(max_n=n))
+    total = sum(matched for gram, matched in record.clipped.items() if len(gram) == n)
+    assert record.matches[n - 1] == total
+    return total
 
 
 def test_clipped_matches_clipping():
