@@ -34,11 +34,14 @@ def multiset_edit_bound(a: Sequence[str], b: Sequence[str]) -> int:
 
     Block shifts preserve the multiset, so this bound also holds for every
     sequence reachable by shifting."""
-    counts = Counter(a)
-    counts.subtract(Counter(b))
+    counts: dict[str, int] = {}
+    for tok in a:
+        counts[tok] = counts.get(tok, 0) + 1
+    for tok in b:
+        counts[tok] = counts.get(tok, 0) - 1
     surplus = sum(v for v in counts.values() if v > 0)
-    deficit = -sum(v for v in counts.values() if v < 0)
-    return max(surplus, deficit)
+    # surplus - deficit == len(a) - len(b)
+    return surplus + max(len(b) - len(a), 0)
 
 
 class _ReferenceColumns:
@@ -119,6 +122,17 @@ class _ReferenceColumns:
         """The columns of the reversed reference."""
         return _ReferenceColumns(self.ref[::-1])
 
+    @cached_property
+    def backward(self) -> list[tuple[int, str, int]]:
+        """``(j, ref[j], occurrences of ref[j] in ref[j:])`` from the last ``j`` down."""
+        ref = self.ref
+        seen: dict[str, int] = {}
+        backward = []
+        for j in reversed(range(len(ref))):
+            seen[ref[j]] = seen.get(ref[j], 0) + 1
+            backward.append((j, ref[j], seen[ref[j]]))
+        return backward
+
 
 def _prefix_bounds(
     columns: _ReferenceColumns, tokens: Sequence[str], states: list[tuple[int, int, int]]
@@ -134,13 +148,8 @@ def _prefix_bounds(
     common: ``ref[j]`` adds one when ``tokens[k:]`` has at least as many of
     it as ``ref[j:]``. The multiset bound is ``max(n - k, m - j)`` less that
     count."""
-    ref = columns.ref
-    n, m = len(tokens), len(ref)
-    backward = []  # (j, ref[j], occurrences of ref[j] in ref[j:]) from the last j down
-    seen: dict[str, int] = {}
-    for j in reversed(range(m)):
-        seen[ref[j]] = seen.get(ref[j], 0) + 1
-        backward.append((j, ref[j], seen[ref[j]]))
+    backward = columns.backward
+    n, m = len(tokens), len(columns.ref)
     rest: dict[str, int] = {}  # token counts of tokens[k:]
     for tok in tokens:
         rest[tok] = rest.get(tok, 0) + 1
@@ -318,6 +327,14 @@ def _kuhn_max_matching(candidates: dict[int, list[int]]) -> list[tuple[int, int]
     return sorted((h, r) for r, h in match_of_ref.items())
 
 
+def _positions(seq: Sequence[str]) -> dict[str, list[int]]:
+    """Each token of ``seq`` with its positions, ascending."""
+    positions: dict[str, list[int]] = {}
+    for j, tok in enumerate(seq):
+        positions.setdefault(tok, []).append(j)
+    return positions
+
+
 def _exact_stage_matching(
     hyp: TokenSequence, ref: TokenSequence
 ) -> tuple[list[tuple[int, int]], bool]:
@@ -337,11 +354,15 @@ def _exact_stage_matching(
     than its last k reference occurrences, so each crosses at least the
     chosen matches to the right of those. The search stops after
     ``METEOR_NODE_CAP`` nodes once it has a matching.
+
+    When every word found on both sides occurs once on each side, the
+    matching that pairs those occurrences is the only maximum matching, and
+    it is returned without a search.
     """
-    occurrences: dict[str, list[int]] = {}
-    for j, tok in enumerate(ref):
-        occurrences.setdefault(tok, []).append(j)
+    occurrences = _positions(ref)
     nodes = [(h, tok) for h, tok in enumerate(hyp) if tok in occurrences]
+    if len({tok for _, tok in nodes}) == len(nodes) and all(len(occurrences[tok]) == 1 for _, tok in nodes):
+        return [(h, occurrences[tok][0]) for h, tok in nodes], True
     hyp_counts: Counter = Counter()
     left = [0] * len(nodes)  # occurrences of the node's word from the node on
     for d in reversed(range(len(nodes))):
@@ -543,14 +564,19 @@ def meteor(
     matched = alignment.matched_unigrams
     if matched == 0:
         return MeteorScore(0.0, 0.0, 0.0, 0.0, 0.0, penalty_exponent, alignment)
-    hyp_weights = [resources.token_weight(tok) for tok in hyp]
-    ref_weights = [resources.token_weight(tok) for tok in ref]
-    matched_hyp_weight = sum(hyp_weights[h] for h, _, _ in alignment.matches)
-    matched_ref_weight = sum(ref_weights[r] for _, r, _ in alignment.matches)
-    total_hyp = sum(hyp_weights)
-    total_ref = sum(ref_weights)
-    precision = matched_hyp_weight / total_hyp if total_hyp > 0 else 0.0
-    recall = matched_ref_weight / total_ref if total_ref > 0 else 0.0
+    if resources.function_words:
+        hyp_weights = [resources.token_weight(tok) for tok in hyp]
+        ref_weights = [resources.token_weight(tok) for tok in ref]
+        matched_hyp_weight = sum(hyp_weights[h] for h, _, _ in alignment.matches)
+        matched_ref_weight = sum(ref_weights[r] for _, r, _ in alignment.matches)
+        total_hyp = sum(hyp_weights)
+        total_ref = sum(ref_weights)
+        precision = matched_hyp_weight / total_hyp if total_hyp > 0 else 0.0
+        recall = matched_ref_weight / total_ref if total_ref > 0 else 0.0
+    else:
+        # Unit weights: the sums above would be these counts, exactly.
+        precision = matched / len(hyp)
+        recall = matched / len(ref)
     denom = recall + 9.0 * precision
     fmean = (10.0 * precision * recall / denom) if denom > 0 else 0.0
     penalty = 0.5 * (alignment.chunks / matched) ** penalty_exponent
@@ -618,26 +644,30 @@ def word_rank_alignment(hyp: TokenSequence, ref: TokenSequence) -> list[int]:
     Words unique in both sides align directly; repeated words are
     disambiguated by growing the context one word at a time, right before
     left at each width, until the context occurs exactly once in both
-    sentences. Each side keeps only the list of positions whose context still
-    matches, so memory stays linear in the sentence length. Words whose
+    sentences. Each side's word -> positions table is built once; from it,
+    each side keeps only the list of positions whose context still matches,
+    so memory stays linear in the sentence length. Words whose
     ambiguity survives are left unaligned, and every reference position is
     used at most once.
     """
     if hyp == ref:
         return list(range(len(hyp)))
+    hyp_positions, ref_positions = _positions(hyp), _positions(ref)
     used: set[int] = set()
     worder: list[int] = []
     for i, word in enumerate(hyp):
-        hyp_right = hyp_left = [j for j, tok in enumerate(hyp) if tok == word]
-        ref_right = ref_left = [j for j, tok in enumerate(ref) if tok == word]
+        hyp_right = hyp_left = hyp_positions[word]
+        ref_right = ref_left = ref_positions.get(word, [])
         position = None
-        # Width 0 is the word itself; the left context starts at width 1.
+        # Width 0 is the word itself, whose positions the tables hold; the left
+        # context starts at width 1.
         for width in range(max(i, len(hyp) - i) + 1):
             if not ref_right and not ref_left:
                 break
             if i + width < len(hyp):
-                hyp_right = _narrow(hyp, hyp_right, width, hyp[i + width])
-                ref_right = _narrow(ref, ref_right, width, hyp[i + width])
+                if width:
+                    hyp_right = _narrow(hyp, hyp_right, width, hyp[i + width])
+                    ref_right = _narrow(ref, ref_right, width, hyp[i + width])
                 if len(hyp_right) == 1 and len(ref_right) == 1:
                     position = ref_right[0]
                     break

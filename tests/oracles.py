@@ -10,7 +10,8 @@ same search with no candidate skipped, breadth-first shift search,
 per-metric BLEU / NIST / EBLEU that count n-grams afresh for every score,
 the per-segment n-gram record built gram by gram,
 resource tables normalized word by word and the full bundle built from them,
-pairwise rank enumeration, RIBES word alignment from tables of every n-gram,
+pairwise rank enumeration, RIBES word alignment from tables of every n-gram
+and by rescanning both sentences for every word,
 METEOR stage matchings by enumerating every matching, the METEOR exact stage
 by enumerating every in-order choice per word, cofactor-inverted normal
 equations, and adaptive Simpson quadrature of the t density.
@@ -623,6 +624,50 @@ def word_rank_alignment(hyp: TokenSequence, ref: TokenSequence) -> list[int]:
                     if hyp_counts[gram] == 1 and ref_counts[gram] == 1:
                         position = ref_first[gram] + window
                         break
+        if position is not None and position not in used:
+            used.add(position)
+            worder.append(position)
+    return worder
+
+
+# --- RIBES word-rank alignment by rescanning both sentences per word --------
+
+
+def _narrow_scan(seq, positions, offset, token):
+    return [j for j in positions if 0 <= j + offset < len(seq) and seq[j + offset] == token]
+
+
+def word_rank_alignment_scan(hyp: TokenSequence, ref: TokenSequence) -> list[int]:
+    """``word_rank_alignment`` by the same context growth, with no tables:
+    each hypothesis word scans both whole sentences for its positions, and
+    width 0 narrows them by the word itself like every other width.
+
+    Time is quadratic in the sentence length but memory linear, so unlike
+    the n-gram table oracle it can check long lines."""
+    if hyp == ref:
+        return list(range(len(hyp)))
+    used: set[int] = set()
+    worder: list[int] = []
+    for i, word in enumerate(hyp):
+        hyp_right = hyp_left = [j for j, tok in enumerate(hyp) if tok == word]
+        ref_right = ref_left = [j for j, tok in enumerate(ref) if tok == word]
+        position = None
+        # Width 0 is the word itself; the left context starts at width 1.
+        for width in range(max(i, len(hyp) - i) + 1):
+            if not ref_right and not ref_left:
+                break
+            if i + width < len(hyp):
+                hyp_right = _narrow_scan(hyp, hyp_right, width, hyp[i + width])
+                ref_right = _narrow_scan(ref, ref_right, width, hyp[i + width])
+                if len(hyp_right) == 1 and len(ref_right) == 1:
+                    position = ref_right[0]
+                    break
+            if 0 < width <= i:
+                hyp_left = _narrow_scan(hyp, hyp_left, -width, hyp[i - width])
+                ref_left = _narrow_scan(ref, ref_left, -width, hyp[i - width])
+                if len(hyp_left) == 1 and len(ref_left) == 1:
+                    position = ref_left[0]
+                    break
         if position is not None and position not in used:
             used.add(position)
             worder.append(position)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from respeval.align_metrics import (
     kendall_nkt,
     meteor,
     meteor_align,
+    multiset_edit_bound,
     ribes,
     spearman_nsr,
     ter,
@@ -287,6 +289,15 @@ def test_shift_bounds_never_exceed_a_candidate_distance():
                     assert tail[max(start, pos) + length] <= distance, (current, ref, start, length, pos)
 
 
+def test_multiset_edit_bound_matches_oracle():
+    rng = make_rng(32)
+    for trial in range(2000):
+        vocab = "abcdef"[: rng.randint(1, 6)]
+        a = [] if trial % 10 == 0 else [rng.choice(vocab) for _ in range(rng.randint(0, 30))]
+        b = [] if trial % 10 == 1 else [rng.choice(vocab) for _ in range(rng.randint(0, 30))]
+        assert multiset_edit_bound(a, b) == oracles.multiset_bound(a, b), (a, b)
+
+
 # --- METEOR alignment -------------------------------------------------------------
 
 
@@ -427,6 +438,27 @@ def test_exact_stage_matches_choice_enumeration():
         assert alignment.exhaustive
 
 
+def test_exact_stage_at_subtitle_length_matches_choice_enumeration():
+    # Lines of distinct words take the direct matching; a copy of one shared
+    # word sends the pair through the search.
+    rng = make_rng(33)
+    words = [f"w{i}" for i in range(40)]
+    repeated_shared = Counter()
+    for trial in range(600):
+        hyp = rng.sample(words, rng.randint(8, 30))
+        ref = rng.sample(words, rng.randint(8, 30))
+        shared = sorted(set(hyp) & set(ref))
+        if trial % 3 == 0 and shared:
+            side = rng.choice((hyp, ref))
+            side.insert(rng.randint(0, len(side)), rng.choice(shared))
+        repeated_shared[sum(hyp.count(w) + ref.count(w) > 2 for w in shared)] += 1
+        expected = [(h, r, "exact") for h, r in oracles.meteor_exact_stage_enum(hyp, ref)]
+        alignment = meteor_align(hyp, ref)
+        assert list(alignment.matches) == expected, (hyp, ref)
+        assert alignment.exhaustive
+    assert repeated_shared[0] > 300 and repeated_shared[1] > 150
+
+
 def test_exact_stage_pins_cut_short_pair():
     # A depth-first search over every matching ran out of nodes on this pair
     # and kept 19 and 13 crossings.
@@ -499,6 +531,22 @@ def test_meteor_function_word_weighting():
     expected_fmean = 10 * p * p / (p + 9 * p)
     assert score.fmean == pytest.approx(expected_fmean)
     assert score.score == pytest.approx(expected_fmean * 0.5)
+
+
+def test_meteor_without_function_words_equals_function_words_of_weight_one():
+    rng = make_rng(34)
+    words = ("a", "b", "c", "d", "e", "f")
+    for _ in range(500):
+        vocab = words[: rng.randint(1, 6)]
+        hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 14))]
+        ref = [rng.choice(vocab) for _ in range(rng.randint(1, 14))]
+        stems, synonyms = _random_resources(rng, vocab)
+        function_words = frozenset(rng.sample(vocab, rng.randint(1, len(vocab))))
+        unit = meteor(hyp, ref, LanguageResources(synonyms, stems))
+        listed = meteor(hyp, ref, LanguageResources(synonyms, stems, function_words, 1.0))
+        assert unit.alignment == listed.alignment
+        for field in ("precision", "recall", "fmean", "score"):
+            assert getattr(unit, field) == getattr(listed, field), (hyp, ref, field)
 
 
 def test_meteor_bounded():
@@ -696,6 +744,46 @@ def test_word_rank_alignment_matches_table_oracle():
         else:
             ref = [rng.choice(vocab) for _ in range(rng.randint(0, 40))]
         assert word_rank_alignment(hyp, ref) == oracles.word_rank_alignment(hyp, ref), (hyp, ref)
+
+
+def test_word_rank_alignment_of_unique_words_never_narrows(monkeypatch):
+    calls = []
+    narrow = align_metrics._narrow
+
+    def counting(*args):
+        calls.append(args)
+        return narrow(*args)
+
+    monkeypatch.setattr(align_metrics, "_narrow", counting)
+    hyp = [f"w{i}" for i in range(30)]
+    ref = hyp[7:] + ["x", "y"] + hyp[:5]  # w5 and w6 missing
+    assert word_rank_alignment(hyp, ref) == list(range(25, 30)) + list(range(23))
+    assert calls == []
+    # A repeated word is still told apart by its context.
+    hyp, ref = hyp + ["w0"], ref + ["w0"]
+    assert word_rank_alignment(hyp, ref) == oracles.word_rank_alignment_scan(hyp, ref)
+    assert calls
+
+
+def test_word_rank_alignment_matches_scan_oracle_on_long_lines():
+    rng = make_rng(35)
+    for length in (300, 2000):
+        hyp = [f"w{i}" for i in range(length)]
+        rng.shuffle(hyp)
+        cut = rng.randrange(1, length)
+        ref = hyp[cut:] + hyp[:cut]
+        # The same lines with copies of a few words, which need their context.
+        hyp_copies, ref_copies = list(hyp), list(ref)
+        for _ in range(10):
+            word = rng.choice(hyp)
+            for side in (hyp_copies, ref_copies):
+                side.insert(rng.randint(0, len(side)), word)
+        assert word_rank_alignment(hyp, ref) == [(i - cut) % length for i in range(length)]
+        for h, r in ((hyp, ref), (hyp_copies, ref_copies)):
+            expected = oracles.word_rank_alignment_scan(h, r)
+            assert word_rank_alignment(h, r) == expected
+            if length <= 300:  # the n-gram tables grow with the square of the length
+                assert expected == oracles.word_rank_alignment(h, r)
 
 
 def test_word_rank_alignment_memory_is_linear():
