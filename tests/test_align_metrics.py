@@ -191,6 +191,25 @@ def _probe_shaped_pair(rng, length):
     return hyp, ref
 
 
+def _run_heavy_pair(rng, lengths, longest_run=12):
+    """Words in runs of one word, each run up to ``longest_run`` long, over a
+    2- or 3-word vocabulary; the hypothesis moves one or two blocks and
+    substitutes up to three words. On such lines many shifts of one round
+    build the same sentence."""
+    vocab = "abc"[: rng.randint(2, 3)]
+    length = rng.randint(*lengths)
+    ref = []
+    while len(ref) < length:
+        ref += [rng.choice(vocab)] * rng.randint(1, longest_run)
+    del ref[length:]
+    hyp = ref.copy()
+    for _ in range(rng.randint(1, 2)):
+        _move_block(rng, hyp)
+    for _ in range(rng.randint(0, 3)):
+        hyp[rng.randrange(len(hyp))] = rng.choice(vocab)
+    return hyp, ref
+
+
 def test_ter_matches_greedy_oracle():
     rng = make_rng(24)
     pairs = [([], ["a"]), ([], ["a", "b", "a"])]
@@ -250,18 +269,33 @@ def test_ter_chain_ends_keep_the_unpruned_answer():
         assert (result.edits, result.shifts) == oracles.ter_unpruned(hyp, ref), (hyp, ref)
 
 
+def test_ter_on_long_runs_of_one_word_matches_the_oracles():
+    """Lines made of long runs of one word against the greedy search on 6-12
+    words and against the unpruned search on 20-60 words."""
+    rng = make_rng(35)
+    for _ in range(150):
+        hyp, ref = _run_heavy_pair(rng, (6, 12), longest_run=6)
+        result = ter(hyp, ref)
+        assert (result.edits, result.shifts) == oracles.ter_greedy(hyp, ref), (hyp, ref)
+    for _ in range(6):
+        hyp, ref = _run_heavy_pair(rng, (20, 60))
+        result = ter(hyp, ref)
+        assert (result.edits, result.shifts) == oracles.ter_unpruned(hyp, ref), (hyp, ref)
+
+
 def test_ter_pins_pairs_too_long_for_the_oracles():
     """(edits, shifts) recorded before feeds stopped at a limit, on the pairs
     where they stop most: re-spoken sentences of 60-100 words with moved
-    blocks, probe-shaped pairs of 80 and 100 words, and 60-word pairs over a
-    3-word vocabulary. The seed is fixed, not ``make_rng``'s, because the
-    answers are pinned."""
+    blocks, probe-shaped pairs of 80 and 100 words, 60-word pairs over a
+    3-word vocabulary, and 60-100-word pairs of long runs of one word. The
+    seed is fixed, not ``make_rng``'s, because the answers are pinned."""
     rng = random.Random("long TER pairs")
     pairs = [_moved_blocks_pair(rng, (60, 100)) for _ in range(4)]
     pairs += [_probe_shaped_pair(rng, length) for length in (80, 100)]
     pairs += [_moved_blocks_pair(rng, (60, 60), lambda r: r.choice("abc")) for _ in range(2)]
+    pairs += [_run_heavy_pair(rng, (60, 100)) for _ in range(4)]
     results = [ter(hyp, ref) for hyp, ref in pairs]
-    expected = [(2, 1), (1, 1), (2, 1), (4, 2), (11, 2), (12, 2), (2, 2), (4, 1)]
+    expected = [(2, 1), (1, 1), (2, 1), (4, 2), (11, 2), (12, 2), (2, 2), (4, 1), (3, 3), (2, 1), (2, 1), (3, 1)]
     assert [(result.edits, result.shifts) for result in results] == expected
 
 
