@@ -44,7 +44,8 @@ class LanguageResources:
         return self.synonyms.get(word, frozenset())
 
     def stems_of(self, word: str) -> frozenset[str]:
-        return self.stems.get(word, frozenset((word,)))
+        stems = self.stems.get(word)  # a default for get would be built on every call
+        return frozenset((word,)) if stems is None else stems
 
     def token_weight(self, word: str) -> float:
         """Weight used by METEOR precision/recall: function words count less."""

@@ -12,6 +12,7 @@ from respeval.align_metrics import (
     METEOR_NODE_CAP,
     _prefix_bounds,
     _ReferenceColumns,
+    _remakes_earlier,
     kendall_nkt,
     meteor,
     meteor_align,
@@ -281,6 +282,69 @@ def test_ter_on_long_runs_of_one_word_matches_the_oracles():
         hyp, ref = _run_heavy_pair(rng, (20, 60))
         result = ter(hyp, ref)
         assert (result.edits, result.shifts) == oracles.ter_unpruned(hyp, ref), (hyp, ref)
+
+
+def test_skipped_moves_remake_an_earlier_moves_sentence():
+    """Every move that ``_best_shift`` skips by ``_remakes_earlier`` builds
+    the sentence it shifts or one that an earlier legal move builds, in
+    ``oracles.ter_greedy``'s (start, length, position) order. A block whose
+    move with no word before its gap remakes is skipped whole."""
+    rng = make_rng(36)
+    checked = skipped = 0
+    for trial in range(2500):
+        if trial % 2:
+            current, ref = _run_heavy_pair(rng, (5, 12), longest_run=5)
+        else:
+            vocab = "abc"[: rng.randint(2, 3)]
+            current = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
+            ref = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
+        ref_blocks = {tuple(ref[i:j]) for i in range(len(ref)) for j in range(i + 1, len(ref) + 1)}
+        built = {tuple(current)}
+        for start in range(len(current)):
+            for length in range(1, min(MAX_SHIFT_LENGTH, len(current) - start) + 1):
+                end = start + length
+                block = current[start:end]
+                if tuple(block) not in ref_blocks:
+                    break
+                run = len(set(block)) == 1
+                slides = start > 0 and tuple(current[start - 1 : end - 1]) in ref_blocks
+                whole_block = _remakes_earlier(current, start, end, None, run, slides)
+                remainder = current[:start] + current[end:]
+                for pos in range(len(remainder) + 1):
+                    if pos == start:
+                        continue
+                    moved = tuple(remainder[:pos] + block + remainder[pos:])
+                    # The word before the gap: before a move left's insertion point, or the
+                    # last word a move right jumps over.
+                    before = remainder[pos - 1] if pos else None
+                    checked += 1
+                    if whole_block or _remakes_earlier(current, start, end, before, run, slides):
+                        skipped += 1
+                        assert moved in built, (current, ref, start, length, pos)
+                    built.add(moved)
+    assert skipped > checked // 4
+
+
+def test_best_shift_passes_true_block_facts_to_the_twin_rules(monkeypatch):
+    """``_best_shift`` passes ``_remakes_earlier`` whether the block is one
+    word repeated and whether the block from one word earlier occurs in the
+    reference, checked against the words themselves."""
+    rng = make_rng(37)
+    calls = 0
+
+    def checked(current, start, end, before, run, slides):
+        nonlocal calls
+        calls += 1
+        earlier = current[start - 1 : end - 1]
+        assert run == (len(set(current[start:end])) == 1)
+        assert slides == (start > 0 and any(ref[j : j + len(earlier)] == earlier for j in range(len(ref))))
+        return _remakes_earlier(current, start, end, before, run, slides)
+
+    monkeypatch.setattr(align_metrics, "_remakes_earlier", checked)
+    for _ in range(40):
+        hyp, ref = _run_heavy_pair(rng, (8, 30), longest_run=rng.randint(2, 8))
+        ter(hyp, ref)
+    assert calls
 
 
 def test_ter_pins_pairs_too_long_for_the_oracles():

@@ -140,3 +140,10 @@ def test_vocabulary_load_answers_every_lookup_as_the_full_load(tmp_path):
         assert (bool(got.stems), bool(got.synonyms)) == (bool(expected.stems), bool(expected.synonyms))
         restricted += got != expected
     assert errors > 20 and restricted > 100
+
+
+def test_stems_of_a_listed_word_is_its_entry_and_of_any_other_word_the_word_alone():
+    dog = frozenset({"dog"})
+    bundle = resources.LanguageResources(stems={"dogs": dog})
+    assert bundle.stems_of("dogs") is dog
+    assert bundle.stems_of("cat") == frozenset({"cat"})
