@@ -45,8 +45,8 @@ EXIT_USAGE = 2
 METRIC_FIELDS = ("bleu", "nist", "ter", "meteor", "meteor_pl", "ebleu", "ribes")
 
 
-def _round6(value: float | None) -> float | None:
-    return None if value is None else round(value, 6)
+def _rounded(columns: dict[str, float | None]) -> dict[str, float | None]:
+    return {name: None if value is None else round(value, 6) for name, value in columns.items()}
 
 
 def _sha256(path: str | None) -> str | None:
@@ -85,27 +85,48 @@ def _fmt_cell(value: float | None) -> str:
     return "-" if value is None else f"{value:.2f}"
 
 
-def _score_segment(hyp, refs, resources, args) -> dict[str, float | None]:
-    ter_value = min(ter(hyp, ref).ter for ref in refs)
-    plain = [meteor(hyp, ref, penalty_exponent=args.meteor_penalty_exp) for ref in refs]
-    meteor_value = max(score.score for score in plain)
-    if resources.is_empty():
-        meteor_pl_value = None
-    else:
-        # METEOR-PL extends each pair's exact stage: plain METEOR's whole alignment
-        meteor_pl_value = max(
-            meteor(hyp, ref, resources, args.meteor_penalty_exp, exact=score.alignment).score
-            for ref, score in zip(refs, plain)
-        )
-    ribes_value = max(
-        ribes(hyp, ref, alpha=args.ribes_alpha, variant=args.ribes_variant).score for ref in refs
-    )
-    return {
-        "ter": ter_value * 100.0,
-        "meteor": meteor_value * 100.0,
-        "meteor_pl": None if meteor_pl_value is None else meteor_pl_value * 100.0,
-        "ribes": ribes_value * 100.0,
+def score_transcript(
+    hyp_corpus, ref_corpus, config: NgramConfig, *, meteor_penalty_exp, ribes_alpha, ribes_variant
+) -> tuple[list[dict[str, float | None]], dict[str, float | None]]:
+    """The ``score`` columns of one transcript: one dict per segment and the
+    aggregate, each keyed by ``METRIC_FIELDS``, unrounded and x100 except NIST.
+
+    A segment keeps the best value over its references, and its METEOR-PL
+    (``None`` when ``config.resources`` is empty) extends each pair's plain
+    METEOR alignment. The aggregate reduces BLEU, NIST and EBLEU over every
+    segment's counts, and averages TER, METEOR, METEOR-PL and RIBES.
+    """
+    stats = corpus_stats(hyp_corpus, ref_corpus, config)
+    segments: list[dict[str, float | None]] = []
+    for hyp, refs, seg_stats in zip(hyp_corpus, ref_corpus, stats):
+        plain = [meteor(hyp, ref, penalty_exponent=meteor_penalty_exp) for ref in refs]
+        meteor_pl = None
+        if not config.resources.is_empty():
+            # METEOR-PL extends each pair's exact stage: plain METEOR's whole alignment
+            meteor_pl = max(
+                meteor(hyp, ref, config.resources, meteor_penalty_exp, exact=score.alignment).score
+                for ref, score in zip(refs, plain)
+            ) * 100.0
+        segments.append({
+            "bleu": bleu_from_stats([seg_stats], config).score * 100.0,
+            "nist": nist_from_stats([seg_stats], config),
+            "ter": min(ter(hyp, ref).ter for ref in refs) * 100.0,
+            "meteor": max(score.score for score in plain) * 100.0,
+            "meteor_pl": meteor_pl,
+            "ebleu": ebleu_from_stats([seg_stats], config).score * 100.0,
+            "ribes": max(
+                ribes(hyp, ref, alpha=ribes_alpha, variant=ribes_variant).score for ref in refs
+            ) * 100.0,
+        })
+    aggregate: dict[str, float | None] = {
+        "bleu": bleu_from_stats(stats, config).score * 100.0,
+        "nist": nist_from_stats(stats, config),
+        "ebleu": ebleu_from_stats(stats, config).score * 100.0,
     }
+    for name in ("ter", "meteor", "meteor_pl", "ribes"):
+        values = [seg[name] for seg in segments if seg[name] is not None]
+        aggregate[name] = sum(values) / len(values) if values else None
+    return segments, aggregate
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -127,57 +148,33 @@ def cmd_score(args: argparse.Namespace) -> int:
     resources = load_resources(
         **resource_files, function_word_weight=args.function_word_weight, vocabulary=vocabulary
     )
-    # score's flags share their dests with NgramConfig's fields; the report echoes them by name
+    # score's flags share their dests with NgramConfig's fields and with
+    # score_transcript's alignment settings; the report echoes them by name
     ngram_settings = {f.name: getattr(args, f.name) for f in fields(NgramConfig) if f.name != "resources"}
-    ngram_cfg = NgramConfig(**ngram_settings, resources=resources)
+    alignment_settings = {
+        name: getattr(args, name) for name in ("meteor_penalty_exp", "ribes_alpha", "ribes_variant")
+    }
+    try:
+        segments, aggregate = score_transcript(
+            hyp_corpus, ref_corpus, NgramConfig(**ngram_settings, resources=resources), **alignment_settings
+        )
+    except RespevalInputError as exc:  # the references are aligned to the hypothesis by now
+        raise RespevalInputError(exc.message, args.hypothesis) from None
     report = MetricReport(
         config={
             "tokenizer": asdict(tok_cfg),
             **ngram_settings,
+            **alignment_settings,
             "nist_scheme": (
                 "info = log2(count(prefix)/count(ngram)) on the reference corpus; "
                 "length factor 0.5 at hyp/ref ratio 2/3"
             ),
-            "meteor_penalty_exp": args.meteor_penalty_exp,
             "function_word_weight": args.function_word_weight,
-            "ribes_alpha": args.ribes_alpha,
-            "ribes_variant": args.ribes_variant,
             "resources": {f"{name}_sha256": _sha256(path) for name, path in resource_files.items()},
-        }
+        },
+        segments=[{"index": index, **_rounded(columns)} for index, columns in enumerate(segments, start=1)],
+        aggregate={"segments": len(hyp_corpus), **_rounded(aggregate)},
     )
-    try:
-        stats = corpus_stats(hyp_corpus, ref_corpus, ngram_cfg)
-    except RespevalInputError as exc:  # the references are aligned to the hypothesis by now
-        raise RespevalInputError(exc.message, args.hypothesis) from None
-
-    def ngram_scores(records) -> dict[str, float]:
-        return {
-            "bleu": bleu_from_stats(records, ngram_cfg).score * 100.0,
-            "nist": nist_from_stats(records, ngram_cfg),
-            "ebleu": ebleu_from_stats(records, ngram_cfg).score * 100.0,
-        }
-
-    per_segment: list[dict[str, float | None]] = []
-    for index, (hyp, refs, seg_stats) in enumerate(zip(hyp_corpus, ref_corpus, stats), start=1):
-        scores = _score_segment(hyp, refs, resources, args)
-        scores.update(ngram_scores([seg_stats]))
-        per_segment.append(scores)
-        report.segments.append(
-            {"index": index, **{name: _round6(scores[name]) for name in METRIC_FIELDS}}
-        )
-
-    def _mean(name: str) -> float | None:
-        values = [seg[name] for seg in per_segment if seg[name] is not None]
-        if not values:
-            return None
-        return sum(values) / len(values)
-
-    report.aggregate = {
-        "segments": len(hyp_corpus),
-        **{name: _round6(value) for name, value in ngram_scores(stats).items()},
-        **{name: _round6(_mean(name)) for name in ("ter", "meteor", "meteor_pl", "ribes")},
-    }
-
     sys.stdout.write(report.to_text())
     if args.json:
         Path(args.json).write_text(report.to_jsonl(), encoding="utf-8")

@@ -345,11 +345,13 @@ def backward_eliminate(
 
 
 def predict(model: RegressionModel, scores: Mapping[str, float]) -> float:
-    """Intercept plus the weighted sum of the supplied predictor values."""
+    """Intercept plus the weighted sum of the supplied predictor values, which must be finite."""
     missing = [name for name in model.predictors if name not in scores]
     if missing:
         raise RespevalInputError(f"missing predictor values: {missing}")
     value = model.coefficients[0]
     for name, coef in zip(model.predictors, model.coefficients[1:]):
         value += coef * scores[name]
+    if not math.isfinite(value):
+        raise RespevalInputError(f"the prediction is {value}, not a finite number: the weighted sum overflows")
     return value

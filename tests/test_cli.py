@@ -11,9 +11,12 @@ import pytest
 
 import respeval.cli
 import respeval.ngram_metrics
-from respeval.cli import main
+from respeval.align_metrics import ter
+from respeval.cli import METRIC_FIELDS, main, score_transcript
+from respeval.ngram_metrics import NgramConfig
+from respeval.resources import load_resources
 
-from helpers import make_rng
+from helpers import make_rng, random_corpus, random_segment
 from test_fixtures import TABLE1_SHA256
 
 
@@ -161,6 +164,85 @@ def test_score_counts_each_segment_once(tmp_path, capsys, monkeypatch):
     assert code == 0, err
     # segments x (hypothesis + references), each counted once to the highest order
     assert calls == [5] * 3 * (1 + 2)
+
+
+RESOURCE_FILES = {
+    "synonyms": "cat\tdog\nmat\trug home\n",
+    "stems": "ran\trun\nsat\tsit\n",
+    "function_words": "the\na\non\n",
+}
+
+
+def _write_transcript(directory: Path, hyp_corpus, ref_corpus, resources: bool) -> list[str]:
+    """Writes the transcript (and the resource bundle) as ``score`` reads
+    them; returns the paths and flags that follow ``score``."""
+    files = [directory / "hyp.txt", *(directory / f"ref{k}.txt" for k in range(len(ref_corpus[0])))]
+    for path, corpus in zip(files, (hyp_corpus, *zip(*ref_corpus))):
+        path.write_text("".join(" ".join(seg) + "\n" for seg in corpus), encoding="utf-8")
+    argv = list(map(str, files))
+    if resources:
+        for name, text in RESOURCE_FILES.items():
+            (directory / name).write_text(text, encoding="utf-8")
+            argv += [f"--{name.replace('_', '-')}", str(directory / name)]
+    return argv
+
+
+@pytest.mark.parametrize("flags", [(), ("--sentence-level", "--smooth")], ids=["pooled", "sentence-level-smooth"])
+@pytest.mark.parametrize("resources", [False, True], ids=["plain", "resources"])
+@pytest.mark.parametrize("n_refs", [1, 2, 3])
+def test_score_transcript_columns_are_the_score_records(n_refs, resources, flags, tmp_path, capsys):
+    rng = make_rng(2200 + 10 * n_refs + resources + 2 * bool(flags))
+    for trial in range(3):
+        hyp_corpus = random_corpus(rng, max_segments=8, max_tokens=12)
+        ref_corpus = [[random_segment(rng, 12) for _ in range(n_refs)] for _ in hyp_corpus]
+        directory = tmp_path / f"t{trial}"
+        directory.mkdir()
+        out_json = directory / "r.jsonl"
+        argv = _write_transcript(directory, hyp_corpus, ref_corpus, resources)
+        code, out, err = run(capsys, "score", *argv, *flags, "--json", str(out_json))
+        assert (code, err) == (0, "")
+        *segment_records, aggregate_record = _scores(out_json)
+
+        bundle = load_resources(**{name: directory / name for name in RESOURCE_FILES if resources})
+        config = NgramConfig(sentence_level=bool(flags), smooth=bool(flags), resources=bundle)
+        segments, aggregate = score_transcript(
+            hyp_corpus, ref_corpus, config, meteor_penalty_exp=1.0, ribes_alpha=0.25, ribes_variant="nkt"
+        )
+        assert [set(seg) for seg in segments] == [set(METRIC_FIELDS)] * len(hyp_corpus)
+        assert set(aggregate) == set(METRIC_FIELDS)
+        assert (aggregate["meteor_pl"] is None) == (not resources)
+
+        def rounded(columns):
+            return {name: None if value is None else round(value, 6) for name, value in columns.items()}
+
+        assert [rounded(seg) for seg in segments] == [
+            {name: record[name] for name in METRIC_FIELDS} for record in segment_records
+        ]
+        assert rounded(aggregate) == {name: aggregate_record[name] for name in METRIC_FIELDS}
+        for seg, hyp, refs in zip(segments, hyp_corpus, ref_corpus):
+            assert seg["ter"] == min(ter(hyp, ref).ter for ref in refs) * 100
+
+
+@pytest.mark.parametrize("resources", [False, True], ids=["plain", "resources"])
+def test_score_calls_the_alignment_metrics_through_the_cli_module(resources, tmp_path, capsys, monkeypatch):
+    # perfbench's tracer times TER, METEOR and RIBES by wrapping these three
+    # names on respeval.cli, so scoring must look them up there
+    hyp_corpus = [["the", "cat", "sat"], ["a", "dog", "ran", "home"], ["on", "the", "mat"]]
+    ref_corpus = [[seg, seg[::-1]] for seg in hyp_corpus]
+    argv = _write_transcript(tmp_path, hyp_corpus, ref_corpus, resources)
+    calls = {name: 0 for name in ("ter", "meteor", "ribes")}
+    for name in calls:
+        metric = getattr(respeval.cli, name)
+
+        def counting(*args, name=name, metric=metric, **kwargs):
+            calls[name] += 1
+            return metric(*args, **kwargs)
+
+        monkeypatch.setattr(respeval.cli, name, counting)
+    code, out, err = run(capsys, "score", *argv)
+    assert (code, err) == (0, "")
+    pairs = 3 * 2  # segments x references
+    assert calls == {"ter": pairs, "meteor": 2 * pairs if resources else pairs, "ribes": pairs}
 
 
 def test_score_segment_columns_use_their_own_references(tmp_path, capsys):
@@ -519,6 +601,19 @@ def test_predict_rejects_malformed_pair(tmp_path, capsys):
     run(capsys, "regress", "--fixture", "table1", "--json", str(trace_json))
     code, out, err = run(capsys, "predict", str(trace_json), "BLEU:88")
     assert code == 2
+
+
+def test_predict_overflow_exits_2(tmp_path, capsys):
+    model = {
+        "response": "NER", "predictors": ["x"], "coefficients": [0.0, 2.0], "std_errors": [0.0, 0.0],
+        "t_stats": [0.0, 0.0], "p_values": [0.0, 0.0], "standardized_betas": [0.0],
+        "r2": 0.0, "adjusted_r2": 0.0, "n": 3, "df_resid": 1,
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    code, out, err = run(capsys, "predict", str(path), "x=1e308")
+    assert (code, out) == (2, "")
+    assert err == "error: the prediction is inf, not a finite number: the weighted sum overflows\n"
 
 
 def test_fixture_command_digest(capsys):

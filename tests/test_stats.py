@@ -301,6 +301,17 @@ def test_predict_missing_predictor():
         predict(published_model(), {"BLEU": 50.0, "NIST": 7.0})
 
 
+@pytest.mark.parametrize(
+    "scores",
+    [{"BLEU": 1e308, "NIST": 1.9e308, "EBLEU": 0.0}, {"BLEU": 1.0, "NIST": math.nan, "EBLEU": 1.0}],
+    ids=["overflow", "nan"],
+)
+def test_predict_non_finite_sum_is_an_input_error(scores):
+    # every product is finite or the score itself is not: the sum is inf or nan
+    with pytest.raises(RespevalInputError, match="not a finite number"):
+        predict(published_model(), scores)
+
+
 def test_model_round_trip_dict():
     table = load_fixture("table1")
     model = ols_fit(table, ["BLEU", "NIST", "EBLEU"])
