@@ -37,7 +37,7 @@ from .stats import (
     predict,
     t_sf,
 )
-from .textcore import RespevalInputError, TokenizerConfig, ngrams, tokenize
+from .textcore import RespevalInputError, TokenizerConfig, tokenize
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "meteor",
     "meteor_align",
     "ner_accuracy",
-    "ngrams",
     "nist",
     "ols_fit",
     "parse_ner_annotations",

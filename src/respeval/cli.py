@@ -20,10 +20,8 @@ from .fixtures import FIXTURE_NAMES, METRIC_COLUMNS, RESPONSE_COLUMN, fixture_cs
 from .ngram_metrics import (
     MAX_NGRAM_ORDER,
     NgramConfig,
-    bleu_from_stats,
     corpus_stats,
-    ebleu_from_stats,
-    nist_from_stats,
+    ngram_scores,
 )
 from .ner import ner_accuracy, parse_ner_annotations, reduction_rate
 from .resources import load_resources
@@ -99,6 +97,7 @@ def score_transcript(
     stats = corpus_stats(hyp_corpus, ref_corpus, config)
     segments: list[dict[str, float | None]] = []
     for hyp, refs, seg_stats in zip(hyp_corpus, ref_corpus, stats):
+        seg_bleu, seg_nist, seg_ebleu = ngram_scores([seg_stats], config)
         plain = [meteor(hyp, ref, penalty_exponent=meteor_penalty_exp) for ref in refs]
         meteor_pl = None
         if not config.resources.is_empty():
@@ -108,20 +107,19 @@ def score_transcript(
                 for ref, score in zip(refs, plain)
             ) * 100.0
         segments.append({
-            "bleu": bleu_from_stats([seg_stats], config).score * 100.0,
-            "nist": nist_from_stats([seg_stats], config),
+            "bleu": seg_bleu.score * 100.0,
+            "nist": seg_nist,
             "ter": min(ter(hyp, ref).ter for ref in refs) * 100.0,
             "meteor": max(score.score for score in plain) * 100.0,
             "meteor_pl": meteor_pl,
-            "ebleu": ebleu_from_stats([seg_stats], config).score * 100.0,
+            "ebleu": seg_ebleu.score * 100.0,
             "ribes": max(
                 ribes(hyp, ref, alpha=ribes_alpha, variant=ribes_variant).score for ref in refs
             ) * 100.0,
         })
+    bleu, nist, ebleu = ngram_scores(stats, config)
     aggregate: dict[str, float | None] = {
-        "bleu": bleu_from_stats(stats, config).score * 100.0,
-        "nist": nist_from_stats(stats, config),
-        "ebleu": ebleu_from_stats(stats, config).score * 100.0,
+        "bleu": bleu.score * 100.0, "nist": nist, "ebleu": ebleu.score * 100.0
     }
     for name in ("ter", "meteor", "meteor_pl", "ribes"):
         values = [seg[name] for seg in segments if seg[name] is not None]

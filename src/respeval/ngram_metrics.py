@@ -2,10 +2,12 @@
 
 One ``NgramConfig`` holds the settings of all three. Each segment's n-grams
 are counted once into a ``SegmentStats`` record, one table across orders with
-its clipped-match total per order; every score reduces a list of records,
-pooling clipped matches and totals before dividing (``sentence_level``
-averages one-record scores instead). All scorers are pure; segments may be
-counted in parallel as long as the reduction keeps segment order.
+its clipped-match total per order. ``ngram_scores`` reduces a list of records
+to all three scores in one pass, pooling clipped matches and totals before
+dividing (``sentence_level`` averages one-record BLEU and EBLEU scores
+instead) and pooling the reference counts once for NIST's information weights
+and EBLEU's rare words. All scorers are pure; segments may be counted in
+parallel as long as the reduction keeps segment order.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .resources import LanguageResources
 from .textcore import NGramCounts, RespevalInputError, TokenSequence, ngram_table
@@ -108,7 +110,7 @@ def bleu(
     config: NgramConfig = NgramConfig(),
 ) -> NgramScore:
     """Corpus BLEU with brevity penalty; 0 when any defined order has no match."""
-    return bleu_from_stats(corpus_stats(hyp_corpus, ref_corpus, config), config)
+    return ngram_scores(corpus_stats(hyp_corpus, ref_corpus, config), config)[0]
 
 
 def nist(
@@ -124,7 +126,7 @@ def nist(
     the raw hypothesis n-gram count, orders are summed arithmetically, and the
     total is scaled by the length factor ``exp(NIST_BETA * ln^2 min(c/r, 1))``.
     """
-    return nist_from_stats(corpus_stats(hyp_corpus, ref_corpus, config), config)
+    return ngram_scores(corpus_stats(hyp_corpus, ref_corpus, config), config)[1]
 
 
 def _annotate(
@@ -157,7 +159,7 @@ def _annotate(
 def rare_reference_words(counts: Mapping[Gram, int], percent: float) -> frozenset[str]:
     """Trailing ``percent`` of distinct reference words ranked by descending
     frequency (ties broken lexicographically) among the unigrams of the
-    ``ngrams``-keyed ``counts``, which may hold grams of any order."""
+    gram-keyed ``counts``, which may hold grams of any order."""
     unigrams = [gram for gram in counts if len(gram) == 1]
     k = int(len(unigrams) * percent)
     if k == 0:
@@ -179,7 +181,7 @@ def ebleu(
     than a perfect score; with empty resources and rare bonus 1 the result
     equals uniform-weight BLEU exactly. ``smooth`` does not apply.
     """
-    return ebleu_from_stats(corpus_stats(hyp_corpus, ref_corpus, config), config)
+    return ngram_scores(corpus_stats(hyp_corpus, ref_corpus, config), config)[2]
 
 
 @dataclass(frozen=True)
@@ -260,12 +262,6 @@ def corpus_stats(
     return [segment_stats(hyp, refs, config) for hyp, refs in zip(hyp_corpus, ref_corpus)]
 
 
-# A metric's credit for one record, indexed by order - 1 up to at least max_n,
-# given the records pooled.
-Credit = Callable[[SegmentStats], Sequence[float]]
-CreditFor = Callable[[Sequence[SegmentStats]], Credit]
-
-
 def _pooled_ref_counts(stats: Sequence[SegmentStats], max_n: int) -> Mapping[Gram, int]:
     """Reference n-gram counts of orders 1 to ``max_n`` summed over ``stats``;
     a lone record's own table, which may hold higher orders too."""
@@ -280,34 +276,10 @@ def _pooled_ref_counts(stats: Sequence[SegmentStats], max_n: int) -> Mapping[Gra
     return pooled
 
 
-def _pool(
-    stats: Sequence[SegmentStats],
-    max_n: int,
-    credit_for: CreditFor,
-    smooth: bool = False,
-    sentence_level: bool = False,
-) -> NgramScore:
-    """Pool ``credit_for(stats)(record)`` over the hypothesis n-gram totals
-    per order, clamped per segment to a perfect order, and combine the bases
-    through the running log-mean ``C_i = exp(s / i)``. An empty hypothesis has
-    brevity penalty 0. ``sentence_level`` takes the mean of the one-record
-    scores instead."""
-    credit = credit_for(stats)
-    nums = [0.0] * max_n
-    dens = [0] * max_n
-    c = r = 0
-    for rec in stats:
-        c += rec.hyp_len
-        r += closest_ref_length(rec.hyp_len, rec.ref_lens)
-        earned = credit(rec)
-        for i in range(max_n):
-            total = max(rec.hyp_len - i, 0)
-            dens[i] += total
-            nums[i] += min(earned[i], total)
-    if smooth:
-        nums = [num + 1 if den > 0 else num for num, den in zip(nums, dens)]
-        dens = [den + 1 if den > 0 else den for den in dens]
-
+def _combine(nums: Sequence[float], dens: Sequence[int], c: int, r: int) -> NgramScore:
+    """The score of per-order credits ``nums`` over hypothesis n-gram totals
+    ``dens``: the bases combine through the running log-mean ``C_i = exp(s / i)``
+    and take the brevity penalty, which is 0 for an empty hypothesis."""
     bases = tuple(min(num / den, 1.0) if den > 0 else None for num, den in zip(nums, dens))
     log_sum = 0.0
     included = 0
@@ -321,76 +293,75 @@ def _pool(
         cumulative.append(math.exp(log_sum / included) if log_sum > -math.inf else 0.0)
     core = next((cum for cum in reversed(cumulative) if cum is not None), 0.0)
     bp = brevity_penalty(c, r) if c else 0.0
-    score = max(0.0, min(1.0, bp * core))
-    if sentence_level:
-        score = sum(_pool([rec], max_n, credit_for, smooth).score for rec in stats) / len(stats)
-    return NgramScore(score, bases, tuple(cumulative), bp, c, r)
+    return NgramScore(max(0.0, min(1.0, bp * core)), bases, tuple(cumulative), bp, c, r)
 
 
-def _bleu_credit(stats: Sequence[SegmentStats]) -> Credit:
-    return lambda rec: rec.matches
+def ngram_scores(
+    stats: Sequence[SegmentStats], config: NgramConfig = NgramConfig()
+) -> tuple[NgramScore, float, NgramScore]:
+    """BLEU, NIST and EBLEU of the segments behind ``stats``, which
+    ``segment_stats`` / ``corpus_stats`` counted with the same ``config``.
 
-
-def _ebleu_credit(stats: Sequence[SegmentStats], config: NgramConfig) -> Credit:
-    max_n, bonus = config.max_n, config.rare_words_score
-    rare = rare_reference_words(_pooled_ref_counts(stats, 1), config.rare_words_percent)
-
-    def credit(rec: SegmentStats) -> Sequence[float]:
-        if rec.ebleu_weights is None and not rare:
-            return rec.matches
-        # The bonus multiplies each weight before summing, once per n-gram; an
-        # n-gram with no rare word sums its weights as they are (times 1.0).
-        sums = [0] * max_n
-        if rec.ebleu_weights is None:  # each n-gram's weights: its clipped count of 1.0s
-            for gram, matched in rec.clipped.items():
-                if len(gram) <= max_n:
-                    sums[len(gram) - 1] += matched if rare.isdisjoint(gram) else sum([bonus] * matched)
-            return sums
-        for gram, weights in rec.ebleu_weights.items():
-            sums[len(gram) - 1] += sum(weights) if rare.isdisjoint(gram) else sum(w * bonus for w in weights)
-        return sums
-
-    return credit
-
-
-# The reductions take the records that ``segment_stats`` / ``corpus_stats``
-# counted with the same ``config``.
-
-
-def bleu_from_stats(stats: Sequence[SegmentStats], config: NgramConfig = NgramConfig()) -> NgramScore:
-    """BLEU of the segments behind ``stats``: EBLEU with neutral factors."""
-    return _pool(stats, config.max_n, _bleu_credit, config.smooth, config.sentence_level)
-
-
-def ebleu_from_stats(stats: Sequence[SegmentStats], config: NgramConfig = NgramConfig()) -> NgramScore:
-    """EBLEU of the segments behind ``stats``; see ``ebleu``."""
-    credit_for = lambda records: _ebleu_credit(records, config)
-    return _pool(stats, config.max_n, credit_for, sentence_level=config.sentence_level)
-
-
-def nist_from_stats(stats: Sequence[SegmentStats], config: NgramConfig = NgramConfig()) -> float:
-    """NIST of the segments behind ``stats``; see ``nist``. 0 for an empty hypothesis."""
-    max_n = config.nist_max_n
-    ref_counts = _pooled_ref_counts(stats, max_n)
+    One pooled reference table gives NIST's information weights and EBLEU's
+    rare-word list. BLEU and EBLEU clamp each record's credit per order to a
+    perfect order before pooling; NIST is 0 for an empty hypothesis. With
+    ``sentence_level`` the BLEU and EBLEU scores are the mean of the
+    one-record scores, and the rest of each ``NgramScore`` stays pooled.
+    """
+    max_n, nist_n, bonus = config.max_n, config.nist_max_n, config.rare_words_score
+    ref_counts = _pooled_ref_counts(stats, nist_n)
+    rare = rare_reference_words(ref_counts, config.rare_words_percent)
     total_ref_tokens = sum(sum(rec.ref_lens) for rec in stats)
-
-    c = 0
+    totals = [0] * max(max_n, nist_n)
+    bleu_nums = [0.0] * max_n
+    ebleu_nums = [0.0] * max_n
+    credits = [0.0] * nist_n
+    c = r = 0
     r_bar = 0.0
-    credits = [0.0] * max_n
-    totals = [0] * max_n
     for rec in stats:
         c += rec.hyp_len
+        r += closest_ref_length(rec.hyp_len, rec.ref_lens)
         r_bar += sum(rec.ref_lens) / len(rec.ref_lens)
-        for n in range(1, max_n + 1):
-            totals[n - 1] += max(rec.hyp_len - n + 1, 0)
+        earned = rec.matches
+        if rec.ebleu_weights is not None or rare:
+            # The bonus multiplies each weight before summing, once per n-gram; an
+            # n-gram with no rare word sums its weights as they are (times 1.0).
+            earned = [0] * max_n
+            if rec.ebleu_weights is None:  # each n-gram's weights: its clipped count of 1.0s
+                for gram, matched in rec.clipped.items():
+                    if len(gram) <= max_n:
+                        credit = matched if rare.isdisjoint(gram) else sum([bonus] * matched)
+                        earned[len(gram) - 1] += credit
+            else:
+                for gram, weights in rec.ebleu_weights.items():
+                    credit = sum(weights) if rare.isdisjoint(gram) else sum(w * bonus for w in weights)
+                    earned[len(gram) - 1] += credit
+        for i in range(len(totals)):
+            total = max(rec.hyp_len - i, 0)
+            totals[i] += total
+            if i < max_n:
+                bleu_nums[i] += min(rec.matches[i], total)
+                ebleu_nums[i] += min(earned[i], total)
         for gram, matched in rec.clipped.items():
             n = len(gram)
-            if n <= max_n:
+            if n <= nist_n:
                 numer = ref_counts[gram[:-1]] if n > 1 else total_ref_tokens
                 credits[n - 1] += matched * math.log2(numer / ref_counts[gram])
-    score = sum(cr / tot for cr, tot in zip(credits, totals) if tot > 0)
 
-    if c == 0 or r_bar <= 0:
-        return 0.0
-    ratio = min(c / r_bar, 1.0)
-    return score * math.exp(NIST_BETA * math.log(ratio) ** 2)
+    dens = totals[:max_n]
+    ebleu_score = _combine(ebleu_nums, dens, c, r)
+    if config.smooth:  # BLEU only
+        bleu_nums = [num + 1 if den > 0 else num for num, den in zip(bleu_nums, dens)]
+        dens = [den + 1 if den > 0 else den for den in dens]
+    bleu_score = _combine(bleu_nums, dens, c, r)
+    if config.sentence_level and len(stats) > 1:
+        singles = [ngram_scores([rec], config) for rec in stats]
+        bleu_score = replace(bleu_score, score=sum(one[0].score for one in singles) / len(stats))
+        ebleu_score = replace(ebleu_score, score=sum(one[2].score for one in singles) / len(stats))
+
+    nist_score = 0.0
+    if c and r_bar > 0:
+        ratio = min(c / r_bar, 1.0)
+        nist_score = sum(cr / tot for cr, tot in zip(credits, totals) if tot > 0)
+        nist_score *= math.exp(NIST_BETA * math.log(ratio) ** 2)
+    return bleu_score, nist_score, ebleu_score

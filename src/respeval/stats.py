@@ -197,7 +197,10 @@ class RegressionModel:
         if not (
             all(isinstance(name, str) for name in model.predictors)
             and len(model.coefficients) == len(model.predictors) + 1
-            and all(isinstance(c, (int, float)) and math.isfinite(c) for c in model.coefficients)
+            and all(
+                type(c) is not bool and isinstance(c, (int, float)) and math.isfinite(c)
+                for c in model.coefficients
+            )
         ):
             raise RespevalInputError(
                 "the model needs one predictor name per coefficient after the intercept, "

@@ -104,20 +104,6 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> TokenSeq
     return tokens
 
 
-def ngrams(seq: TokenSequence, n: int) -> NGramCounts:
-    """Count all contiguous n-grams of ``seq`` with multiplicity, in one pass
-    that zips ``n`` staggered views of it.
-
-    ``n`` beyond the sequence length yields empty counts; n-grams never
-    cross segment boundaries because a segment is the unit passed in.
-    """
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
-    if n > len(seq):
-        return Counter()
-    return Counter(zip(*[seq[i:] for i in range(n)]))
-
-
 def ngram_table(seq: TokenSequence, max_n: int) -> NGramCounts:
     """Count the n-grams of ``seq`` of every order from 1 to ``max_n`` into one
     table, in one ``Counter`` pass that inserts them order by order; a gram's

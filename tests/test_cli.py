@@ -812,6 +812,13 @@ LENGTH_ANNOTATIONS = (
             id="predict-coefficients-string",
         ),
         pytest.param(
+            # JSON true is no number, though Python counts a bool as an int
+            {"model": MODEL.replace(b"[80.0, 0.2]", b"[true, 0.2]")},
+            ["predict", "{model}", "BLEU=1"],
+            "{model}: the model needs one predictor name per coefficient",
+            id="predict-coefficients-boolean",
+        ),
+        pytest.param(
             {"hyp": b"!!!\nthe cat\n", "ref": b"?\nthe cat\n"},
             ["score", "{hyp}", "{ref}", "--punctuation", "strip"],
             "{ref}: line 1: reference segment is empty",

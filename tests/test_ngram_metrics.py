@@ -8,19 +8,17 @@ from respeval.ngram_metrics import (
     NIST_BETA,
     NgramConfig,
     bleu,
-    bleu_from_stats,
     brevity_penalty,
     closest_ref_length,
     corpus_stats,
     ebleu,
-    ebleu_from_stats,
+    ngram_scores,
     nist,
-    nist_from_stats,
     rare_reference_words,
     segment_stats,
 )
 from respeval.resources import LanguageResources
-from respeval.textcore import RespevalInputError, ngram_table, ngrams
+from respeval.textcore import RespevalInputError, ngram_table
 
 import oracles
 from helpers import VOCAB, make_rng, random_corpus, random_segment
@@ -292,11 +290,11 @@ def test_ebleu_cumulative_is_geometric_mean():
 
 
 def test_rare_reference_words_trailing_fraction():
-    unigrams = ngrams(["common"] * 4 + ["rare"], 1)
+    unigrams = oracles.count_ngrams(["common"] * 4 + ["rare"], 1)
     assert rare_reference_words(unigrams, 0.5) == frozenset({"rare"})
     assert rare_reference_words(unigrams, 0.0) == frozenset()
     # frequency tie broken lexicographically: the later-sorted word is rarer
-    unigrams = ngrams(["alpha", "beta", "alpha", "beta", "zeta"], 1)
+    unigrams = oracles.count_ngrams(["alpha", "beta", "alpha", "beta", "zeta"], 1)
     assert rare_reference_words(unigrams, 1 / 3) == frozenset({"zeta"})
     assert rare_reference_words(unigrams, 2 / 3) == frozenset({"zeta", "beta"})
     # a table of every order: only its unigrams are words
@@ -306,8 +304,8 @@ def test_rare_reference_words_trailing_fraction():
 
 
 def test_rare_reference_words_none_when_the_share_rounds_to_zero():
-    assert rare_reference_words(ngrams([], 1), 0.5) == frozenset()
-    assert rare_reference_words(ngrams(["a", "b", "c"], 1), 0.3) == frozenset()
+    assert rare_reference_words(oracles.count_ngrams([], 1), 0.5) == frozenset()
+    assert rare_reference_words(oracles.count_ngrams(["a", "b", "c"], 1), 0.3) == frozenset()
     # k == 0 returns before ranking: these keys cannot even be sorted
     assert rare_reference_words({("a",): 1, (1,): 1}, 0.4) == frozenset()
 
@@ -379,9 +377,10 @@ def test_reductions_of_an_empty_hypothesis_record_are_zero():
     record = segment_stats([], [["a", "b"]])
     for sentence_level in (False, True):
         config = NgramConfig(sentence_level=sentence_level)
-        assert bleu_from_stats([record], config).score == 0.0
-        assert ebleu_from_stats([record], config).score == 0.0
-        assert nist_from_stats([record], config) == 0.0
+        bleu_score, nist_score, ebleu_score = ngram_scores([record], config)
+        assert bleu_score.score == 0.0
+        assert ebleu_score.score == 0.0
+        assert nist_score == 0.0
 
 
 def test_ngram_orders_are_bounded():
@@ -459,11 +458,8 @@ def test_records_match_per_metric_oracles():
             )
 
         def reduced(records):
-            return (
-                bleu_from_stats(records, config).score,
-                nist_from_stats(records, config),
-                ebleu_from_stats(records, config).score,
-            )
+            bleu_score, nist_score, ebleu_score = ngram_scores(records, config)
+            return bleu_score.score, nist_score, ebleu_score.score
 
         stats = corpus_stats(hyps, refss, config)
         assert reduced(stats) == expected(hyps, refss)
@@ -476,6 +472,41 @@ def test_records_match_per_metric_oracles():
         for hyp, refs, rec in zip(hyps, refss, stats):
             if hyp:
                 assert reduced([rec]) == expected([hyp], [refs])
+
+
+def test_sentence_level_score_is_the_mean_of_one_record_scores_and_the_rest_is_pooled():
+    # sentence_level changes only BLEU's and EBLEU's .score: precisions,
+    # cumulative means, brevity penalty and lengths stay the pooled score's,
+    # and NIST always pools. One record's mean is its pooled score exactly.
+    resources = LanguageResources(synonyms={"big": frozenset({"large"}), "large": frozenset({"big"})})
+    rng = make_rng(20)
+    for _ in range(200):
+        size = rng.randint(1, 6)
+        hyps = [random_segment(rng, 7, VOCAB + ("large",)) if rng.random() > 0.15 else [] for _ in range(size)]
+        if not any(hyps):
+            hyps[0] = ["the"]
+        refss = [[random_segment(rng, 7) for _ in range(rng.randint(1, 3))] for _ in range(size)]
+        pooled_config = NgramConfig(
+            max_n=rng.randint(1, 5),
+            nist_max_n=rng.randint(1, 5),
+            smooth=rng.random() < 0.5,
+            rare_words_percent=rng.choice((0.0, 0.3)),
+            rare_words_score=rng.choice((1.0, 1.3)),
+            resources=resources,
+        )
+        config = dataclasses.replace(pooled_config, sentence_level=True)
+        stats = corpus_stats(hyps, refss, config)
+        pooled = ngram_scores(stats, pooled_config)
+        sentence = ngram_scores(stats, config)
+        singles = [ngram_scores([rec], config) for rec in stats]
+        for k in (0, 2):
+            assert sentence[k].score == sum(one[k].score for one in singles) / len(stats)
+            assert dataclasses.replace(sentence[k], score=pooled[k].score) == pooled[k]
+        assert sentence[1] == pooled[1]
+        for hyp, refs, rec, one in zip(hyps, refss, stats, singles):
+            assert one == ngram_scores([rec], pooled_config)
+            if hyp:  # a corpus of one empty hypothesis is an input error
+                assert one == ngram_scores(corpus_stats([hyp], [refs], config), config)
 
 
 def _ordered(hyp_len, ref_lens, clipped, matches, ref_counts, ebleu_weights):
