@@ -605,7 +605,7 @@ def meteor(
     stage (see ``meteor_align``). ``penalty_exponent`` is a finite number > 0.
     """
     if not 0.0 < penalty_exponent < math.inf:
-        raise ValueError("penalty_exponent must be a finite number > 0")
+        raise RespevalInputError("penalty_exponent must be a finite number > 0")
     alignment = meteor_align(hyp, ref, resources, exact)
     matched = alignment.matched_unigrams
     if matched == 0:
@@ -755,9 +755,9 @@ def ribes(
     except that identical sentences always score 1.
     """
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+        raise RespevalInputError("alpha must lie strictly between 0 and 1")
     if variant not in RIBES_VARIANTS:
-        raise ValueError(f"variant must be one of {RIBES_VARIANTS}")
+        raise RespevalInputError(f"variant must be one of {RIBES_VARIANTS}")
     if hyp and hyp == ref:
         return RibesScore(nkt=1.0, nsr=1.0, precision=1.0, alpha=alpha, variant=variant, score=1.0)
     worder = word_rank_alignment(hyp, ref)

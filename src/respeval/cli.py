@@ -84,7 +84,7 @@ def _fmt_cell(value: float | None) -> str:
 
 
 def score_transcript(
-    hyp_corpus, ref_corpus, config: NgramConfig, *, meteor_penalty_exp, ribes_alpha, ribes_variant
+    hyp_corpus, ref_corpus, config: NgramConfig, *, sentence_level, meteor_penalty_exp, ribes_alpha, ribes_variant
 ) -> tuple[list[dict[str, float | None]], dict[str, float | None]]:
     """The ``score`` columns of one transcript: one dict per segment and the
     aggregate, each keyed by ``METRIC_FIELDS``, unrounded and x100 except NIST.
@@ -92,12 +92,13 @@ def score_transcript(
     A segment keeps the best value over its references, and its METEOR-PL
     (``None`` when ``config.resources`` is empty) extends each pair's plain
     METEOR alignment. The aggregate reduces BLEU, NIST and EBLEU over every
-    segment's counts, and averages TER, METEOR, METEOR-PL and RIBES.
+    segment's counts (``sentence_level`` averages BLEU and EBLEU instead), and
+    averages TER, METEOR, METEOR-PL and RIBES.
     """
     stats = corpus_stats(hyp_corpus, ref_corpus, config)
+    reduced = [ngram_scores([rec], config) for rec in stats]
     segments: list[dict[str, float | None]] = []
-    for hyp, refs, seg_stats in zip(hyp_corpus, ref_corpus, stats):
-        seg_bleu, seg_nist, seg_ebleu = ngram_scores([seg_stats], config)
+    for hyp, refs, (seg_bleu, seg_nist, seg_ebleu) in zip(hyp_corpus, ref_corpus, reduced):
         plain = [meteor(hyp, ref, penalty_exponent=meteor_penalty_exp) for ref in refs]
         meteor_pl = None
         if not config.resources.is_empty():
@@ -118,9 +119,10 @@ def score_transcript(
             ) * 100.0,
         })
     bleu, nist, ebleu = ngram_scores(stats, config)
-    aggregate: dict[str, float | None] = {
-        "bleu": bleu.score * 100.0, "nist": nist, "ebleu": ebleu.score * 100.0
-    }
+    aggregate: dict[str, float | None] = {"bleu": bleu.score * 100.0, "nist": nist, "ebleu": ebleu.score * 100.0}
+    if sentence_level:  # the mean of the unscaled segment scores, scaled after dividing
+        aggregate["bleu"] = sum(seg[0].score for seg in reduced) / len(reduced) * 100.0
+        aggregate["ebleu"] = sum(seg[2].score for seg in reduced) / len(reduced) * 100.0
     for name in ("ter", "meteor", "meteor_pl", "ribes"):
         values = [seg[name] for seg in segments if seg[name] is not None]
         aggregate[name] = sum(values) / len(values) if values else None
@@ -147,14 +149,15 @@ def cmd_score(args: argparse.Namespace) -> int:
         **resource_files, function_word_weight=args.function_word_weight, vocabulary=vocabulary
     )
     # score's flags share their dests with NgramConfig's fields and with
-    # score_transcript's alignment settings; the report echoes them by name
+    # score_transcript's own settings; the report echoes them by name
     ngram_settings = {f.name: getattr(args, f.name) for f in fields(NgramConfig) if f.name != "resources"}
-    alignment_settings = {
-        name: getattr(args, name) for name in ("meteor_penalty_exp", "ribes_alpha", "ribes_variant")
+    transcript_settings = {
+        name: getattr(args, name)
+        for name in ("sentence_level", "meteor_penalty_exp", "ribes_alpha", "ribes_variant")
     }
     try:
         segments, aggregate = score_transcript(
-            hyp_corpus, ref_corpus, NgramConfig(**ngram_settings, resources=resources), **alignment_settings
+            hyp_corpus, ref_corpus, NgramConfig(**ngram_settings, resources=resources), **transcript_settings
         )
     except RespevalInputError as exc:  # the references are aligned to the hypothesis by now
         raise RespevalInputError(exc.message, args.hypothesis) from None
@@ -162,7 +165,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         config={
             "tokenizer": asdict(tok_cfg),
             **ngram_settings,
-            **alignment_settings,
+            **transcript_settings,
             "nist_scheme": (
                 "info = log2(count(prefix)/count(ngram)) on the reference corpus; "
                 "length factor 0.5 at hyp/ref ratio 2/3"

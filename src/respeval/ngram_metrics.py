@@ -4,10 +4,10 @@ One ``NgramConfig`` holds the settings of all three. Each segment's n-grams
 are counted once into a ``SegmentStats`` record, one table across orders with
 its clipped-match total per order. ``ngram_scores`` reduces a list of records
 to all three scores in one pass, pooling clipped matches and totals before
-dividing (``sentence_level`` averages one-record BLEU and EBLEU scores
-instead) and pooling the reference counts once for NIST's information weights
-and EBLEU's rare words. All scorers are pure; segments may be counted in
-parallel as long as the reduction keeps segment order.
+dividing and pooling the reference counts once for NIST's information weights
+and EBLEU's rare words; every score here is pooled, and a mean of segment
+scores is the caller's to take. All scorers are pure; segments may be counted
+in parallel as long as the reduction keeps segment order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Mapping, Sequence
 
@@ -59,8 +59,7 @@ class NgramConfig:
 
     BLEU and EBLEU weigh orders 1 to ``max_n`` uniformly, NIST sums orders 1
     to ``nist_max_n``; both orders lie in [1, ``MAX_NGRAM_ORDER``].
-    ``sentence_level`` averages per-segment BLEU and EBLEU scores instead of
-    pooling; ``smooth`` applies add-one smoothing to every defined BLEU order.
+    ``smooth`` applies add-one smoothing to every defined BLEU order.
     EBLEU credits a synonym match (from ``resources``) with
     ``synonym_score``, and an n-gram holding one of the trailing
     ``rare_words_percent`` reference words with ``rare_words_score``.
@@ -72,7 +71,6 @@ class NgramConfig:
 
     max_n: int = 4
     nist_max_n: int = 5
-    sentence_level: bool = False
     smooth: bool = False
     synonym_score: float = 0.9
     rare_words_percent: float = 0.05
@@ -81,13 +79,13 @@ class NgramConfig:
 
     def __post_init__(self) -> None:
         if not all(isinstance(n, int) and 1 <= n <= MAX_NGRAM_ORDER for n in (self.max_n, self.nist_max_n)):
-            raise ValueError(f"max_n and nist_max_n must be integers from 1 to {MAX_NGRAM_ORDER}")
+            raise RespevalInputError(f"max_n and nist_max_n must be integers from 1 to {MAX_NGRAM_ORDER}")
         if not 0.0 < self.synonym_score <= 1.0:
-            raise ValueError("synonym_score must lie in (0, 1]")
+            raise RespevalInputError("synonym_score must lie in (0, 1]")
         if not 0.0 <= self.rare_words_percent <= 1.0:
-            raise ValueError("rare_words_percent must lie in [0, 1]")
+            raise RespevalInputError("rare_words_percent must lie in [0, 1]")
         if not self.rare_words_score >= 1.0:
-            raise ValueError("rare_words_score must be >= 1")
+            raise RespevalInputError("rare_words_score must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -304,9 +302,10 @@ def ngram_scores(
 
     One pooled reference table gives NIST's information weights and EBLEU's
     rare-word list. BLEU and EBLEU clamp each record's credit per order to a
-    perfect order before pooling; NIST is 0 for an empty hypothesis. With
-    ``sentence_level`` the BLEU and EBLEU scores are the mean of the
-    one-record scores, and the rest of each ``NgramScore`` stays pooled.
+    perfect order before pooling; NIST is 0 for an empty hypothesis. Every
+    field of each ``NgramScore`` follows from this one pooled reduction; the
+    mean of segment scores is the mean of ``ngram_scores([rec], config)``
+    over the records, which ``cli.score_transcript`` takes at sentence level.
     """
     max_n, nist_n, bonus = config.max_n, config.nist_max_n, config.rare_words_score
     ref_counts = _pooled_ref_counts(stats, nist_n)
@@ -354,10 +353,6 @@ def ngram_scores(
         bleu_nums = [num + 1 if den > 0 else num for num, den in zip(bleu_nums, dens)]
         dens = [den + 1 if den > 0 else den for den in dens]
     bleu_score = _combine(bleu_nums, dens, c, r)
-    if config.sentence_level and len(stats) > 1:
-        singles = [ngram_scores([rec], config) for rec in stats]
-        bleu_score = replace(bleu_score, score=sum(one[0].score for one in singles) / len(stats))
-        ebleu_score = replace(ebleu_score, score=sum(one[2].score for one in singles) / len(stats))
 
     nist_score = 0.0
     if c and r_bar > 0:

@@ -35,7 +35,7 @@ class LanguageResources:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.function_word_weight <= 1.0:
-            raise ValueError("function_word_weight must lie in [0, 1]")
+            raise RespevalInputError("function_word_weight must lie in [0, 1]")
 
     def is_empty(self) -> bool:
         return not (self.synonyms or self.stems or self.function_words)

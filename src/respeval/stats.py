@@ -8,6 +8,7 @@ Normal-equation inversion exists only as an independent oracle in the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, get_origin, get_type_hints
@@ -185,8 +186,8 @@ class RegressionModel:
     @classmethod
     def from_dict(cls, data: Mapping) -> "RegressionModel":
         """Inverse of ``to_dict``. Data ``predict`` could not apply, such as a
-        missing entry, a number in place of a list or a non-finite
-        coefficient, is a ``RespevalInputError``."""
+        missing entry, a number or a string in place of a list or a
+        coefficient a float cannot hold, is a ``RespevalInputError``."""
         tuples = {name for name, hint in get_type_hints(cls).items() if get_origin(hint) is tuple}
         try:
             model = cls(**{f.name: tuple(data[f.name]) if f.name in tuples else data[f.name] for f in fields(cls)})
@@ -195,10 +196,11 @@ class RegressionModel:
         except TypeError:
             raise RespevalInputError("the model must be a JSON object of names, lists and numbers") from None
         if not (
-            all(isinstance(name, str) for name in model.predictors)
+            isinstance(data["predictors"], list)  # tuple() splits a string into one-letter names
+            and all(isinstance(name, str) for name in model.predictors)
             and len(model.coefficients) == len(model.predictors) + 1
             and all(
-                type(c) is not bool and isinstance(c, (int, float)) and math.isfinite(c)
+                type(c) is not bool and isinstance(c, (int, float)) and abs(c) <= sys.float_info.max
                 for c in model.coefficients
             )
         ):
@@ -222,7 +224,7 @@ def ols_fit(
 
     response = response or table.response
     if response is None:
-        raise ValueError("no response column specified")
+        raise RespevalInputError("no response column specified")
     predictors = list(predictors)
     if not predictors:
         raise RespevalInputError(f"need at least one predictor besides the response {response!r}")
@@ -327,7 +329,7 @@ def backward_eliminate(
     a single predictor remains. The response may not be a candidate.
     """
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+        raise RespevalInputError("alpha must lie strictly between 0 and 1")
     response = response or table.response
     if response in candidates:
         raise RespevalInputError(f"the response {response!r} is also a candidate predictor")

@@ -12,6 +12,7 @@ import csv
 import io
 import math
 import re
+import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -53,7 +54,7 @@ class TokenizerConfig:
 
     def __post_init__(self) -> None:
         if self.split_punctuation and self.strip_punctuation:
-            raise ValueError("split_punctuation and strip_punctuation are mutually exclusive")
+            raise RespevalInputError("split_punctuation and strip_punctuation are mutually exclusive")
 
 
 DEFAULT_TOKENIZER = TokenizerConfig()
@@ -176,12 +177,14 @@ _NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 def read_number(text: str, what: str, integer: bool = False) -> int | float:
     """The finite number in ``text``: an optional sign, ASCII digits and (unless
     ``integer``) an optional decimal point and exponent, whitespace around it
-    allowed. Anything else, such as ``1_0``, ``١٠``, ``nan`` or ``inf``, is a
-    ``RespevalInputError``: "WHAT must be a number (an integer), got TEXT"."""
+    allowed; an integer must lie within a float's range. Anything else, such as
+    ``1_0``, ``١٠``, ``nan`` or ``inf``, is a ``RespevalInputError``: "WHAT must
+    be a number (an integer), got TEXT"."""
     body = text.strip()
     if integer and _INTEGER.fullmatch(body):
         try:
-            return int(body)
+            if abs(value := int(body)) <= sys.float_info.max:  # every reader computes in floats
+                return value
         except ValueError:  # more digits than the interpreter converts
             pass
     elif not integer and _NUMBER.fullmatch(body) and math.isfinite(value := float(body)):

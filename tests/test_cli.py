@@ -16,6 +16,7 @@ from respeval.cli import METRIC_FIELDS, main, score_transcript
 from respeval.ngram_metrics import NgramConfig
 from respeval.resources import load_resources
 
+import oracles
 from helpers import make_rng, random_corpus, random_segment
 from test_fixtures import TABLE1_SHA256
 
@@ -204,9 +205,10 @@ def test_score_transcript_columns_are_the_score_records(n_refs, resources, flags
         *segment_records, aggregate_record = _scores(out_json)
 
         bundle = load_resources(**{name: directory / name for name in RESOURCE_FILES if resources})
-        config = NgramConfig(sentence_level=bool(flags), smooth=bool(flags), resources=bundle)
+        sentence_level = smooth = bool(flags)
         segments, aggregate = score_transcript(
-            hyp_corpus, ref_corpus, config, meteor_penalty_exp=1.0, ribes_alpha=0.25, ribes_variant="nkt"
+            hyp_corpus, ref_corpus, NgramConfig(smooth=smooth, resources=bundle),
+            sentence_level=sentence_level, meteor_penalty_exp=1.0, ribes_alpha=0.25, ribes_variant="nkt",
         )
         assert [set(seg) for seg in segments] == [set(METRIC_FIELDS)] * len(hyp_corpus)
         assert set(aggregate) == set(METRIC_FIELDS)
@@ -221,6 +223,13 @@ def test_score_transcript_columns_are_the_score_records(n_refs, resources, flags
         assert rounded(aggregate) == {name: aggregate_record[name] for name in METRIC_FIELDS}
         for seg, hyp, refs in zip(segments, hyp_corpus, ref_corpus):
             assert seg["ter"] == min(ter(hyp, ref).ter for ref in refs) * 100
+        # BLEU and EBLEU pool, or average the segment scores at sentence level; NIST always pools
+        ebleu = oracles.ebleu_oracle(hyp_corpus, ref_corpus, 4, bundle.synonyms, 0.9, 0.05, 1.1, sentence_level)
+        assert (aggregate["bleu"], aggregate["nist"], aggregate["ebleu"]) == (
+            oracles.bleu_oracle(hyp_corpus, ref_corpus, 4, smooth, sentence_level) * 100.0,
+            oracles.nist_oracle(hyp_corpus, ref_corpus, 5),
+            ebleu * 100.0,
+        )
 
 
 @pytest.mark.parametrize("resources", [False, True], ids=["plain", "resources"])
@@ -292,10 +301,14 @@ REPORT_DIGESTS = {
         "e99c4d84b82d29d3ab96ee3bdafd140075ca5ec779bfcace23c060e13c761a15",
         "72a7e885cef8060087b25d9cafbee4fda3e5943876e2db00bc3bad391a93c983",
     ),
+    ("--sentence-level",): (
+        "5ff488a65df4d3402806cdb298f72666083435bde48c468487a877d47313ec5b",
+        "d05999764591b505fe3ee6be8c4f89c20429947f0a55d0b5f9fdbf11ed0b29c7",
+    ),
 }
 
 
-@pytest.mark.parametrize("flags", list(REPORT_DIGESTS), ids=["pooled", "sentence-level-smooth"])
+@pytest.mark.parametrize("flags", list(REPORT_DIGESTS), ids=["pooled", "sentence-level-smooth", "sentence-level"])
 def test_score_report_bytes_are_pinned(flags, tmp_path, capsys):
     out_json = tmp_path / "r.jsonl"
     code, out, err = run(
@@ -819,6 +832,31 @@ LENGTH_ANNOTATIONS = (
             id="predict-coefficients-boolean",
         ),
         pytest.param(
+            # a string is no list of names, though tuple() splits it into letters
+            {"model": MODEL.replace(b'["BLEU"]', b'"BLEU"').replace(b"[80.0, 0.2]", b"[11, 1, 1, 1, 1]")},
+            ["predict", "{model}", "B=1", "L=1", "E=1", "U=1"],
+            "{model}: the model needs one predictor name per coefficient",
+            id="predict-predictors-string",
+        ),
+        pytest.param(
+            {"model": MODEL.replace(b"[80.0, 0.2]", b"[" + b"1" * 401 + b", 0.2]")},
+            ["predict", "{model}", "BLEU=1"],
+            "{model}: the model needs one predictor name per coefficient after the intercept, and finite",
+            id="predict-coefficient-past-a-float",
+        ),
+        pytest.param(
+            {"ann": ANNOTATIONS.replace(b"100,1,", b"9" * 400 + b",1,")},
+            ["ner", "{ann}"],
+            "{ann}: line 2: column 'N' must be an integer, got '" + "9" * 400 + "'",
+            id="ner-count-past-a-float",
+        ),
+        pytest.param(
+            {"ann": ANNOTATIONS.replace(b"100,1,", b"100," + b"9" * 400 + b",")},
+            ["ner", "{ann}"],
+            "{ann}: line 2: column 'minor_count' must be an integer, got '" + "9" * 400 + "'",
+            id="ner-minor-count-past-a-float",
+        ),
+        pytest.param(
             {"hyp": b"!!!\nthe cat\n", "ref": b"?\nthe cat\n"},
             ["score", "{hyp}", "{ref}", "--punctuation", "strip"],
             "{ref}: line 1: reference segment is empty",
@@ -972,6 +1010,10 @@ def _python(script: str, *args: str) -> subprocess.CompletedProcess:
 def test_import_does_not_load_numpy():
     done = _python("import sys, respeval.cli; print('numpy' in sys.modules)")
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    # a bare import of the package loads neither the command line nor argparse
+    loaded = ("numpy", "argparse", "respeval.cli")
+    done = _python(f"import sys, respeval; print([name for name in {loaded} if name in sys.modules])")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 WITHOUT_NUMPY = """

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from respeval import ngram_metrics
+from respeval.cli import score_transcript
 from respeval.ngram_metrics import (
     NIST_BETA,
     NgramConfig,
@@ -125,12 +126,23 @@ def test_bleu_corpus_errors():
         bleu([[]], [[["a"]]])
 
 
+def _transcript(hyp_corpus, ref_corpus, config, sentence_level):
+    """``score_transcript``'s segment columns and its BLEU, NIST and EBLEU aggregate."""
+    segments, aggregate = score_transcript(
+        hyp_corpus, ref_corpus, config,
+        sentence_level=sentence_level, meteor_penalty_exp=1.0, ribes_alpha=0.25, ribes_variant="nkt",
+    )
+    return segments, (aggregate["bleu"], aggregate["nist"], aggregate["ebleu"])
+
+
 def test_bleu_sentence_level_averages_segments():
+    # sentence level is score_transcript's mean of the segment scores
     hyp = [["a", "b"], ["c", "d"]]
     refs = [[["a", "b"]], [["c", "x"]]]
-    config = NgramConfig(max_n=1, sentence_level=True)
     per_segment = [bleu([h], [r], NgramConfig(max_n=1)).score for h, r in zip(hyp, refs)]
-    assert bleu(hyp, refs, config).score == pytest.approx(sum(per_segment) / 2)
+    mean = oracles.bleu_oracle(hyp, refs, 1, sentence_level=True)
+    assert mean == pytest.approx(sum(per_segment) / 2)
+    assert _transcript(hyp, refs, NgramConfig(max_n=1), True)[1][0] == mean * 100.0
 
 
 def test_bleu_range_and_identity_random():
@@ -361,26 +373,29 @@ def test_ebleu_sentence_level_averages_segments():
     hyp = [["a", "b"], ["c", "d"]]
     refs = [[["a", "b"]], [["c", "x"]]]
     per_segment = [ebleu([h], [r], NgramConfig(max_n=2)).score for h, r in zip(hyp, refs)]
-    config = NgramConfig(max_n=2, sentence_level=True)
-    assert ebleu(hyp, refs, config).score == pytest.approx(sum(per_segment) / 2)
+    mean = oracles.ebleu_oracle(hyp, refs, 2, {}, 0.9, 0.05, 1.1, sentence_level=True)
+    assert mean == pytest.approx(sum(per_segment) / 2)
+    assert _transcript(hyp, refs, NgramConfig(max_n=2), True)[1][2] == mean * 100.0
 
 
 def test_sentence_level_tolerates_empty_segment():
     hyp = [["a", "b"], []]
     refs = [[["a", "b"]], [["c"]]]
-    assert bleu(hyp, refs, NgramConfig(max_n=1, sentence_level=True)).score == pytest.approx(0.5)
-    assert ebleu(hyp, refs, NgramConfig(max_n=1, sentence_level=True)).score == pytest.approx(0.5)
+    bleu_mean, _, ebleu_mean = _transcript(hyp, refs, NgramConfig(max_n=1), True)[1]
+    assert bleu_mean == oracles.bleu_oracle(hyp, refs, 1, sentence_level=True) * 100.0 == pytest.approx(50.0)
+    ebleu_oracle = oracles.ebleu_oracle(hyp, refs, 1, {}, 0.9, 0.05, 1.1, sentence_level=True)
+    assert ebleu_mean == ebleu_oracle * 100.0 == pytest.approx(50.0)
 
 
 def test_reductions_of_an_empty_hypothesis_record_are_zero():
     # the record corpus_stats builds for an empty segment among others
     record = segment_stats([], [["a", "b"]])
+    bleu_score, nist_score, ebleu_score = ngram_scores([record])
+    assert (bleu_score.score, nist_score, ebleu_score.score) == (0.0, 0.0, 0.0)
+    # and the columns score_transcript gives such a segment, pooled or averaged
     for sentence_level in (False, True):
-        config = NgramConfig(sentence_level=sentence_level)
-        bleu_score, nist_score, ebleu_score = ngram_scores([record], config)
-        assert bleu_score.score == 0.0
-        assert ebleu_score.score == 0.0
-        assert nist_score == 0.0
+        segments, _ = _transcript([[], ["a"]], [[["a", "b"]], [["a"]]], NgramConfig(), sentence_level)
+        assert (segments[0]["bleu"], segments[0]["nist"], segments[0]["ebleu"]) == (0.0, 0.0, 0.0)
 
 
 def test_ngram_orders_are_bounded():
@@ -433,7 +448,6 @@ def test_records_match_per_metric_oracles():
         config = NgramConfig(
             max_n=max_n,
             nist_max_n=nist_n,
-            sentence_level=sentence,
             smooth=smooth,
             synonym_score=rng.choice((0.5, 0.9, 1.0)),
             rare_words_percent=rng.choice((0.0, 0.15, 0.3)),
@@ -441,9 +455,9 @@ def test_records_match_per_metric_oracles():
             resources=resources,
         )
 
-        def expected(h, r):
+        def expected(h, r, sentence_level=False):
             return (
-                oracles.bleu_oracle(h, r, max_n, smooth, sentence),
+                oracles.bleu_oracle(h, r, max_n, smooth, sentence_level),
                 oracles.nist_oracle(h, r, nist_n),
                 oracles.ebleu_oracle(
                     h,
@@ -453,7 +467,7 @@ def test_records_match_per_metric_oracles():
                     config.synonym_score,
                     config.rare_words_percent,
                     config.rare_words_score,
-                    sentence,
+                    sentence_level,
                 ),
             )
 
@@ -470,43 +484,12 @@ def test_records_match_per_metric_oracles():
         )
         assert public == expected(hyps, refss)
         for hyp, refs, rec in zip(hyps, refss, stats):
-            if hyp:
-                assert reduced([rec]) == expected([hyp], [refs])
-
-
-def test_sentence_level_score_is_the_mean_of_one_record_scores_and_the_rest_is_pooled():
-    # sentence_level changes only BLEU's and EBLEU's .score: precisions,
-    # cumulative means, brevity penalty and lengths stay the pooled score's,
-    # and NIST always pools. One record's mean is its pooled score exactly.
-    resources = LanguageResources(synonyms={"big": frozenset({"large"}), "large": frozenset({"big"})})
-    rng = make_rng(20)
-    for _ in range(200):
-        size = rng.randint(1, 6)
-        hyps = [random_segment(rng, 7, VOCAB + ("large",)) if rng.random() > 0.15 else [] for _ in range(size)]
-        if not any(hyps):
-            hyps[0] = ["the"]
-        refss = [[random_segment(rng, 7) for _ in range(rng.randint(1, 3))] for _ in range(size)]
-        pooled_config = NgramConfig(
-            max_n=rng.randint(1, 5),
-            nist_max_n=rng.randint(1, 5),
-            smooth=rng.random() < 0.5,
-            rare_words_percent=rng.choice((0.0, 0.3)),
-            rare_words_score=rng.choice((1.0, 1.3)),
-            resources=resources,
-        )
-        config = dataclasses.replace(pooled_config, sentence_level=True)
-        stats = corpus_stats(hyps, refss, config)
-        pooled = ngram_scores(stats, pooled_config)
-        sentence = ngram_scores(stats, config)
-        singles = [ngram_scores([rec], config) for rec in stats]
-        for k in (0, 2):
-            assert sentence[k].score == sum(one[k].score for one in singles) / len(stats)
-            assert dataclasses.replace(sentence[k], score=pooled[k].score) == pooled[k]
-        assert sentence[1] == pooled[1]
-        for hyp, refs, rec, one in zip(hyps, refss, stats, singles):
-            assert one == ngram_scores([rec], pooled_config)
             if hyp:  # a corpus of one empty hypothesis is an input error
-                assert one == ngram_scores(corpus_stats([hyp], [refs], config), config)
+                assert reduced([rec]) == expected([hyp], [refs])
+                assert ngram_scores([rec], config) == ngram_scores(corpus_stats([hyp], [refs], config), config)
+        # score_transcript averages BLEU and EBLEU at sentence level, and NIST always pools
+        want = expected(hyps, refss, sentence)
+        assert _transcript(hyps, refss, config, sentence)[1] == (want[0] * 100.0, want[1], want[2] * 100.0)
 
 
 def _ordered(hyp_len, ref_lens, clipped, matches, ref_counts, ebleu_weights):

@@ -7,7 +7,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from respeval.align_metrics import meteor, ribes
 from respeval.ngram_metrics import NgramConfig, segment_stats
+from respeval.resources import LanguageResources
+from respeval.stats import DataTable, backward_eliminate, ols_fit
 from respeval.textcore import (
     RespevalInputError,
     TokenizerConfig,
@@ -275,6 +278,43 @@ def test_read_number_integer_rejects(text):
 def test_read_number_integer_keeps_int():
     assert (read_number(" -007 ", "N", integer=True), read_number("+5", "N", integer=True)) == (-7, 5)
     assert type(read_number("5", "N", integer=True)) is int
+
+
+def test_read_number_integer_lies_within_a_float():
+    # every reader computes in floats, so an integer a float cannot hold is bad input, not an overflow
+    largest = int(sys.float_info.max)
+    for value in (largest, -largest):
+        assert read_number(str(value), "N", integer=True) == value
+    for value in (largest + 1, -largest - 1, 10**400):
+        with pytest.raises(RespevalInputError, match="^N must be an integer, got "):
+            read_number(str(value), "N", integer=True)
+
+
+_TABLE = DataTable(["x", "y"], [[1.0, 2.0], [2.0, 3.9], [3.0, 6.2], [4.0, 7.8]], response="y")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(lambda: NgramConfig(max_n=0), id="ngram-order"),
+        pytest.param(lambda: NgramConfig(synonym_score=0.0), id="ngram-synonym-score"),
+        pytest.param(lambda: NgramConfig(rare_words_percent=1.5), id="ngram-rare-words-percent"),
+        pytest.param(lambda: NgramConfig(rare_words_score=0.5), id="ngram-rare-words-score"),
+        pytest.param(lambda: LanguageResources(function_word_weight=1.5), id="function-word-weight"),
+        pytest.param(lambda: meteor(["a"], ["a"], penalty_exponent=0.0), id="meteor-penalty-exponent"),
+        pytest.param(lambda: ribes(["a"], ["a"], alpha=1.0), id="ribes-alpha"),
+        pytest.param(lambda: ribes(["a"], ["a"], variant="tau"), id="ribes-variant"),
+        pytest.param(lambda: backward_eliminate(_TABLE, ["x"], alpha=0.0), id="elimination-alpha"),
+        pytest.param(lambda: ols_fit(DataTable(_TABLE.columns, _TABLE.rows), ["x"]), id="ols-no-response"),
+        pytest.param(
+            lambda: TokenizerConfig(split_punctuation=True, strip_punctuation=True), id="tokenizer-exclusive-modes"
+        ),
+    ],
+)
+def test_setting_checks_raise_the_input_error(check):
+    # one error type for bad input; it stays a ValueError for callers that catch that
+    with pytest.raises(RespevalInputError):
+        check()
 
 
 _space = st.sampled_from(["", " ", "\t", "  "])
