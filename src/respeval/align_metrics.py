@@ -511,7 +511,7 @@ def _best_stage_matching(
             if not used >> r & 1:
                 delta = prior_crossings + (used >> (r + 1)).bit_count()
                 stack.append((idx + 1, crossings + delta, used | 1 << r, chosen + ((h, r),)))
-    return (fallback if best is None else best), True
+    return best, True
 
 
 def _count_chunks(matches: tuple[tuple[int, int, str], ...]) -> int:
@@ -593,26 +593,30 @@ def meteor(
     ref: TokenSequence,
     resources: LanguageResources = _EMPTY_RESOURCES,
     penalty_exponent: float = 1.0,
+    function_word_weight: float = 0.2,
     exact: MeteorAlignment | None = None,
 ) -> MeteorScore:
     """Harmonic mean 10PR/(R+9P) discounted by the fragmentation penalty
     0.5 * (chunks / matched)^exponent.
 
-    When the bundle defines function words, precision and recall weight
-    content words 1 and function words ``function_word_weight``.
-    ``exact``, when given, is ``meteor_align(hyp, ref)``, such as plain
-    METEOR's alignment of the pair; the alignment then reuses it as its exact
-    stage (see ``meteor_align``). ``penalty_exponent`` is a finite number > 0.
+    When the bundle lists function words, precision and recall weight them
+    ``function_word_weight``, in [0, 1], and other words 1. ``exact``, when
+    given, is ``meteor_align(hyp, ref)``, such as plain METEOR's alignment of
+    the pair; the alignment then reuses it as its exact stage (see
+    ``meteor_align``). ``penalty_exponent`` is a finite number > 0.
     """
     if not 0.0 < penalty_exponent < math.inf:
         raise RespevalInputError("penalty_exponent must be a finite number > 0")
+    if not 0.0 <= function_word_weight <= 1.0:
+        raise RespevalInputError("function_word_weight must lie in [0, 1]")
     alignment = meteor_align(hyp, ref, resources, exact)
     matched = alignment.matched_unigrams
     if matched == 0:
         return MeteorScore(0.0, 0.0, 0.0, 0.0, 0.0, penalty_exponent, alignment)
     if resources.function_words:
-        hyp_weights = [resources.token_weight(tok) for tok in hyp]
-        ref_weights = [resources.token_weight(tok) for tok in ref]
+        listed = resources.function_words
+        hyp_weights = [function_word_weight if tok in listed else 1.0 for tok in hyp]
+        ref_weights = [function_word_weight if tok in listed else 1.0 for tok in ref]
         matched_hyp_weight = sum(hyp_weights[h] for h, _, _ in alignment.matches)
         matched_ref_weight = sum(ref_weights[r] for _, r, _ in alignment.matches)
         total_hyp = sum(hyp_weights)

@@ -84,16 +84,18 @@ def _fmt_cell(value: float | None) -> str:
 
 
 def score_transcript(
-    hyp_corpus, ref_corpus, config: NgramConfig, *, sentence_level, meteor_penalty_exp, ribes_alpha, ribes_variant
+    hyp_corpus, ref_corpus, config: NgramConfig, *,
+    sentence_level, meteor_penalty_exp, function_word_weight, ribes_alpha, ribes_variant,
 ) -> tuple[list[dict[str, float | None]], dict[str, float | None]]:
     """The ``score`` columns of one transcript: one dict per segment and the
     aggregate, each keyed by ``METRIC_FIELDS``, unrounded and x100 except NIST.
 
     A segment keeps the best value over its references, and its METEOR-PL
     (``None`` when ``config.resources`` is empty) extends each pair's plain
-    METEOR alignment. The aggregate reduces BLEU, NIST and EBLEU over every
-    segment's counts (``sentence_level`` averages BLEU and EBLEU instead), and
-    averages TER, METEOR, METEOR-PL and RIBES.
+    METEOR alignment and weights the bundle's function words
+    ``function_word_weight``. The aggregate reduces BLEU, NIST and EBLEU over
+    every segment's counts (``sentence_level`` averages BLEU and EBLEU
+    instead), and averages TER, METEOR, METEOR-PL and RIBES.
     """
     stats = corpus_stats(hyp_corpus, ref_corpus, config)
     reduced = [ngram_scores([rec], config) for rec in stats]
@@ -104,7 +106,9 @@ def score_transcript(
         if not config.resources.is_empty():
             # METEOR-PL extends each pair's exact stage: plain METEOR's whole alignment
             meteor_pl = max(
-                meteor(hyp, ref, config.resources, meteor_penalty_exp, exact=score.alignment).score
+                meteor(
+                    hyp, ref, config.resources, meteor_penalty_exp, function_word_weight, exact=score.alignment
+                ).score
                 for ref, score in zip(refs, plain)
             ) * 100.0
         segments.append({
@@ -145,15 +149,13 @@ def cmd_score(args: argparse.Namespace) -> int:
     vocabulary = None
     if any(resource_files.values()):
         vocabulary = {tok for segments in (hyp_corpus, *ref_files) for seg in segments for tok in seg}
-    resources = load_resources(
-        **resource_files, function_word_weight=args.function_word_weight, vocabulary=vocabulary
-    )
+    resources = load_resources(**resource_files, vocabulary=vocabulary)
     # score's flags share their dests with NgramConfig's fields and with
     # score_transcript's own settings; the report echoes them by name
     ngram_settings = {f.name: getattr(args, f.name) for f in fields(NgramConfig) if f.name != "resources"}
     transcript_settings = {
         name: getattr(args, name)
-        for name in ("sentence_level", "meteor_penalty_exp", "ribes_alpha", "ribes_variant")
+        for name in ("sentence_level", "meteor_penalty_exp", "function_word_weight", "ribes_alpha", "ribes_variant")
     }
     try:
         segments, aggregate = score_transcript(
@@ -170,7 +172,6 @@ def cmd_score(args: argparse.Namespace) -> int:
                 "info = log2(count(prefix)/count(ngram)) on the reference corpus; "
                 "length factor 0.5 at hyp/ref ratio 2/3"
             ),
-            "function_word_weight": args.function_word_weight,
             "resources": {f"{name}_sha256": _sha256(path) for name, path in resource_files.items()},
         },
         segments=[{"index": index, **_rounded(columns)} for index, columns in enumerate(segments, start=1)],
@@ -238,7 +239,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
     if args.fixture:
         table = load_fixture(args.fixture)
         response = args.response or RESPONSE_COLUMN
-        candidates = args.candidates or list(METRIC_COLUMNS)
+        candidates = args.candidates or [c for c in METRIC_COLUMNS if c != response]
     else:
         if not args.csv:
             raise RespevalInputError("either a CSV path or --fixture is required")

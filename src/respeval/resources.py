@@ -20,9 +20,9 @@ from pathlib import Path
 from .textcore import RespevalInputError, read_text
 
 
-@dataclass
+@dataclass(frozen=True)
 class LanguageResources:
-    """Immutable-after-load resource bundle; shareable across threads.
+    """Resource bundle, frozen once built, so it may be shared across threads.
 
     Words not present in the stem table implicitly stem to themselves, so a
     listed inflection (``dogs -> dog``) still matches an unlisted base form.
@@ -31,11 +31,6 @@ class LanguageResources:
     synonyms: dict[str, frozenset[str]] = field(default_factory=dict)
     stems: dict[str, frozenset[str]] = field(default_factory=dict)
     function_words: frozenset[str] = frozenset()
-    function_word_weight: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.function_word_weight <= 1.0:
-            raise RespevalInputError("function_word_weight must lie in [0, 1]")
 
     def is_empty(self) -> bool:
         return not (self.synonyms or self.stems or self.function_words)
@@ -46,10 +41,6 @@ class LanguageResources:
     def stems_of(self, word: str) -> frozenset[str]:
         stems = self.stems.get(word)  # a default for get would be built on every call
         return frozenset((word,)) if stems is None else stems
-
-    def token_weight(self, word: str) -> float:
-        """Weight used by METEOR precision/recall: function words count less."""
-        return self.function_word_weight if word in self.function_words else 1.0
 
 
 def _data_lines(path: str | Path):
@@ -122,19 +113,18 @@ def load_resources(
     synonyms: str | Path | None = None,
     stems: str | Path | None = None,
     function_words: str | Path | None = None,
-    function_word_weight: float = 0.2,
     vocabulary: Set[str] | None = None,
 ) -> LanguageResources:
     """Assemble a bundle from any subset of the three resource files.
 
     Every line of every file is read and checked. With a ``vocabulary``, only
     the entries that a lookup of one of its words can reach are built:
-    ``synonyms_of``, ``stems_of`` and ``token_weight`` of those words,
-    ``is_empty()`` and the truth of each table answer as after a full load.
-    Without one, every entry is kept."""
+    ``synonyms_of`` and ``stems_of`` of those words, whether each is a
+    function word, ``is_empty()`` and the truth of each table answer as after
+    a full load. Without one, every entry is kept. METEOR's function-word
+    weight is a setting of ``meteor``, not part of the bundle."""
     return LanguageResources(
         synonyms=load_synonyms(synonyms, vocabulary) if synonyms else {},
         stems=load_stems(stems, vocabulary) if stems else {},
         function_words=load_function_words(function_words, vocabulary) if function_words else frozenset(),
-        function_word_weight=function_word_weight,
     )

@@ -186,8 +186,9 @@ class RegressionModel:
     @classmethod
     def from_dict(cls, data: Mapping) -> "RegressionModel":
         """Inverse of ``to_dict``. Data ``predict`` could not apply, such as a
-        missing entry, a number or a string in place of a list or a
-        coefficient a float cannot hold, is a ``RespevalInputError``."""
+        missing entry, a number or a string in place of a list, a predictor
+        named twice or a coefficient a float cannot hold, is a
+        ``RespevalInputError``."""
         tuples = {name for name, hint in get_type_hints(cls).items() if get_origin(hint) is tuple}
         try:
             model = cls(**{f.name: tuple(data[f.name]) if f.name in tuples else data[f.name] for f in fields(cls)})
@@ -198,6 +199,7 @@ class RegressionModel:
         if not (
             isinstance(data["predictors"], list)  # tuple() splits a string into one-letter names
             and all(isinstance(name, str) for name in model.predictors)
+            and len(set(model.predictors)) == len(model.predictors)
             and len(model.coefficients) == len(model.predictors) + 1
             and all(
                 type(c) is not bool and isinstance(c, (int, float)) and abs(c) <= sys.float_info.max
@@ -206,7 +208,7 @@ class RegressionModel:
         ):
             raise RespevalInputError(
                 "the model needs one predictor name per coefficient after the intercept, "
-                "and finite coefficients"
+                "and finite coefficients; the names must be distinct"
             )
         return model
 
@@ -236,8 +238,9 @@ def ols_fit(
     X = np.column_stack([np.ones(n)] + [table.column(name) for name in predictors])
 
     q, r = np.linalg.qr(X)
-    diag = np.abs(np.diag(r))
-    if diag.min() < RANK_PIVOT_THRESHOLD * max(diag.max(), 1.0):
+    # Each column against its own scale, so columns of very different scales
+    # still fit; the largest entry, unlike the 2-norm, cannot overflow.
+    if (np.abs(np.diag(r)) <= RANK_PIVOT_THRESHOLD * np.abs(X).max(axis=0)).any():
         raise RespevalInputError(
             f"design matrix is rank deficient (predictors {predictors}); "
             "remove duplicated or constant columns"

@@ -621,8 +621,8 @@ def test_meteor_penalty_exponent():
 
 
 def test_meteor_function_word_weighting():
-    resources = LanguageResources(function_words=frozenset({"the"}), function_word_weight=0.2)
-    score = meteor(["the", "cat"], ["the", "dog"], resources)
+    resources = LanguageResources(function_words=frozenset({"the"}))
+    score = meteor(["the", "cat"], ["the", "dog"], resources, function_word_weight=0.2)
     p = 0.2 / 1.2
     assert score.precision == pytest.approx(p)
     assert score.recall == pytest.approx(p)
@@ -641,7 +641,7 @@ def test_meteor_without_function_words_equals_function_words_of_weight_one():
         stems, synonyms = _random_resources(rng, vocab)
         function_words = frozenset(rng.sample(vocab, rng.randint(1, len(vocab))))
         unit = meteor(hyp, ref, LanguageResources(synonyms, stems))
-        listed = meteor(hyp, ref, LanguageResources(synonyms, stems, function_words, 1.0))
+        listed = meteor(hyp, ref, LanguageResources(synonyms, stems, function_words), function_word_weight=1.0)
         assert unit.alignment == listed.alignment
         for field in ("precision", "recall", "fmean", "score"):
             assert getattr(unit, field) == getattr(listed, field), (hyp, ref, field)

@@ -13,6 +13,7 @@ import respeval.cli
 import respeval.ngram_metrics
 from respeval.align_metrics import ter
 from respeval.cli import METRIC_FIELDS, main, score_transcript
+from respeval.fixtures import METRIC_COLUMNS
 from respeval.ngram_metrics import NgramConfig
 from respeval.resources import load_resources
 
@@ -200,7 +201,10 @@ def test_score_transcript_columns_are_the_score_records(n_refs, resources, flags
         directory.mkdir()
         out_json = directory / "r.jsonl"
         argv = _write_transcript(directory, hyp_corpus, ref_corpus, resources)
-        code, out, err = run(capsys, "score", *argv, *flags, "--json", str(out_json))
+        weight = rng.random()
+        code, out, err = run(
+            capsys, "score", *argv, *flags, "--function-word-weight", repr(weight), "--json", str(out_json)
+        )
         assert (code, err) == (0, "")
         *segment_records, aggregate_record = _scores(out_json)
 
@@ -208,7 +212,8 @@ def test_score_transcript_columns_are_the_score_records(n_refs, resources, flags
         sentence_level = smooth = bool(flags)
         segments, aggregate = score_transcript(
             hyp_corpus, ref_corpus, NgramConfig(smooth=smooth, resources=bundle),
-            sentence_level=sentence_level, meteor_penalty_exp=1.0, ribes_alpha=0.25, ribes_variant="nkt",
+            sentence_level=sentence_level, meteor_penalty_exp=1.0, function_word_weight=weight,
+            ribes_alpha=0.25, ribes_variant="nkt",
         )
         assert [set(seg) for seg in segments] == [set(METRIC_FIELDS)] * len(hyp_corpus)
         assert set(aggregate) == set(METRIC_FIELDS)
@@ -305,10 +310,16 @@ REPORT_DIGESTS = {
         "5ff488a65df4d3402806cdb298f72666083435bde48c468487a877d47313ec5b",
         "d05999764591b505fe3ee6be8c4f89c20429947f0a55d0b5f9fdbf11ed0b29c7",
     ),
+    ("--function-word-weight", "0.5"): (
+        "12c3b6df500551699ca955071366332e2ccdae56735079e66ad5fef07ffc9a75",
+        "a8d1122b86a81cade3ffc684ebbd0d92908eaec781e6f0320f263bbe77cc41a9",
+    ),
 }
 
 
-@pytest.mark.parametrize("flags", list(REPORT_DIGESTS), ids=["pooled", "sentence-level-smooth", "sentence-level"])
+@pytest.mark.parametrize(
+    "flags", list(REPORT_DIGESTS), ids=["pooled", "sentence-level-smooth", "sentence-level", "function-word-weight"]
+)
 def test_score_report_bytes_are_pinned(flags, tmp_path, capsys):
     out_json = tmp_path / "r.jsonl"
     code, out, err = run(
@@ -539,6 +550,17 @@ def test_regress_fixture_final_set(tmp_path, capsys):
         None,
     ]
     assert payload["final_model"]["predictors"] == ["BLEU", "NIST", "EBLEU"]
+
+
+@pytest.mark.parametrize("response", ["BLEU", "RIBES"])
+def test_regress_fixture_leaves_the_response_out_of_the_default_candidates(response, tmp_path, capsys):
+    # without --candidates, a fixture offers the seven metrics except the response, as a CSV offers its columns
+    trace_json = tmp_path / "trace.json"
+    code, out, err = run(capsys, "regress", "--fixture", "table1", "--response", response, "--json", str(trace_json))
+    assert (code, err) == (0, "")
+    payload = json.loads(trace_json.read_text(encoding="utf-8"))
+    first = payload["steps"][0]["model"]
+    assert (first["response"], first["predictors"]) == (response, [c for c in METRIC_COLUMNS if c != response])
 
 
 def test_regress_single_predictor_csv(tmp_path, capsys):
@@ -837,6 +859,14 @@ LENGTH_ANNOTATIONS = (
             ["predict", "{model}", "B=1", "L=1", "E=1", "U=1"],
             "{model}: the model needs one predictor name per coefficient",
             id="predict-predictors-string",
+        ),
+        pytest.param(
+            # regress never names a predictor twice; predict would apply both coefficients to one score
+            {"model": MODEL.replace(b'["BLEU"]', b'["BLEU", "BLEU"]').replace(b"[80.0, 0.2]", b"[0.0, 1.0, 1.0]")},
+            ["predict", "{model}", "BLEU=2"],
+            "{model}: the model needs one predictor name per coefficient after the intercept, "
+            "and finite coefficients; the names must be distinct",
+            id="predict-predictor-named-twice",
         ),
         pytest.param(
             {"model": MODEL.replace(b"[80.0, 0.2]", b"[" + b"1" * 401 + b", 0.2]")},

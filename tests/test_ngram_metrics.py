@@ -130,7 +130,8 @@ def _transcript(hyp_corpus, ref_corpus, config, sentence_level):
     """``score_transcript``'s segment columns and its BLEU, NIST and EBLEU aggregate."""
     segments, aggregate = score_transcript(
         hyp_corpus, ref_corpus, config,
-        sentence_level=sentence_level, meteor_penalty_exp=1.0, ribes_alpha=0.25, ribes_variant="nkt",
+        sentence_level=sentence_level, meteor_penalty_exp=1.0, function_word_weight=0.2,
+        ribes_alpha=0.25, ribes_variant="nkt",
     )
     return segments, (aggregate["bleu"], aggregate["nist"], aggregate["ebleu"])
 

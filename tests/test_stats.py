@@ -128,6 +128,29 @@ def test_fit_rejects_rank_deficiency():
         ols_fit(table, ["a", "b"])
 
 
+def test_fit_judges_each_column_on_its_own_scale():
+    # A rank check against R's largest diagonal entry rejected this full-rank
+    # table: its columns differ in scale by 1e11.
+    rng = make_rng(48)
+    rows = []
+    for _ in range(30):
+        a, b = rng.uniform(1e5, 2e5), rng.uniform(0.0, 1e-6)
+        rows.append([a, b, 3.0 + 1e-5 * a + 1e6 * b + rng.gauss(0.0, 0.1)])
+    model = ols_fit(make_table(["a", "b", "y"], rows, "y"), ["a", "b"])
+    rescaled = ols_fit(make_table(["a", "b", "y"], [[a * 1e-5, b * 1e6, y] for a, b, y in rows], "y"), ["a", "b"])
+    assert model.t_stats == pytest.approx(rescaled.t_stats, rel=1e-9)
+    assert model.standardized_betas == pytest.approx(rescaled.standardized_betas, rel=1e-9)
+    assert model.coefficients[1:] == pytest.approx(
+        (rescaled.coefficients[1] * 1e-5, rescaled.coefficients[2] * 1e6), rel=1e-9
+    )
+    # zero, constant and duplicated columns, at either scale, are still rank deficient
+    for k, scale in ((0, 1e-5), (1, 1e6)):
+        for column in ([0.0] * 30, [scale] * 30, [row[k] * scale for row in rows]):
+            table = make_table(["a", "b", "c", "y"], [[*row[:2], c, row[2]] for row, c in zip(rows, column)], "y")
+            with pytest.raises(RespevalInputError, match="rank deficient"):
+                ols_fit(table, ["a", "b", "c"])
+
+
 def test_fit_rejects_overflowing_sums():
     # finite values whose squares overflow: no inf or nan may reach the model,
     # and numpy must not warn on the way

@@ -9,7 +9,6 @@ from hypothesis import given, seed, settings, strategies as st
 
 from respeval.align_metrics import meteor, ribes
 from respeval.ngram_metrics import NgramConfig, segment_stats
-from respeval.resources import LanguageResources
 from respeval.stats import DataTable, backward_eliminate, ols_fit
 from respeval.textcore import (
     RespevalInputError,
@@ -300,7 +299,7 @@ _TABLE = DataTable(["x", "y"], [[1.0, 2.0], [2.0, 3.9], [3.0, 6.2], [4.0, 7.8]],
         pytest.param(lambda: NgramConfig(synonym_score=0.0), id="ngram-synonym-score"),
         pytest.param(lambda: NgramConfig(rare_words_percent=1.5), id="ngram-rare-words-percent"),
         pytest.param(lambda: NgramConfig(rare_words_score=0.5), id="ngram-rare-words-score"),
-        pytest.param(lambda: LanguageResources(function_word_weight=1.5), id="function-word-weight"),
+        pytest.param(lambda: meteor(["a"], ["a"], function_word_weight=1.5), id="function-word-weight"),
         pytest.param(lambda: meteor(["a"], ["a"], penalty_exponent=0.0), id="meteor-penalty-exponent"),
         pytest.param(lambda: ribes(["a"], ["a"], alpha=1.0), id="ribes-alpha"),
         pytest.param(lambda: ribes(["a"], ["a"], variant="tau"), id="ribes-variant"),
