@@ -69,6 +69,7 @@ class _ReferenceColumns:
         tokens: Sequence[str],
         states: list[tuple[int, int, int]] | None = None,
         limit: int | None = None,
+        remainder: tuple[int, Sequence[str], int, Sequence[int]] | None = None,
     ) -> tuple[int, int, int]:
         """The state after ``tokens`` follow the prefix that gave ``state``.
         Given a list ``states``, appends the state after each word to it.
@@ -77,12 +78,26 @@ class _ReferenceColumns:
         words left >= limit`` (Ukkonen 1985): deleting a word lowers the
         distance by at most one, so the rest of ``tokens`` could not bring it
         below ``limit``. The score returned is then already ``>= limit``; one
-        below ``limit`` is the exact distance."""
+        below ``limit`` is the exact distance.
+
+        Given also a ``remainder`` ``(kept, block, counted, remaining)``, the
+        sequences to bound are the ``kept`` words that gave ``state``, then a
+        prefix of ``tokens``, then the rest of ``tokens`` and ``block`` in any
+        order. ``counted`` is ``_least_cut``'s mask of ``tokens`` and
+        ``block``, and ``remaining[i]`` the occurrences of ``tokens[i]`` in
+        ``tokens[i:]``. The feed then stops before appending the first state
+        whose ``_least_cut`` reaches ``limit``: no such sequence that starts
+        with its prefix is below ``limit``. That bound is at least ``score``
+        less the words left, so the cut-off above never comes first."""
         masks, high, full = self.masks, self.high, self.full
         pv, mv, score = state
         if limit is None:
             limit = score + len(tokens) + 1  # out of reach: a word adds at most one
         stop = limit + len(tokens)
+        if remainder is not None:
+            kept, block, counted, remaining = remainder
+            m, left, i = len(self.ref), len(tokens) + len(block), 0
+            stop += len(block)  # the block is among the words left
         for tok in tokens:
             eq = masks.get(tok, 0)
             xv = eq | mv
@@ -97,6 +112,15 @@ class _ReferenceColumns:
             ph = (ph << 1) | 1
             pv = ((mh << 1) | ~(xv | ph)) & full
             mv = ph & xv
+            if remainder is not None:
+                # tok leaves the remainder: while it held no more of tok than the
+                # reference, the lowest of tok's counted occurrences goes.
+                mine = counted & eq
+                if mine.bit_count() == remaining[i] + block.count(tok):
+                    counted ^= mine & -mine
+                i += 1
+                if _least_cut(pv, mv, score, counted, kept + i, left - i, m, limit, limit) >= limit:
+                    break
             if states is not None:
                 states.append((pv, mv, score))
             stop -= 1  # the limit plus the words left
@@ -109,12 +133,13 @@ class _ReferenceColumns:
         tokens: Sequence[str],
         state: tuple[int, int, int] | None = None,
         limit: int | None = None,
+        remainder: tuple[int, Sequence[str], int, Sequence[int]] | None = None,
     ) -> list[tuple[int, int, int]]:
         """The state after each prefix of ``tokens`` fed from ``state`` (by
         default the empty prefix's), shortest first, up to where ``feed``
-        stops at ``limit``."""
+        stops at ``limit`` and ``remainder``."""
         states = [state or self.initial]
-        self.feed(states[0], tokens, states, limit)
+        self.feed(states[0], tokens, states, limit, remainder)
         return states
 
     @cached_property
@@ -122,53 +147,103 @@ class _ReferenceColumns:
         """The columns of the reversed reference."""
         return _ReferenceColumns(self.ref[::-1])
 
-    @cached_property
-    def backward(self) -> list[tuple[int, str, int]]:
-        """``(j, ref[j], occurrences of ref[j] in ref[j:])`` from the last ``j`` down."""
-        ref = self.ref
-        seen: dict[str, int] = {}
-        backward = []
-        for j in reversed(range(len(ref))):
-            seen[ref[j]] = seen.get(ref[j], 0) + 1
-            backward.append((j, ref[j], seen[ref[j]]))
-        return backward
+
+def _least_cut(
+    pv: int, mv: int, score: int, counted: int, kept: int, left: int, m: int, limit: int, enough: int = 0
+) -> int:
+    """The least of ``limit`` and, over the reference cuts ``j``, of ``D(P,
+    ref[:j]) + multiset_edit_bound(R, ref[j:])``: a lower bound on the
+    distance of every sequence made of ``P`` and then ``R`` in any order.
+
+    ``P`` is the ``kept`` words whose column state is ``(pv, mv, score)``;
+    ``R`` holds ``left`` words. Bit ``j`` of ``counted`` is set when
+    ``ref[j]`` is among the last ``c`` occurrences of its word, ``c`` its
+    count in ``R``, so the bits from ``j`` on count the words ``R`` and
+    ``ref[j:]`` have in common, and the multiset term is ``max(left, m - j)``
+    less them.
+
+    ``D(P, ref[:j]) >= |kept - j|`` and the multiset term is at least ``|left
+    - (m - j)|``, so a cut whose sum of the two reaches the least so far
+    cannot go below it. The cuts left form a band around the cut where that
+    sum is least. That centre cut is read with three bit counts; the walks
+    from there down and up the column, one cell at a time, end where the
+    band, narrowing as the least falls, ends. A cut below ``enough`` is
+    returned at once: a chain asks only whether some cut is below its limit."""
+    mid = kept + m - left  # the band: the cuts j with |2j - mid| below the least so far
+    j = mid >> 1
+    if j > m:
+        j = m
+    elif j < 0:
+        j = 0
+    centre = distance = score - (pv >> j).bit_count() + (mv >> j).bit_count() - (counted >> j).bit_count()
+    best = distance + (left if left > m - j else m - j)
+    if best > limit:
+        best = limit
+    elif best < enough:
+        return best
+    top, bottom = j, (mid - best) // 2 + 1
+    if bottom < 0:
+        bottom = 0
+    while j > bottom:
+        j -= 1
+        # distance: D(P, ref[:j]) less the words in common
+        distance += (mv >> j & 1) - (pv >> j & 1) - (counted >> j & 1)
+        bound = distance + (left if left > m - j else m - j)
+        if bound < best:
+            if bound < enough:
+                return bound
+            best = bound
+            bottom = (mid - best) // 2 + 1
+            if bottom < 0:
+                bottom = 0
+    j, distance, ceiling = top, centre, (mid + best - 1) // 2
+    if ceiling > m:
+        ceiling = m
+    while j < ceiling:
+        distance += (pv >> j & 1) - (mv >> j & 1) + (counted >> j & 1)
+        j += 1
+        bound = distance + (left if left > m - j else m - j)
+        if bound < best:
+            if bound < enough:
+                return bound
+            best = bound
+            ceiling = (mid + best - 1) // 2
+    return best
 
 
 def _prefix_bounds(
     columns: _ReferenceColumns, tokens: Sequence[str], states: list[tuple[int, int, int]]
-) -> list[int]:
+) -> tuple[list[int], list[int], list[int]]:
     """For each ``k``, a lower bound on the distance to the reference of every
     sequence that starts with ``tokens[:k]`` and goes on with the rest of
-    ``tokens`` in any order: the least, over the reference cuts ``j``, of
-    ``D(tokens[:k], ref[:j]) + multiset_edit_bound(tokens[k:], ref[j:])``.
+    ``tokens`` in any order: ``_least_cut`` of ``states[k]``, the column
+    state after ``tokens[:k]``, and ``tokens[k:]``, scanning only the band
+    of cuts that can still go below the row's least, so the same as a scan
+    of every cut.
 
-    ``states[k]`` is the column state after ``tokens[:k]``. Its column is read
-    from the bottom up, ``D(tokens[:k], ref[:j])`` for ``j = m, ..., 0``,
-    less the count of tokens that ``tokens[k:]`` and ``ref[j:]`` have in
-    common: ``ref[j]`` adds one when ``tokens[k:]`` has at least as many of
-    it as ``ref[j:]``. The multiset bound is ``max(n - k, m - j)`` less that
-    count."""
-    backward = columns.backward
-    n, m = len(tokens), len(columns.ref)
+    Also returns what a block's chain needs: for each ``k``, the mask of
+    ``tokens[k:]`` (bit ``j`` set when ``ref[j]`` is among the last ``c``
+    occurrences of its word, ``c`` its count in ``tokens[k:]``) and the
+    occurrences of ``tokens[k]`` in ``tokens[k:]``. One pass from the end
+    builds both: each word counts one more occurrence, its last one not yet
+    counted."""
+    masks, n, m = columns.masks, len(tokens), len(columns.ref)
+    counted = [0] * (n + 1)
+    remaining = [0] * n
     rest: dict[str, int] = {}  # token counts of tokens[k:]
-    for tok in tokens:
-        rest[tok] = rest.get(tok, 0) + 1
-    bounds = []
-    for k, (pv, mv, distance) in enumerate(states):
-        left = n - k
-        best = distance + left
-        for j, tok, occurrences in backward:
-            # distance: D(tokens[:k], ref[:j]) less the tokens in common
-            distance += (mv >> j & 1) - (pv >> j & 1)
-            if rest.get(tok, 0) >= occurrences:
-                distance -= 1
-            bound = distance + (left if left > m - j else m - j)
-            if bound < best:
-                best = bound
-        bounds.append(best)
-        if k < n:
-            rest[tokens[k]] -= 1
-    return bounds
+    mask = 0
+    for k in reversed(range(n)):
+        tok = tokens[k]
+        remaining[k] = rest[tok] = rest.get(tok, 0) + 1
+        spare = masks.get(tok, 0) & ~mask
+        if spare:
+            mask |= 1 << (spare.bit_length() - 1)
+        counted[k] = mask
+    bounds = [
+        _least_cut(pv, mv, distance, counted[k], k, n - k, m, distance + n - k)
+        for k, (pv, mv, distance) in enumerate(states)
+    ]
+    return bounds, counted, remaining
 
 
 def _remakes_earlier(
@@ -210,23 +285,26 @@ def _best_shift(
     candidate before it; ``None`` if no shift lowers the distance. The search
     stops at the first candidate that reaches ``bound``.
 
-    Moves run in two frames ``(columns, sequence, prefix states, bounds by
-    kept prefix, bounds by kept suffix, word before each gap)``: ``current``
-    and the reversed ``current`` on the reversed columns, where a move left is
-    a move right. A move right keeps ``sequence[:keep]``, and the positions of
-    one block share a chain of column states fed from there over the words
-    after the block; each position then feeds only the block and the rest. A
-    candidate whose ``_prefix_bounds`` reach the best distance so far is
-    skipped: it could not replace the first best. So is a move that
-    ``_remakes_earlier`` finds to build an earlier candidate's sentence, and a
-    block all of whose moves do so builds no chain.
+    Moves run in two frames ``(columns, sequence, prefix states, bound pass
+    by kept prefix, bounds by kept suffix, word before each gap)``:
+    ``current`` and the reversed ``current`` on the reversed columns, where a
+    move left is a move right. A move right keeps ``sequence[:keep]``, and the
+    positions of one block share a chain of column states fed from there
+    over the words after the block; each position then feeds only the block
+    and the rest. A candidate whose ``_prefix_bounds`` reach the best
+    distance so far is skipped: it could not replace the first best. So is a
+    move that ``_remakes_earlier`` finds to build an earlier candidate's
+    sentence, and a block all of whose moves do so builds no chain.
 
-    Feeds stop early by ``_ReferenceColumns.feed``'s cut-off: a candidate at
-    the best distance so far, a chain at that plus the block length. A cut
-    feed's score already reaches the best distance, so it loses the strict
-    ``<`` test as the full feed would, and every pick stays the same. Along a
-    chain, score less words left never falls, so the positions past a cut
-    chain's end are all lost too."""
+    A chain stops before the first state whose prefix ``P`` rules out the
+    rest: every position from there on is ``P`` followed by the block and
+    the words after it in some order, so ``_least_cut`` of that state and
+    those words, reaching the best distance so far, bounds them all. The
+    chain's mask of those words starts from the bound pass's row ``keep``
+    and loses at most one bit per word fed. A candidate's feed stops at the
+    best distance by ``_ReferenceColumns.feed``'s cut-off. A cut feed's score
+    already reaches the best distance, so it loses the strict ``<`` test as
+    the full feed would, and every pick stays the same."""
     prefix = columns.prefix_states(current)
     best_distance = prefix[-1][2]
     if best_distance <= bound:
@@ -237,8 +315,8 @@ def _best_shift(
     head = _prefix_bounds(columns, current, prefix)
     tail = _prefix_bounds(columns.reversed, reverse, suffix)
     frames = (  # (mirrored, *frame): left moves first
-        (True, columns.reversed, reverse, suffix, tail, head[::-1], reverse + [None]),
-        (False, columns, current, prefix, head, tail[::-1], [None] + current),
+        (True, columns.reversed, reverse, suffix, tail, head[0][::-1], reverse + [None]),
+        (False, columns, current, prefix, head, tail[0][::-1], [None] + current),
     )
     best_sequence = None
     masks = columns.masks
@@ -261,15 +339,14 @@ def _best_shift(
             # With no word before the gap, only rule (a) holds, and it holds for every move.
             if x == tip and _remakes_earlier(current, start, end, None, run, slides):
                 continue
-            for mirrored, cols, seq, states, lead, trail, gaps in frames:
+            for mirrored, cols, seq, states, (lead, counted, remaining), trail, gaps in frames:
                 keep = n - end if mirrored else start
                 if lead[keep] >= best_distance:
                     continue
                 block_end = keep + length
-                # A candidate feeds the block and the rest after a chain state, so the chain
-                # stops at best_distance + length; no position past its end could win.
-                chain = cols.prefix_states(seq[block_end:], states[keep], best_distance + length)
                 block = seq[keep:block_end]
+                remainder = (keep, block, counted[keep], remaining[block_end:])
+                chain = cols.prefix_states(seq[block_end:], states[keep], best_distance, remainder)
                 # Mirrored destinations run from the far end inward: positions ascend in current.
                 last = block_end + len(chain) - 1
                 destinations = range(last, block_end, -1) if mirrored else range(block_end + 1, last + 1)

@@ -13,24 +13,35 @@ File formats (all UTF-8, ``#``-prefixed lines are comments):
 from __future__ import annotations
 
 import unicodedata
-from collections.abc import Set
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from .textcore import RespevalInputError, read_text
 
 
 @dataclass(frozen=True)
 class LanguageResources:
-    """Resource bundle, frozen once built, so it may be shared across threads.
+    """Resource bundle, frozen once built, so it may be shared across threads:
+    the synonym and stem tables are read-only views of copies of the tables
+    it is built from.
 
     Words not present in the stem table implicitly stem to themselves, so a
     listed inflection (``dogs -> dog``) still matches an unlisted base form.
     """
 
-    synonyms: dict[str, frozenset[str]] = field(default_factory=dict)
-    stems: dict[str, frozenset[str]] = field(default_factory=dict)
+    synonyms: Mapping[str, frozenset[str]] = field(default_factory=dict)
+    stems: Mapping[str, frozenset[str]] = field(default_factory=dict)
     function_words: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        for name in ("synonyms", "stems"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    def __reduce__(self):
+        # A read-only view cannot be pickled; pickles and deep copies rebuild from plain copies.
+        return LanguageResources, (dict(self.synonyms), dict(self.stems), self.function_words)
 
     def is_empty(self) -> bool:
         return not (self.synonyms or self.stems or self.function_words)

@@ -3,10 +3,12 @@
 Everything here is deliberately brute force and shares no code path with the
 package, except that ``ter_unpruned`` scores with the package's bit-parallel
 columns (checked against ``lev`` on their own) to isolate TER's lower bound,
+``prefix_bounds_scan`` reads those columns' states,
 and ``resource_bundle`` hands its tables to the package's ``LanguageResources``
 for their lookups. The oracles: the tokenizer character by character,
 plain-Python Levenshtein, the greedy TER shift search scored with it, the
-same search with no candidate skipped, breadth-first shift search,
+same search with no candidate skipped, breadth-first shift search, TER's
+bound tables scanned over every reference cut,
 per-metric BLEU / NIST / EBLEU that count n-grams afresh for every score,
 the per-segment n-gram record built gram by gram,
 resource tables normalized word by word and the full bundle built from them,
@@ -210,6 +212,40 @@ def ter_unpruned(hyp, ref, max_block: int = 10):
             return distance + shifts, shifts
         current = shifted
         shifts += 1
+
+
+def prefix_bounds_scan(columns, tokens, states):
+    """For each ``k``, the least over every reference cut ``j`` of
+    ``D(tokens[:k], ref[:j]) + multiset_bound(tokens[k:], ref[j:])``: the
+    package's bound tables, read off the column ``states[k]`` (the state
+    after ``tokens[:k]``) cell by cell from the bottom up, with no band.
+
+    ``D(tokens[:k], ref[:j])`` for ``j = m, ..., 0`` comes from the column's
+    vertical deltas. The tokens that ``tokens[k:]`` and ``ref[j:]`` have in
+    common grow by one at ``ref[j]`` when ``tokens[k:]`` has at least as many
+    of it as ``ref[j:]``; the multiset bound is ``max(n - k, m - j)`` less
+    that count."""
+    ref = columns.ref
+    n, m = len(tokens), len(ref)
+    seen = Counter()
+    backward = []  # (j, ref[j], occurrences of ref[j] in ref[j:]) from the last j down
+    for j in reversed(range(m)):
+        seen[ref[j]] += 1
+        backward.append((j, ref[j], seen[ref[j]]))
+    rest = Counter(tokens)  # token counts of tokens[k:]
+    bounds = []
+    for k, (pv, mv, distance) in enumerate(states):
+        left = n - k
+        best = distance + left
+        for j, tok, occurrences in backward:
+            distance += (mv >> j & 1) - (pv >> j & 1)
+            if rest[tok] >= occurrences:
+                distance -= 1
+            best = min(best, distance + max(left, m - j))
+        bounds.append(best)
+        if k < n:
+            rest[tokens[k]] -= 1
+    return bounds
 
 
 # --- BLEU, NIST and EBLEU, each counting its own n-grams -----------------------

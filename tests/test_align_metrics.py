@@ -10,6 +10,7 @@ from respeval import align_metrics
 from respeval.align_metrics import (
     MAX_SHIFT_LENGTH,
     METEOR_NODE_CAP,
+    _least_cut,
     _prefix_bounds,
     _ReferenceColumns,
     _remakes_earlier,
@@ -351,15 +352,19 @@ def test_ter_pins_pairs_too_long_for_the_oracles():
     """(edits, shifts) recorded before feeds stopped at a limit, on the pairs
     where they stop most: re-spoken sentences of 60-100 words with moved
     blocks, probe-shaped pairs of 80 and 100 words, 60-word pairs over a
-    3-word vocabulary, and 60-100-word pairs of long runs of one word. The
-    seed is fixed, not ``make_rng``'s, because the answers are pinned."""
+    3-word vocabulary, and 60-100-word pairs of long runs of one word; and,
+    recorded before chains stopped at their remainder's bound, two
+    probe-shaped pairs of 150 words. The seed is fixed, not ``make_rng``'s,
+    because the answers are pinned."""
     rng = random.Random("long TER pairs")
     pairs = [_moved_blocks_pair(rng, (60, 100)) for _ in range(4)]
     pairs += [_probe_shaped_pair(rng, length) for length in (80, 100)]
     pairs += [_moved_blocks_pair(rng, (60, 60), lambda r: r.choice("abc")) for _ in range(2)]
     pairs += [_run_heavy_pair(rng, (60, 100)) for _ in range(4)]
+    pairs += [_probe_shaped_pair(rng, 150) for _ in range(2)]
     results = [ter(hyp, ref) for hyp, ref in pairs]
     expected = [(2, 1), (1, 1), (2, 1), (4, 2), (11, 2), (12, 2), (2, 2), (4, 1), (3, 3), (2, 1), (2, 1), (3, 1)]
+    expected += [(17, 2), (17, 2)]
     assert [(result.edits, result.shifts) for result in results] == expected
 
 
@@ -370,9 +375,9 @@ def test_shift_bounds_never_exceed_a_candidate_distance():
         current = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
         ref = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
         columns = _ReferenceColumns(ref)
-        head = _prefix_bounds(columns, current, columns.prefix_states(current))
+        head = _prefix_bounds(columns, current, columns.prefix_states(current))[0]
         reverse = current[::-1]
-        tail = _prefix_bounds(columns.reversed, reverse, columns.reversed.prefix_states(reverse))[::-1]
+        tail = _prefix_bounds(columns.reversed, reverse, columns.reversed.prefix_states(reverse))[0][::-1]
         n = len(current)
         # Keeping all of current leaves its own distance; keeping none, the multiset bound.
         assert head[n] == tail[0] == oracles.lev(current, ref)
@@ -385,6 +390,76 @@ def test_shift_bounds_never_exceed_a_candidate_distance():
                     distance = oracles.lev(remainder[:pos] + block + remainder[pos:], ref)
                     assert head[min(start, pos)] <= distance, (current, ref, start, length, pos)
                     assert tail[max(start, pos) + length] <= distance, (current, ref, start, length, pos)
+
+
+def _counted_mask(words, ref):
+    """Bit ``j`` set when ``ref[j]`` is among the last ``c`` occurrences of
+    its word in ``ref``, ``c`` its count in ``words``."""
+    return sum(1 << j for j in range(len(ref)) if ref[j:].count(ref[j]) <= words.count(ref[j]))
+
+
+def test_prefix_bounds_equal_the_full_scan():
+    """The banded bound tables equal ``oracles.prefix_bounds_scan`` exactly,
+    in both frames, and the masks and counts kept for the chains match their
+    definitions. Pairs: 1-4-letter vocabularies, references shorter and
+    longer than the hypothesis, empty hypotheses, and long runs of one word."""
+    rng = make_rng(50)
+    pairs = [([], ["a"]), ([], ["a", "b", "a"]), (["a"] * 12, ["a"] * 3), (["b"] * 3, ["a"] * 12 + ["b"])]
+    for trial in range(500):
+        vocab = "abcd"[: rng.randint(1, 4)]
+        short, long = rng.randint(0, 9), rng.randint(10, 30)
+        hyp_len, ref_len = (short, long) if trial % 2 else (long, max(short, 1))
+        if trial % 10 == 0:
+            hyp_len = 0
+        pairs.append(([rng.choice(vocab) for _ in range(hyp_len)], [rng.choice(vocab) for _ in range(ref_len)]))
+    pairs += [_run_heavy_pair(rng, (6, 40), longest_run=rng.randint(4, 16)) for _ in range(100)]
+    for hyp, ref in pairs:
+        for columns, tokens in ((_ReferenceColumns(ref), hyp), (_ReferenceColumns(ref).reversed, hyp[::-1])):
+            states = columns.prefix_states(tokens)
+            bounds, counted, remaining = _prefix_bounds(columns, tokens, states)
+            assert bounds == oracles.prefix_bounds_scan(columns, tokens, states), (hyp, ref)
+            assert counted == [_counted_mask(tokens[k:], columns.ref) for k in range(len(tokens) + 1)]
+            assert remaining == [tokens[k:].count(tokens[k]) for k in range(len(tokens))]
+
+
+def test_chain_bounds_never_exceed_a_later_candidate_distance():
+    """For every block, both directions and every chain position ``p``, the
+    bound ``_least_cut`` gives the chain state and the words not yet fed
+    (the block among them) equals its definition over every reference cut,
+    and is at most the distance of every candidate at ``p`` or later. A
+    chain fed with that remainder and a limit stops just before the first
+    position whose bound reaches the limit."""
+    rng = make_rng(51)
+    for _ in range(200):
+        vocab = "abcd"[: rng.randint(2, 4)]
+        current = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+        ref = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+        # A move left is a move right of the reversed sentence against the reversed reference.
+        for seq, frame_ref in ((current, ref), (current[::-1], ref[::-1])):
+            columns = _ReferenceColumns(frame_ref)
+            states = columns.prefix_states(seq)
+            _, counted, remaining = _prefix_bounds(columns, seq, states)
+            n, m = len(seq), len(frame_ref)
+            for keep in range(n):
+                for block_end in range(keep + 1, n + 1):
+                    block, after = seq[keep:block_end], seq[block_end:]
+                    bounds = []
+                    for p, (pv, mv, score) in enumerate(columns.prefix_states(after, states[keep])):
+                        kept, rest = seq[:keep] + after[:p], block + after[p:]
+                        bound = _least_cut(pv, mv, score, _counted_mask(rest, frame_ref), len(kept), len(rest), m, n + m + 1)
+                        assert bound == min(
+                            oracles.lev(kept, frame_ref[:j]) + oracles.multiset_bound(rest, frame_ref[j:])
+                            for j in range(m + 1)
+                        ), (seq, frame_ref, keep, block_end, p)
+                        for q in range(p, len(after) + 1):
+                            candidate = seq[:keep] + after[:q] + block + after[q:]
+                            assert bound <= oracles.lev(candidate, frame_ref), (seq, frame_ref, keep, block_end, q)
+                        bounds.append(bound)
+                    remainder = (keep, block, counted[keep], remaining[block_end:])
+                    for limit in range(1, n + m + 1):
+                        chain = columns.prefix_states(after, states[keep], limit, remainder)
+                        expected = next((p for p in range(1, len(after) + 1) if bounds[p] >= limit), len(after) + 1)
+                        assert len(chain) == expected, (seq, frame_ref, keep, block_end, limit)
 
 
 def test_multiset_edit_bound_matches_oracle():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import unicodedata
 
 import pytest
@@ -147,3 +149,25 @@ def test_stems_of_a_listed_word_is_its_entry_and_of_any_other_word_the_word_alon
     bundle = resources.LanguageResources(stems={"dogs": dog})
     assert bundle.stems_of("dogs") is dog
     assert bundle.stems_of("cat") == frozenset({"cat"})
+
+
+def test_bundle_tables_are_read_only_copies(tmp_path):
+    """A bundle's synonym and stem tables refuse item assignment, and the
+    dicts a bundle was built from can change without changing it."""
+    stems = {"cats": frozenset({"cat"})}
+    built = resources.LanguageResources(synonyms={"cat": frozenset({"kitty"})}, stems=stems)
+    (tmp_path / "stems.tsv").write_text("cats\tcat\n", encoding="utf-8")
+    (tmp_path / "synonyms.tsv").write_text("cat\tkitty\n", encoding="utf-8")
+    loaded = resources.load_resources(synonyms=tmp_path / "synonyms.tsv", stems=tmp_path / "stems.tsv")
+    for bundle in (built, loaded, resources.LanguageResources()):
+        for table in (bundle.synonyms, bundle.stems):
+            with pytest.raises(TypeError):
+                table["cats"] = frozenset({"dog"})
+    stems["cats"] = frozenset({"dog"})
+    assert built.stems_of("cats") == loaded.stems_of("cats") == frozenset({"cat"})
+    assert built.synonyms_of("cat") == loaded.synonyms_of("cat") == frozenset({"kitty"})
+    # Pickles and deep copies, as for a process pool, still work and stay read-only.
+    for copied in (pickle.loads(pickle.dumps(loaded)), copy.deepcopy(loaded)):
+        assert copied == loaded
+        with pytest.raises(TypeError):
+            copied.stems["cats"] = frozenset({"dog"})
