@@ -246,35 +246,6 @@ def _prefix_bounds(
     return bounds, counted, remaining
 
 
-def _remakes_earlier(
-    current: list[str], start: int, end: int, before: str | None, run: bool, slides: bool
-) -> bool:
-    """Whether moving the block ``current[start:end]`` into the gap after the
-    word ``before`` builds ``current`` or a sentence that an earlier move in
-    ``_best_shift``'s (start, length, position) scan builds. That twin was
-    scored or pruned against a best distance at least as high as any later
-    one, so the same sentence can never be strictly better.
-
-    ``before`` is, in ``current``'s order, the last word a move right jumps
-    over, or the word before a move left's insertion point (``None`` at the
-    start of the sentence). ``run``: the block is one word repeated.
-    ``slides``: the block of the same length from ``start - 1`` occurs in the
-    reference. With ``x = current[start - 1]`` and ``tip = current[end - 1]``,
-    each rule needs ``tip`` to be ``x`` or ``before``:
-
-    (a) a run and ``x == tip``: the same block from ``start - 1`` makes every
-        move of this one, whatever ``before`` is;
-    (b) a run and ``before == tip``: the gap one word earlier makes the same
-        sentence;
-    (c) ``x == tip == before`` and ``slides``: the block from ``start - 1``,
-        moved one position earlier, makes the same sentence."""
-    tip = current[end - 1]
-    x = current[start - 1] if start else None
-    if run:
-        return x == tip or before == tip
-    return slides and x == tip == before
-
-
 def _best_shift(
     current: list[str],
     columns: _ReferenceColumns,
@@ -286,15 +257,15 @@ def _best_shift(
     stops at the first candidate that reaches ``bound``.
 
     Moves run in two frames ``(columns, sequence, prefix states, bound pass
-    by kept prefix, bounds by kept suffix, word before each gap)``:
-    ``current`` and the reversed ``current`` on the reversed columns, where a
-    move left is a move right. A move right keeps ``sequence[:keep]``, and the
-    positions of one block share a chain of column states fed from there
-    over the words after the block; each position then feeds only the block
-    and the rest. A candidate whose ``_prefix_bounds`` reach the best
-    distance so far is skipped: it could not replace the first best. So is a
-    move that ``_remakes_earlier`` finds to build an earlier candidate's
-    sentence, and a block all of whose moves do so builds no chain.
+    by kept prefix, bounds by kept suffix)``: ``current`` and the reversed
+    ``current`` on the reversed columns, where a move left is a move right.
+    A move right keeps ``sequence[:keep]``, and the positions of one block
+    share a chain of column states fed from there over the words after the
+    block; each position then feeds only the block and the rest. A
+    candidate whose ``_prefix_bounds`` reach the best distance so far is
+    skipped: it could not replace the first best. A block that is one word
+    repeated, right after that same word, builds no chain: the same run
+    from ``start - 1`` makes every one of its moves earlier.
 
     A chain stops before the first state whose prefix ``P`` rules out the
     rest: every position from there on is ``P`` followed by the block and
@@ -315,17 +286,15 @@ def _best_shift(
     head = _prefix_bounds(columns, current, prefix)
     tail = _prefix_bounds(columns.reversed, reverse, suffix)
     frames = (  # (mirrored, *frame): left moves first
-        (True, columns.reversed, reverse, suffix, tail, head[0][::-1], reverse + [None]),
-        (False, columns, current, prefix, head, tail[0][::-1], [None] + current),
+        (True, columns.reversed, reverse, suffix, tail, head[0][::-1]),
+        (False, columns, current, prefix, head, tail[0][::-1]),
     )
     best_sequence = None
     masks = columns.masks
     x = None  # the word before the block
-    reach = 0  # the longest block from start that occurs in the reference
     for start, first in enumerate(current):
         occurs = columns.full  # bit i: the block so far occurs in the reference from ref[i] on
         run = True
-        previous, reach = reach, 0  # the longest block from start - 1 that occurs
         for length in range(1, min(MAX_SHIFT_LENGTH, n - start) + 1):
             end = start + length
             tip = current[end - 1]
@@ -333,13 +302,10 @@ def _best_shift(
             # An extension of a block missing from the reference is missing too.
             if not occurs:
                 break
-            reach = length
             run = run and tip == first
-            slides = length <= previous
-            # With no word before the gap, only rule (a) holds, and it holds for every move.
-            if x == tip and _remakes_earlier(current, start, end, None, run, slides):
+            if run and x == tip:
                 continue
-            for mirrored, cols, seq, states, (lead, counted, remaining), trail, gaps in frames:
+            for mirrored, cols, seq, states, (lead, counted, remaining), trail in frames:
                 keep = n - end if mirrored else start
                 if lead[keep] >= best_distance:
                     continue
@@ -352,9 +318,6 @@ def _best_shift(
                 destinations = range(last, block_end, -1) if mirrored else range(block_end + 1, last + 1)
                 for rest in destinations:
                     if trail[rest] >= best_distance or lead[keep] >= best_distance:
-                        continue
-                    # Past rule (a), only a move whose gap follows the block's last word remakes.
-                    if gaps[rest] == tip and _remakes_earlier(current, start, end, tip, run, slides):
                         continue
                     d = cols.feed(chain[rest - block_end], block + seq[rest:], limit=best_distance)[2]
                     if d < best_distance:

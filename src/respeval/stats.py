@@ -329,13 +329,17 @@ def backward_eliminate(
     Each stage removes the predictor with the largest p-value above ``alpha``
     (p ties resolved by dropping the later-listed candidate); the trace keeps
     every intermediate model and stops once every survivor is significant or
-    a single predictor remains. The response may not be a candidate.
+    a single predictor remains. The response may not be a candidate, nor may
+    a candidate be named twice.
     """
     if not 0.0 < alpha < 1.0:
         raise RespevalInputError("alpha must lie strictly between 0 and 1")
     response = response or table.response
     if response in candidates:
         raise RespevalInputError(f"the response {response!r} is also a candidate predictor")
+    repeated = sorted({name for name in candidates if candidates.count(name) > 1})
+    if repeated:
+        raise RespevalInputError(f"candidate predictors named twice: {', '.join(repeated)}")
     remaining = list(candidates)
     steps: list[EliminationStep] = []
     while True:

@@ -13,7 +13,6 @@ from respeval.align_metrics import (
     _least_cut,
     _prefix_bounds,
     _ReferenceColumns,
-    _remakes_earlier,
     kendall_nkt,
     meteor,
     meteor_align,
@@ -285,67 +284,77 @@ def test_ter_on_long_runs_of_one_word_matches_the_oracles():
         assert (result.edits, result.shifts) == oracles.ter_unpruned(hyp, ref), (hyp, ref)
 
 
-def test_skipped_moves_remake_an_earlier_moves_sentence():
-    """Every move that ``_best_shift`` skips by ``_remakes_earlier`` builds
-    the sentence it shifts or one that an earlier legal move builds, in
-    ``oracles.ter_greedy``'s (start, length, position) order. A block whose
-    move with no word before its gap remakes is skipped whole."""
+def _moves(current, start, length):
+    """Every sentence built by moving ``current[start:start + length]`` to
+    another position of the rest."""
+    block, rest = current[start : start + length], current[:start] + current[start + length :]
+    return {tuple(rest[:pos] + block + rest[pos:]) for pos in range(len(rest) + 1) if pos != start}
+
+
+def _twin_lines():
+    """1,500 seeded lines, half random 2-3-letter lines and half
+    ``_run_heavy_pair`` lines, full of runs that sit right after their own
+    word."""
     rng = make_rng(36)
-    checked = skipped = 0
-    for trial in range(2500):
+    lines = []
+    for trial in range(1500):
         if trial % 2:
-            current, ref = _run_heavy_pair(rng, (5, 12), longest_run=5)
+            lines.append(_run_heavy_pair(rng, (5, 12), longest_run=5))
         else:
             vocab = "abc"[: rng.randint(2, 3)]
-            current = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
-            ref = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
-        ref_blocks = {tuple(ref[i:j]) for i in range(len(ref)) for j in range(i + 1, len(ref) + 1)}
-        built = {tuple(current)}
-        for start in range(len(current)):
+            hyp = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
+            lines.append((hyp, [rng.choice(vocab) for _ in range(rng.randint(1, 12))]))
+    return lines
+
+
+def test_skipped_moves_remake_an_earlier_moves_sentence():
+    """The twin rule skips a block that is one word repeated, right after
+    that same word: by brute force, every move of it builds a sentence that
+    the same run from one word before builds by an earlier move (or
+    ``current`` itself)."""
+    lines = _twin_lines()
+    twins = 0
+    for current, _ in lines:
+        for start in range(1, len(current)):
             for length in range(1, min(MAX_SHIFT_LENGTH, len(current) - start) + 1):
-                end = start + length
-                block = current[start:end]
-                if tuple(block) not in ref_blocks:
+                if current[start - 1 : start + length] != [current[start]] * (length + 1):
                     break
-                run = len(set(block)) == 1
-                slides = start > 0 and tuple(current[start - 1 : end - 1]) in ref_blocks
-                whole_block = _remakes_earlier(current, start, end, None, run, slides)
-                remainder = current[:start] + current[end:]
-                for pos in range(len(remainder) + 1):
-                    if pos == start:
-                        continue
-                    moved = tuple(remainder[:pos] + block + remainder[pos:])
-                    # The word before the gap: before a move left's insertion point, or the
-                    # last word a move right jumps over.
-                    before = remainder[pos - 1] if pos else None
-                    checked += 1
-                    if whole_block or _remakes_earlier(current, start, end, before, run, slides):
-                        skipped += 1
-                        assert moved in built, (current, ref, start, length, pos)
-                    built.add(moved)
-    assert skipped > checked // 4
+                twins += 1
+                earlier = _moves(current, start - 1, length) | {tuple(current)}
+                assert _moves(current, start, length) <= earlier, (current, start, length)
+    assert twins > len(lines)
 
 
 def test_best_shift_passes_true_block_facts_to_the_twin_rules(monkeypatch):
-    """``_best_shift`` passes ``_remakes_earlier`` whether the block is one
-    word repeated and whether the block from one word earlier occurs in the
-    reference, checked against the words themselves."""
-    rng = make_rng(37)
-    calls = 0
+    """``_best_shift`` applies the twin rule to the true block: ``ter``
+    builds no chain for a run right after its own word, read from each
+    chain's ``remainder`` (``keep`` and the block) in the round's frame,
+    while it builds chains for other blocks of the same lines."""
+    best_shift, prefix_states = align_metrics._best_shift, _ReferenceColumns.prefix_states
+    round_ = {}
+    chains = 0
 
-    def checked(current, start, end, before, run, slides):
-        nonlocal calls
-        calls += 1
-        earlier = current[start - 1 : end - 1]
-        assert run == (len(set(current[start:end])) == 1)
-        assert slides == (start > 0 and any(ref[j : j + len(earlier)] == earlier for j in range(len(ref))))
-        return _remakes_earlier(current, start, end, before, run, slides)
+    def recorded_round(current, columns, bound):
+        round_.update(current=current, columns=columns)
+        return best_shift(current, columns, bound)
 
-    monkeypatch.setattr(align_metrics, "_remakes_earlier", checked)
-    for _ in range(40):
-        hyp, ref = _run_heavy_pair(rng, (8, 30), longest_run=rng.randint(2, 8))
+    def checked_chain(self, tokens, state=None, limit=None, remainder=None):
+        nonlocal chains
+        if remainder is not None:
+            chains += 1
+            current, (keep, block) = round_["current"], remainder[:2]
+            mirrored = self is not round_["columns"]
+            start = len(current) - keep - len(block) if mirrored else keep
+            assert current[start : start + len(block)] == (block[::-1] if mirrored else block)
+            after_own_word = start and current[start - 1 : start + len(block)] == [block[0]] * (len(block) + 1)
+            assert not after_own_word, (current, start, len(block))
+        return prefix_states(self, tokens, state, limit, remainder)
+
+    monkeypatch.setattr(align_metrics, "_best_shift", recorded_round)
+    monkeypatch.setattr(_ReferenceColumns, "prefix_states", checked_chain)
+    for hyp, ref in _twin_lines():
         ter(hyp, ref)
-    assert calls
+    assert chains
 
 
 def test_ter_pins_pairs_too_long_for_the_oracles():

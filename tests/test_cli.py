@@ -15,10 +15,10 @@ from respeval.align_metrics import ter
 from respeval.cli import METRIC_FIELDS, main, score_transcript
 from respeval.fixtures import METRIC_COLUMNS
 from respeval.ngram_metrics import NgramConfig
-from respeval.resources import load_resources
+from respeval.resources import LanguageResources, load_resources
 
 import oracles
-from helpers import make_rng, random_corpus, random_segment
+from helpers import VOCAB, make_rng, random_corpus, random_segment
 from test_fixtures import TABLE1_SHA256
 
 
@@ -235,6 +235,40 @@ def test_score_transcript_columns_are_the_score_records(n_refs, resources, flags
             oracles.nist_oracle(hyp_corpus, ref_corpus, 5),
             ebleu * 100.0,
         )
+
+
+def _transcript_columns(hyp_corpus, ref_corpus, config, sentence_level=False):
+    return score_transcript(
+        hyp_corpus, ref_corpus, config, sentence_level=sentence_level, meteor_penalty_exp=1.0,
+        function_word_weight=0.3, ribes_alpha=0.25, ribes_variant="nkt",
+    )
+
+
+def test_score_transcript_ignores_reference_order_and_a_repeated_reference_list():
+    """Reversing each segment's references, or listing all of them twice (as
+    when every reference file is given twice), changes no unrounded column,
+    pooled or sentence level, with stems and function words."""
+    rng = make_rng(2300)
+    for trial in range(60):
+        stems = {word: frozenset(rng.sample(["st0", "st1", word], rng.randint(1, 2))) for word in rng.sample(VOCAB, 5)}
+        function_words = frozenset(rng.sample(VOCAB, 3))
+        config = NgramConfig(resources=LanguageResources(stems=stems, function_words=function_words))
+        hyp_corpus = random_corpus(rng, max_segments=6, max_tokens=12)
+        ref_corpus = [[random_segment(rng, 12) for _ in range(rng.randint(1, 3))] for _ in hyp_corpus]
+        sentence_level = bool(trial % 2)
+        columns = _transcript_columns(hyp_corpus, ref_corpus, config, sentence_level)
+        for refs_of in (lambda refs: refs[::-1], lambda refs: refs * 2):
+            other = [refs_of(refs) for refs in ref_corpus]
+            assert _transcript_columns(hyp_corpus, other, config, sentence_level) == columns
+
+
+@pytest.mark.xfail(strict=True, reason="EBLEU rewrites a synonym to a word of the first reference that has one")
+def test_score_transcript_ignores_reference_order_with_synonyms():
+    synonyms = {"x": frozenset({"b", "c"}), "b": frozenset({"x"}), "c": frozenset({"x"})}
+    config = NgramConfig(max_n=2, resources=LanguageResources(synonyms=synonyms))
+    hyp_corpus, refs = [["x", "z"]], [["b", "z"], ["y", "c"]]
+    # EBLEU is 92.5 with these references and 0 with them swapped
+    assert _transcript_columns(hyp_corpus, [refs], config) == _transcript_columns(hyp_corpus, [refs[::-1]], config)
 
 
 @pytest.mark.parametrize("resources", [False, True], ids=["plain", "resources"])
@@ -589,9 +623,12 @@ def test_regress_fit_errors_name_the_csv_but_no_fixture(tmp_path, capsys):
     code, out, err = run(capsys, "regress", str(csv), "--response", "y")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {csv}: design matrix is rank deficient")
+    # no fixture column set is rank deficient, so a candidate named twice
+    # stands in for an error raised inside backward_eliminate
+    code, out, err = run(capsys, "regress", str(csv), "--response", "y", "--candidates", "a", "a")
+    assert (code, out, err) == (2, "", f"error: {csv}: candidate predictors named twice: a\n")
     code, out, err = run(capsys, "regress", "--fixture", "table1", "--candidates", "BLEU", "BLEU")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: design matrix is rank deficient")
+    assert (code, out, err) == (2, "", "error: candidate predictors named twice: BLEU\n")
 
 
 def test_regress_overflow_exits_2_without_warnings(tmp_path, capsys):
@@ -749,6 +786,12 @@ LENGTH_ANNOTATIONS = (
             ["regress", "--fixture", "table1", "--candidates", "NER", "BLEU"],
             "error: the response 'NER' is also a candidate predictor",
             id="fixture-response-as-candidate",
+        ),
+        pytest.param(
+            {},
+            ["regress", "--fixture", "table1", "--candidates", "BLEU", "NIST", "BLEU"],
+            "error: candidate predictors named twice: BLEU",
+            id="fixture-candidate-named-twice",
         ),
         pytest.param(
             {"table": b"A,y,y\n1,2,3\n2,3,5\n3,5,7\n"},
