@@ -20,7 +20,6 @@ from .align_metrics import (
 )
 from .ngram_metrics import NgramConfig, NgramScore, bleu, brevity_penalty, ebleu, nist
 from .ner import (
-    ErrorSeverity,
     NerRecord,
     ner_accuracy,
     parse_ner_annotations,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DataTable",
     "EliminationTrace",
-    "ErrorSeverity",
     "LanguageResources",
     "MeteorAlignment",
     "MeteorScore",

@@ -13,6 +13,7 @@ from __future__ import annotations
 from importlib import resources as importlib_resources
 
 from .stats import DataTable
+from .textcore import RespevalInputError
 
 FIXTURE_NAMES = ("table1", "table2")
 METRIC_COLUMNS = ("BLEU", "NIST", "TER", "METEOR", "METEOR-PL", "EBLEU", "RIBES")
@@ -22,7 +23,7 @@ RESPONSE_COLUMN = "NER"
 def fixture_csv(name: str) -> str:
     """Raw CSV text of a bundled table."""
     if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; available: {FIXTURE_NAMES}")
+        raise RespevalInputError(f"unknown fixture {name!r}; available: {FIXTURE_NAMES}")
     return (
         importlib_resources.files("respeval.data").joinpath(f"{name}.csv").read_text("utf-8")
     )

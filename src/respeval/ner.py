@@ -10,53 +10,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
 from .textcore import RespevalInputError, read_number, read_table
 
 
-class ErrorSeverity(Enum):
-    MINOR = "minor"
-    STANDARD = "standard"
-    SERIOUS = "serious"
-
-    @property
-    def weight(self) -> float:
-        return _SEVERITY_WEIGHTS[self]
-
-
-_SEVERITY_WEIGHTS = {
-    ErrorSeverity.MINOR: 0.25,
-    ErrorSeverity.STANDARD: 0.5,
-    ErrorSeverity.SERIOUS: 1.0,
-}
-
-
 @dataclass(frozen=True)
 class NerRecord:
-    """One annotated transcript: token count, edition errors by severity and
-    pre-weighted recognition errors.
+    """One annotated transcript: token count, edition error counts by severity
+    and pre-weighted recognition errors, checked when built.
 
     ``original_length``/``subtitle_length`` are optional source/subtitle sizes
     (token or character counts) that feed the reduction rate when present.
     """
 
     tokens: int
-    edition_errors: tuple[tuple[ErrorSeverity, int], ...] = ()
+    minor: int = 0
+    standard: int = 0
+    serious: int = 0
     recognition_errors: float = 0.0
     original_length: int | None = None
     subtitle_length: int | None = None
 
-    @property
-    def weighted_edition_errors(self) -> float:
-        return sum(severity.weight * count for severity, count in self.edition_errors)
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.tokens <= 0:
             raise RespevalInputError(f"token count must be positive, got {self.tokens}")
-        if any(count < 0 for _, count in self.edition_errors):
+        if min(self.minor, self.standard, self.serious) < 0:
             raise RespevalInputError("edition error counts must be non-negative")
         if not (math.isfinite(self.recognition_errors) and self.recognition_errors >= 0):
             raise RespevalInputError(
@@ -72,10 +52,13 @@ class NerRecord:
                 f"errors exceed token count: E + R = {total} > N = {self.tokens}"
             )
 
+    @property
+    def weighted_edition_errors(self) -> float:
+        return 0.25 * self.minor + 0.5 * self.standard + self.serious
+
 
 def ner_accuracy(record: NerRecord) -> float:
     """Accuracy percentage (N - E - R) / N * 100, in [0, 100]."""
-    record.validate()
     e = record.weighted_edition_errors
     return (record.tokens - e - record.recognition_errors) / record.tokens * 100.0
 
@@ -92,6 +75,7 @@ def reduction_rate(original_tokens: int, subtitle_tokens: int) -> float:
     return (original_tokens - subtitle_tokens) / original_tokens * 100.0
 
 
+# NerRecord's first five fields, in order: parse_ner_annotations passes them positionally.
 ANNOTATION_COLUMNS = ("N", "minor_count", "standard_count", "serious_count", "R_weighted")
 # Optional trailing columns enabling the per-row reduction-rate report.
 OPTIONAL_COLUMNS = ("original_tokens", "subtitle_tokens", "original_chars", "subtitle_chars")
@@ -121,13 +105,10 @@ def parse_ner_annotations(
                 for name, cell in zip(header, row)
             }
             record = NerRecord(
-                cells["N"],
-                tuple(zip(ErrorSeverity, (cells[column] for column in ANNOTATION_COLUMNS[1:4]))),
-                cells["R_weighted"],
+                *(cells[name] for name in ANNOTATION_COLUMNS),
                 original_length=cells.get(f"original_{unit}"),
                 subtitle_length=cells.get(f"subtitle_{unit}"),
             )
-            record.validate()
         except RespevalInputError as exc:
             raise RespevalInputError(exc.message, path, line) from None
         records.append(record)

@@ -29,7 +29,7 @@ def brevity_penalty(c: int, r: float) -> float:
     """Length penalty: 1 when the hypothesis is longer than the reference,
     exp(1 - r/c) when it is shorter or equal."""
     if c < 0 or r < 0:
-        raise ValueError("lengths must be non-negative")
+        raise RespevalInputError("lengths must be non-negative")
     if c == 0:
         if r == 0:
             return 1.0

@@ -78,7 +78,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 def t_sf(t: float, df: int) -> float:
     """Two-sided p-value: probability(|T| >= |t|) under Student's t."""
     if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+        raise RespevalInputError(f"degrees of freedom must be >= 1, got {df}")
     if math.isinf(t):
         return 0.0
     if t == 0.0:
@@ -115,10 +115,6 @@ class DataTable:
         for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise RespevalInputError(f"row {i + 1} has {len(row)} fields, expected {width}")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
 
     def column(self, name: str) -> list[float]:
         try:

@@ -6,7 +6,7 @@ import itertools
 
 from respeval.align_metrics import kendall_nkt, meteor, ribes, spearman_nsr, ter
 from respeval.fixtures import load_fixture
-from respeval.ner import ErrorSeverity, NerRecord, ner_accuracy
+from respeval.ner import NerRecord, ner_accuracy
 from respeval.ngram_metrics import NgramConfig, bleu, ebleu, nist
 from respeval.resources import LanguageResources
 from respeval.stats import RegressionModel, backward_eliminate, ols_fit, predict, t_sf
@@ -185,28 +185,17 @@ def test_criterion_8_rank_statistics():
 
 
 def test_criterion_9_ner_formula():
-    def record(n, minor=0, standard=0, serious=0, r=0.0):
-        return NerRecord(
-            tokens=n,
-            edition_errors=(
-                (ErrorSeverity.MINOR, minor),
-                (ErrorSeverity.STANDARD, standard),
-                (ErrorSeverity.SERIOUS, serious),
-            ),
-            recognition_errors=r,
-        )
-
-    ok = ner_accuracy(record(100)) == 100.0
-    ok &= ner_accuracy(record(100, serious=1, r=1)) == 98.0
-    ok &= ner_accuracy(record(200, minor=2, standard=1, r=1)) == 99.0
+    ok = ner_accuracy(NerRecord(100)) == 100.0
+    ok &= ner_accuracy(NerRecord(100, serious=1, recognition_errors=1)) == 98.0
+    ok &= ner_accuracy(NerRecord(200, minor=2, standard=1, recognition_errors=1)) == 99.0
     rng = make_rng(109)
     for _ in range(100):
         n = rng.randint(20, 400)
         minor, standard, serious, r = (rng.randint(0, 4) for _ in range(4))
         scale = rng.randint(2, 7)
-        base = ner_accuracy(record(n, minor, standard, serious, r))
+        base = ner_accuracy(NerRecord(n, minor, standard, serious, r))
         scaled = ner_accuracy(
-            record(n * scale, minor * scale, standard * scale, serious * scale, r * scale)
+            NerRecord(n * scale, minor * scale, standard * scale, serious * scale, r * scale)
         )
         ok &= abs(base - scaled) <= 1e-9
     report(9, ok, "NER accuracy worked examples and scale invariance (100 records)")

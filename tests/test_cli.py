@@ -11,10 +11,10 @@ import pytest
 
 import respeval.cli
 import respeval.ngram_metrics
-from respeval.align_metrics import ter
+from respeval.align_metrics import ribes, ter
 from respeval.cli import METRIC_FIELDS, main, score_transcript
 from respeval.fixtures import METRIC_COLUMNS
-from respeval.ngram_metrics import NgramConfig
+from respeval.ngram_metrics import NgramConfig, bleu
 from respeval.resources import LanguageResources, load_resources
 
 import oracles
@@ -462,6 +462,38 @@ def test_score_hypothesis_empty_after_stripping(tmp_path, capsys):
     }
 
 
+def first_segment(capsys, tmp_path, hyp_line, ref_line, *flags):
+    hyp, ref, out_json = tmp_path / "hyp.txt", tmp_path / "ref.txt", tmp_path / "r.jsonl"
+    hyp.write_text(hyp_line + "\n", encoding="utf-8")
+    ref.write_text(ref_line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "score", str(hyp), str(ref), *flags, "--json", str(out_json))
+    assert (code, err) == (0, "")
+    return json.loads(out_json.read_text(encoding="utf-8").splitlines()[1])
+
+
+def test_score_ribes_variant_nsr_reaches_the_ribes_column(tmp_path, capsys):
+    h, r = "d c b a e f".split(), "a b c d e f".split()
+    nkt, nsr = ribes(h, r).score, ribes(h, r, variant="nsr").score
+    assert nkt != nsr
+    assert first_segment(capsys, tmp_path, " ".join(h), " ".join(r))["ribes"] == round(100 * nkt, 6)
+    segment = first_segment(capsys, tmp_path, " ".join(h), " ".join(r), "--ribes-variant", "nsr")
+    assert segment["ribes"] == round(100 * nsr, 6)
+
+
+def test_score_no_lowercase_keeps_capitals(tmp_path, capsys):
+    h, r = "The cat sat on the mat", "the cat sat on the mat"
+    assert first_segment(capsys, tmp_path, h, r)["bleu"] == 100.0
+    cased = round(100 * bleu([h.split()], [[r.split()]]).score, 6)
+    assert cased < 100.0
+    assert first_segment(capsys, tmp_path, h, r, "--no-lowercase")["bleu"] == cased
+
+
+def test_score_punctuation_keep_leaves_it_on_the_word(tmp_path, capsys):
+    # split: "sat." -> "sat", "." matches the reference; keep: one substitution and one insertion in 4
+    assert first_segment(capsys, tmp_path, "the cat sat.", "the cat sat .")["ter"] == 0.0
+    assert first_segment(capsys, tmp_path, "the cat sat.", "the cat sat .", "--punctuation", "keep")["ter"] == 50.0
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -555,6 +587,22 @@ def test_ner_blank_line_between_rows(tmp_path, capsys):
         "   1     100      0.00      0.00    100.00         -",
         "   2     200      1.00      1.00     99.00         -",
     ]
+
+
+def test_ner_chars_reads_the_character_columns(tmp_path, capsys):
+    csv = tmp_path / "ann.csv"
+    csv.write_text(
+        "N,minor_count,standard_count,serious_count,R_weighted,"
+        "original_tokens,subtitle_tokens,original_chars,subtitle_chars\n"
+        "100,0,0,0,0,100,90,600,480\n",
+        encoding="utf-8",
+    )
+    assert run(capsys, "ner", str(csv))[1].splitlines()[1] == (
+        "   1     100      0.00      0.00    100.00     10.00"
+    )
+    code, out, err = run(capsys, "ner", str(csv), "--chars")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "   1     100      0.00      0.00    100.00     20.00"
 
 
 def test_ner_malformed_row(tmp_path, capsys):

@@ -9,6 +9,7 @@ from respeval.fixtures import (
     fixture_csv,
     load_fixture,
 )
+from respeval.textcore import RespevalInputError
 
 TABLE1_SHA256 = "cf8d65b841ba0f8f07c7830dad4b918717a92ddca8785774bf21350e8d5a5aac"
 TABLE2_SHA256 = "a64c78927311cb29fffac126dc5a4f08b31401054518b7c356c85bab6ea96cce"
@@ -25,18 +26,26 @@ def test_fixture_digests_pinned():
 
 def test_fixture_names():
     assert FIXTURE_NAMES == ("table1", "table2")
-    with pytest.raises(KeyError):
+    with pytest.raises(RespevalInputError):
         fixture_csv("table3")
+
+
+@pytest.mark.parametrize("read", [fixture_csv, load_fixture])
+def test_unknown_fixture_is_an_input_error(read):
+    message = "unknown fixture 'table3'; available: ('table1', 'table2')"
+    with pytest.raises(RespevalInputError) as excinfo:
+        read("table3")
+    assert str(excinfo.value) == message
 
 
 def test_table1_shape_and_columns():
     table = load_fixture("table1")
-    assert table.n_rows == 57
+    assert len(table.rows) == 57
     assert table.columns == ["SPKR"] + list(METRIC_COLUMNS) + [RESPONSE_COLUMN, "RED."]
 
 
 def test_table2_shape():
-    assert load_fixture("table2").n_rows == 20
+    assert len(load_fixture("table2").rows) == 20
 
 
 def test_table1_spot_values():

@@ -1,67 +1,65 @@
 import io
+import math
 
 import pytest
 
-from respeval.ner import (
-    ErrorSeverity,
-    NerRecord,
-    ner_accuracy,
-    parse_ner_annotations,
-    reduction_rate,
-)
+from respeval.ner import NerRecord, ner_accuracy, parse_ner_annotations, reduction_rate
 from respeval.textcore import RespevalInputError
 
 from helpers import make_rng
 
 
-def record(n, minor=0, standard=0, serious=0, r=0.0, **kw):
-    return NerRecord(
-        tokens=n,
-        edition_errors=(
-            (ErrorSeverity.MINOR, minor),
-            (ErrorSeverity.STANDARD, standard),
-            (ErrorSeverity.SERIOUS, serious),
-        ),
-        recognition_errors=r,
-        **kw,
+def test_severity_weights():
+    assert NerRecord(10, minor=1).weighted_edition_errors == 0.25
+    assert NerRecord(10, standard=1).weighted_edition_errors == 0.5
+    assert NerRecord(10, serious=1).weighted_edition_errors == 1.0
+
+
+def test_record_checks_itself_when_built():
+    for fields, message in (
+        ({"minor": -1}, "edition error counts must be non-negative"),
+        ({"recognition_errors": math.nan}, "recognition errors must be a finite number >= 0, got nan"),
+        ({"original_length": 0}, "original length must be positive, got 0"),
+        ({"subtitle_length": -1}, "subtitle length must be >= 0, got -1"),
+        ({"serious": 2, "recognition_errors": 9.5}, r"E \+ R = 11.5 > N = 10"),
+    ):
+        with pytest.raises(RespevalInputError, match=message):
+            NerRecord(10, **fields)
+    assert NerRecord(10, 1, 2, 3, 4.75, 12, 10) == NerRecord(
+        tokens=10, minor=1, standard=2, serious=3, recognition_errors=4.75,
+        original_length=12, subtitle_length=10,
     )
 
 
-def test_severity_weights():
-    assert ErrorSeverity.MINOR.weight == 0.25
-    assert ErrorSeverity.STANDARD.weight == 0.5
-    assert ErrorSeverity.SERIOUS.weight == 1.0
-
-
 def test_accuracy_error_free():
-    assert ner_accuracy(record(100)) == 100.0
+    assert ner_accuracy(NerRecord(100)) == 100.0
 
 
 def test_accuracy_one_serious_one_recognition():
-    assert ner_accuracy(record(100, serious=1, r=1)) == 98.0
+    assert ner_accuracy(NerRecord(100, serious=1, recognition_errors=1)) == 98.0
 
 
 def test_accuracy_weighted_mix():
     # two minor (0.5) + one standard (0.5) edition errors and R = 1
-    assert ner_accuracy(record(200, minor=2, standard=1, r=1)) == 99.0
+    assert ner_accuracy(NerRecord(200, minor=2, standard=1, recognition_errors=1)) == 99.0
 
 
 def test_accuracy_rejects_zero_tokens():
     with pytest.raises(RespevalInputError, match="token count must be positive, got 0"):
-        ner_accuracy(record(0))
+        ner_accuracy(NerRecord(0))
 
 
 def test_accuracy_rejects_errors_exceeding_tokens():
     with pytest.raises(RespevalInputError, match="errors exceed token count"):
-        ner_accuracy(record(2, serious=2, r=1))
+        ner_accuracy(NerRecord(2, serious=2, recognition_errors=1))
 
 
 def test_accuracy_strictly_decreasing_per_error_kind():
-    base = ner_accuracy(record(50, minor=1, standard=1, serious=1, r=1))
-    assert ner_accuracy(record(50, minor=2, standard=1, serious=1, r=1)) < base
-    assert ner_accuracy(record(50, minor=1, standard=2, serious=1, r=1)) < base
-    assert ner_accuracy(record(50, minor=1, standard=1, serious=2, r=1)) < base
-    assert ner_accuracy(record(50, minor=1, standard=1, serious=1, r=2)) < base
+    base = ner_accuracy(NerRecord(50, 1, 1, 1, 1))
+    assert ner_accuracy(NerRecord(50, 2, 1, 1, 1)) < base
+    assert ner_accuracy(NerRecord(50, 1, 2, 1, 1)) < base
+    assert ner_accuracy(NerRecord(50, 1, 1, 2, 1)) < base
+    assert ner_accuracy(NerRecord(50, 1, 1, 1, 2)) < base
 
 
 def test_accuracy_scale_invariance():
@@ -73,16 +71,16 @@ def test_accuracy_scale_invariance():
         serious = rng.randint(0, 5)
         r = rng.randint(0, 5)
         scale = rng.randint(2, 9)
-        base = ner_accuracy(record(n, minor, standard, serious, r))
+        base = ner_accuracy(NerRecord(n, minor, standard, serious, r))
         scaled = ner_accuracy(
-            record(n * scale, minor * scale, standard * scale, serious * scale, r * scale)
+            NerRecord(n * scale, minor * scale, standard * scale, serious * scale, r * scale)
         )
         assert scaled == pytest.approx(base, abs=1e-9)
 
 
 def test_accuracy_minor_error_costs_25_over_n():
     for n in (40, 100, 250):
-        delta = ner_accuracy(record(n)) - ner_accuracy(record(n, minor=1))
+        delta = ner_accuracy(NerRecord(n)) - ner_accuracy(NerRecord(n, minor=1))
         assert delta == pytest.approx(25.0 / n, abs=1e-12)
 
 

@@ -52,6 +52,11 @@ def test_brevity_penalty_empty_hypothesis():
     assert brevity_penalty(0, 0) == 1.0
 
 
+def test_brevity_penalty_rejects_a_negative_length():
+    with pytest.raises(RespevalInputError, match="^lengths must be non-negative$"):
+        brevity_penalty(-1, 3)
+
+
 def test_closest_ref_length_ties_to_shorter():
     assert closest_ref_length(4, [3, 5]) == 3
     assert closest_ref_length(4, [5, 3]) == 3

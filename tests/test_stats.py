@@ -183,6 +183,11 @@ def test_t_sf_tail_limit():
     assert t_sf(1e8, 5) < 1e-12
 
 
+def test_t_sf_rejects_zero_degrees_of_freedom():
+    with pytest.raises(RespevalInputError, match="^degrees of freedom must be >= 1, got 0$"):
+        t_sf(1.0, 0)
+
+
 def test_t_sf_quantile_spot():
     assert t_sf(1.96, 1000) == pytest.approx(oracles.t_sf_quadrature(1.96, 1000), abs=1e-9)
     assert t_sf(1.96, 1000) == pytest.approx(0.0503, abs=5e-4)
