@@ -19,12 +19,7 @@ from .align_metrics import (
     word_rank_alignment,
 )
 from .ngram_metrics import NgramConfig, NgramScore, bleu, brevity_penalty, ebleu, nist
-from .ner import (
-    NerRecord,
-    ner_accuracy,
-    parse_ner_annotations,
-    reduction_rate,
-)
+from .ner import NerRecord, ner_accuracy, parse_ner_annotations
 from .resources import LanguageResources, load_resources
 from .stats import (
     DataTable,
@@ -68,7 +63,6 @@ __all__ = [
     "ols_fit",
     "parse_ner_annotations",
     "predict",
-    "reduction_rate",
     "ribes",
     "spearman_nsr",
     "t_sf",

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .align_metrics import meteor, ribes, ter
+from .align_metrics import RIBES_VARIANTS, meteor, ribes, ter
 from .fixtures import FIXTURE_NAMES, METRIC_COLUMNS, RESPONSE_COLUMN, fixture_csv, load_fixture
 from .ngram_metrics import (
     MAX_NGRAM_ORDER,
@@ -23,9 +23,9 @@ from .ngram_metrics import (
     corpus_stats,
     ngram_scores,
 )
-from .ner import ner_accuracy, parse_ner_annotations, reduction_rate
+from .ner import ANNOTATION_COLUMNS, ner_accuracy, parse_ner_annotations
 from .resources import load_resources
-from .stats import DataTable, EliminationTrace, RegressionModel, backward_eliminate, predict
+from .stats import DataTable, RegressionModel, backward_eliminate, predict
 from .textcore import (
     RespevalInputError,
     TokenizerConfig,
@@ -188,14 +188,10 @@ def cmd_ner(args: argparse.Namespace) -> int:
     header = f"{'ROW':>4}  {'N':>6}  {'E':>8}  {'R':>8}  {'NER%':>8}  {'RED%':>8}"
     lines = [header]
     for index, record in enumerate(records, start=1):
-        accuracy = ner_accuracy(record)
-        if record.original_length is not None and record.subtitle_length is not None:
-            red = f"{reduction_rate(record.original_length, record.subtitle_length):8.2f}"
-        else:
-            red = f"{'-':>8}"
+        red = "-" if record.reduction_rate is None else f"{record.reduction_rate:.2f}"
         lines.append(
             f"{index:>4}  {record.tokens:>6}  {record.weighted_edition_errors:8.2f}  "
-            f"{record.recognition_errors:8.2f}  {accuracy:8.2f}  {red}"
+            f"{record.recognition_errors:8.2f}  {ner_accuracy(record):8.2f}  {red:>8}"
         )
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
@@ -228,11 +224,6 @@ def _format_model(model: RegressionModel, stage: int, removed: str | None, alpha
     return "\n".join(lines)
 
 
-def _trace_to_dict(trace: EliminationTrace) -> dict:
-    steps = [{**asdict(step), "model": step.model.to_dict()} for step in trace.steps]
-    return {"alpha": trace.alpha, "steps": steps, "final_model": trace.final_model.to_dict()}
-
-
 def cmd_regress(args: argparse.Namespace) -> int:
     if args.fixture and args.csv:
         raise RespevalInputError("give a CSV path or --fixture, not both")
@@ -263,9 +254,9 @@ def cmd_regress(args: argparse.Namespace) -> int:
     )
     sys.stdout.write("\n\n".join(blocks) + "\n")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(_trace_to_dict(trace), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        # final_model is a property, which asdict leaves out; json writes asdict's tuples as lists
+        payload = {**asdict(trace), "final_model": asdict(final)}
+        Path(args.json).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -357,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--meteor-penalty-exp", type=POSITIVE, default=1.0)
     p_score.add_argument("--function-word-weight", type=UNIT_INTERVAL, default=0.2)
     p_score.add_argument("--ribes-alpha", type=OPEN_UNIT_INTERVAL, default=0.25)
-    p_score.add_argument("--ribes-variant", choices=("nkt", "nsr"), default="nkt")
+    p_score.add_argument("--ribes-variant", choices=RIBES_VARIANTS, default="nkt")
     p_score.add_argument("--no-lowercase", action="store_true", help="keep original casing")
     p_score.add_argument(
         "--punctuation",
@@ -369,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.set_defaults(func=cmd_score)
 
     p_ner = sub.add_parser("ner", help="NER accuracy and reduction rate from an annotation CSV")
-    p_ner.add_argument("annotations", help="CSV: N,minor_count,standard_count,serious_count,R_weighted")
+    p_ner.add_argument("annotations", help=f"CSV: {','.join(ANNOTATION_COLUMNS)}")
     p_ner.add_argument(
         "--chars",
         action="store_true",

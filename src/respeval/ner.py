@@ -56,23 +56,20 @@ class NerRecord:
     def weighted_edition_errors(self) -> float:
         return 0.25 * self.minor + 0.5 * self.standard + self.serious
 
+    @property
+    def reduction_rate(self) -> float | None:
+        """Relative shortening of the subtitle versus the original, in percent,
+        or ``None`` unless both lengths are present. Negative output is legal:
+        a subtitle longer than its source."""
+        if self.original_length is None or self.subtitle_length is None:
+            return None
+        return (self.original_length - self.subtitle_length) / self.original_length * 100.0
+
 
 def ner_accuracy(record: NerRecord) -> float:
     """Accuracy percentage (N - E - R) / N * 100, in [0, 100]."""
     e = record.weighted_edition_errors
     return (record.tokens - e - record.recognition_errors) / record.tokens * 100.0
-
-
-def reduction_rate(original_tokens: int, subtitle_tokens: int) -> float:
-    """Relative shortening of the subtitle versus the original, in percent.
-
-    Negative output is legal: a subtitle longer than its source.
-    """
-    if original_tokens <= 0:
-        raise RespevalInputError(f"original length must be positive, got {original_tokens}")
-    if subtitle_tokens < 0:
-        raise RespevalInputError(f"subtitle length must be >= 0, got {subtitle_tokens}")
-    return (original_tokens - subtitle_tokens) / original_tokens * 100.0
 
 
 # NerRecord's first five fields, in order: parse_ner_annotations passes them positionally.

@@ -57,7 +57,7 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
+        raise RespevalInputError("a and b must be positive")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -174,17 +174,12 @@ class RegressionModel:
     n: int
     df_resid: int
 
-    def to_dict(self) -> dict:
-        """The fields by name, tuples as lists: the JSON form of the model."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: list(v) if isinstance(v, tuple) else v for name, v in values.items()}
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "RegressionModel":
-        """Inverse of ``to_dict``. Data ``predict`` could not apply, such as a
-        missing entry, a number or a string in place of a list, a predictor
-        named twice or a coefficient a float cannot hold, is a
-        ``RespevalInputError``."""
+        """Inverse of ``dataclasses.asdict``, its tuples also read as JSON lists.
+        Data ``predict`` could not apply, such as a missing entry, a number or a
+        string in place of a list, a predictor named twice or a coefficient a
+        float cannot hold, is a ``RespevalInputError``."""
         tuples = {name for name, hint in get_type_hints(cls).items() if get_origin(hint) is tuple}
         try:
             model = cls(**{f.name: tuple(data[f.name]) if f.name in tuples else data[f.name] for f in fields(cls)})
@@ -193,7 +188,7 @@ class RegressionModel:
         except TypeError:
             raise RespevalInputError("the model must be a JSON object of names, lists and numbers") from None
         if not (
-            isinstance(data["predictors"], list)  # tuple() splits a string into one-letter names
+            isinstance(data["predictors"], (list, tuple))  # tuple() splits a string into one-letter names
             and all(isinstance(name, str) for name in model.predictors)
             and len(set(model.predictors)) == len(model.predictors)
             and len(model.coefficients) == len(model.predictors) + 1

@@ -110,7 +110,7 @@ def ngram_table(seq: TokenSequence, max_n: int) -> NGramCounts:
     table, in one ``Counter`` pass that inserts them order by order; a gram's
     order is its length."""
     if max_n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {max_n}")
+        raise RespevalInputError(f"n-gram order must be >= 1, got {max_n}")
     orders = range(1, min(max_n, len(seq)) + 1)
     return Counter(chain.from_iterable(zip(*[seq[i:] for i in range(n)]) for n in orders))
 

@@ -14,6 +14,7 @@ import respeval.ngram_metrics
 from respeval.align_metrics import ribes, ter
 from respeval.cli import METRIC_FIELDS, main, score_transcript
 from respeval.fixtures import METRIC_COLUMNS
+from respeval.ner import parse_ner_annotations
 from respeval.ngram_metrics import NgramConfig, bleu
 from respeval.resources import LanguageResources, load_resources
 
@@ -421,21 +422,29 @@ def test_score_stems_padded_off_the_corpus_score_as_unpadded(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
-# sha256 of `regress --fixture table1 --json`: the elimination trace and every
-# model field, so a field left out of (or added to) the model JSON shows here.
+# sha256 of `regress --fixture table1 --json` and `--fixture table2 --json`: the
+# elimination trace and every model field, so a field left out of (or added to)
+# the model JSON shows here.
 TABLE1_TRACE_SHA256 = "3f2d0e21321bb108a6b26814a4494cb2dfa74daea4fcc2c2ddecbe94d1809642"
-# sha256 of the text tables: `regress --fixture table1` stdout, and `ner`
-# stdout on LENGTH_ANNOTATIONS, a file with the reduction-rate columns.
+TABLE2_TRACE_SHA256 = "6a07e1f99da686a6f0748a19a49f63176a20cf407f585fcf61d75fbe6fb79f79"
+# sha256 of the text tables: `regress --fixture table1` and `--fixture table2`
+# stdout, and `ner` stdout on LENGTH_ANNOTATIONS, a file with the
+# reduction-rate columns.
 TABLE1_STDOUT_SHA256 = "95a1f7005514c6727c0aed19b937bc10cd025845955f95146bfeea36e113fb00"
+TABLE2_STDOUT_SHA256 = "89cc8e26294dc48e8e4fde579e953f7bbf9cca59cf6e833279cf325069226b60"
 NER_STDOUT_SHA256 = "4a19ad0daf3a18cbf1c6c0e0deaa1fc8a2c5a442a2ddb45eb637f98d6872e377"
 
 
 def test_regress_trace_bytes_are_pinned(tmp_path, capsys):
-    trace_json = tmp_path / "model.json"
-    code, out, err = run(capsys, "regress", "--fixture", "table1", "--json", str(trace_json))
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(trace_json.read_bytes()).hexdigest() == TABLE1_TRACE_SHA256
-    assert hashlib.sha256(out.encode()).hexdigest() == TABLE1_STDOUT_SHA256
+    for fixture, trace_sha, stdout_sha in (
+        ("table1", TABLE1_TRACE_SHA256, TABLE1_STDOUT_SHA256),
+        ("table2", TABLE2_TRACE_SHA256, TABLE2_STDOUT_SHA256),
+    ):
+        trace_json = tmp_path / f"{fixture}.json"
+        code, out, err = run(capsys, "regress", "--fixture", fixture, "--json", str(trace_json))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(trace_json.read_bytes()).hexdigest() == trace_sha
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
 
 
 def test_ner_text_bytes_are_pinned(tmp_path, capsys):
@@ -603,6 +612,29 @@ def test_ner_chars_reads_the_character_columns(tmp_path, capsys):
     code, out, err = run(capsys, "ner", str(csv), "--chars")
     assert (code, err) == (0, "")
     assert out.splitlines()[1] == "   1     100      0.00      0.00    100.00     20.00"
+
+
+def test_ner_prints_each_record_reduction_rate(tmp_path, capsys):
+    rng = make_rng(41)
+    # N and the error columns, then original and subtitle tokens, then original and subtitle chars
+    rows = [
+        [rng.randint(1, 50), 0, 0, 0, 0, rng.randint(1, 900), rng.randint(0, 900), rng.randint(1, 900), rng.randint(0, 900)]
+        for _ in range(60)
+    ]
+    csv = tmp_path / "ann.csv"
+    csv.write_text(
+        "N,minor_count,standard_count,serious_count,R_weighted,"
+        "original_tokens,subtitle_tokens,original_chars,subtitle_chars\n"
+        + "".join(",".join(map(str, row)) + "\n" for row in rows),
+        encoding="utf-8",
+    )
+    for flags, (original, subtitle) in (((), (5, 6)), (("--chars",), (7, 8))):
+        records = parse_ner_annotations(csv, use_chars=bool(flags))
+        code, out, err = run(capsys, "ner", str(csv), *flags)
+        assert (code, err) == (0, "")
+        for row, record, line in zip(rows, records, out.splitlines()[1:], strict=True):
+            assert record.reduction_rate == (row[original] - row[subtitle]) / row[original] * 100.0
+            assert line.split()[-1] == f"{record.reduction_rate:.2f}"
 
 
 def test_ner_malformed_row(tmp_path, capsys):

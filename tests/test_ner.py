@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from respeval.ner import NerRecord, ner_accuracy, parse_ner_annotations, reduction_rate
+from respeval.ner import NerRecord, ner_accuracy, parse_ner_annotations
 from respeval.textcore import RespevalInputError
 
 from helpers import make_rng
@@ -84,21 +84,34 @@ def test_accuracy_minor_error_costs_25_over_n():
         assert delta == pytest.approx(25.0 / n, abs=1e-12)
 
 
+def lengths(original, subtitle):
+    return NerRecord(10, original_length=original, subtitle_length=subtitle)
+
+
 def test_reduction_rate_examples():
-    assert reduction_rate(100, 90) == 10.0
-    assert reduction_rate(100, 100) == 0.0
-    assert reduction_rate(500, 533) == pytest.approx(-6.6)
+    assert lengths(100, 90).reduction_rate == 10.0
+    assert lengths(100, 100).reduction_rate == 0.0
+    # negative when the subtitle is longer than its source
+    assert lengths(100, 101).reduction_rate == -1.0
+    assert lengths(500, 533).reduction_rate == pytest.approx(-6.6)
+
+
+def test_reduction_rate_needs_both_lengths():
+    assert NerRecord(10).reduction_rate is None
+    assert lengths(100, None).reduction_rate is None
+    assert lengths(None, 90).reduction_rate is None
 
 
 def test_reduction_rate_rejects_zero_original():
     with pytest.raises(RespevalInputError, match="original length must be positive, got 0"):
-        reduction_rate(0, 5)
+        lengths(0, 5)
 
 
 def test_reduction_rate_rejects_negative_subtitle_and_keeps_zero():
     with pytest.raises(RespevalInputError, match="subtitle length must be >= 0, got -5"):
-        reduction_rate(120, -5)
-    assert reduction_rate(120, 0) == 100.0
+        lengths(120, -5)
+    assert lengths(120, 0).reduction_rate == 100.0
+    assert lengths(1, 0).reduction_rate == 100.0
 
 
 HEADER = "N,minor_count,standard_count,serious_count,R_weighted"
@@ -148,7 +161,7 @@ def test_parse_rejects_negative_subtitle_length_and_keeps_zero():
     with pytest.raises(RespevalInputError, match="^line 3: subtitle length must be >= 0, got -5"):
         parse_ner_annotations(io.StringIO(f"{header}100,0,0,0,0,120,100\n100,0,0,0,0,120,-5\n"))
     record = parse_ner_annotations(io.StringIO(f"{header}100,0,0,0,0,120,0\n"))[0]
-    assert reduction_rate(record.original_length, record.subtitle_length) == 100.0
+    assert record.reduction_rate == 100.0
 
 
 def test_parse_chars_columns_selected_by_flag():

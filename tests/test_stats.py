@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import json
 import math
 import warnings
 
@@ -212,6 +214,11 @@ def test_incomplete_beta_edges():
     assert regularized_incomplete_beta(1.0, 1.0, 0.37) == pytest.approx(0.37, abs=1e-12)
 
 
+def test_incomplete_beta_non_positive_shape_is_an_input_error():
+    with pytest.raises(RespevalInputError, match="^a and b must be positive$"):
+        regularized_incomplete_beta(0, 1, 0.5)
+
+
 # --- adjusted R^2 ----------------------------------------------------------------
 
 
@@ -343,7 +350,11 @@ def test_predict_non_finite_sum_is_an_input_error(scores):
 def test_model_round_trip_dict():
     table = load_fixture("table1")
     model = ols_fit(table, ["BLEU", "NIST", "EBLEU"])
-    assert RegressionModel.from_dict(model.to_dict()) == model
+    assert RegressionModel.from_dict(dataclasses.asdict(model)) == model
+    # the JSON form: the same fields, each tuple a list
+    assert RegressionModel.from_dict(json.loads(json.dumps(dataclasses.asdict(model)))) == model
+    with pytest.raises(RespevalInputError, match="one predictor name per coefficient"):
+        RegressionModel.from_dict({**dataclasses.asdict(model), "predictors": "BNE"})
 
 
 # --- reference dataset fit -----------------------------------------------------------

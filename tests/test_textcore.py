@@ -158,6 +158,11 @@ def test_ngram_rejects_zero_order():
             ngram_table(["a"], max_n)
 
 
+def test_ngram_table_zero_order_is_an_input_error():
+    with pytest.raises(RespevalInputError, match="^n-gram order must be >= 1, got 0$"):
+        ngram_table(("a",), 0)
+
+
 def test_ngram_total_counts_random_sequences():
     rng = make_rng(2)
     for _ in range(100):
