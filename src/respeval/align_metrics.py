@@ -246,6 +246,62 @@ def _prefix_bounds(
     return bounds, counted, remaining
 
 
+def _seed_distance(
+    current: list[str], columns: _ReferenceColumns, prefix: list[tuple[int, int, int]], lead: list[int], limit: int
+) -> int:
+    """The distance of one shift of ``current`` that ``_best_shift`` also
+    scores, if below ``limit``; else ``limit``.
+
+    ``current`` is tiled left to right into the longest blocks of 2 to
+    ``MAX_SHIFT_LENGTH`` words that occur in the reference. The block whose
+    nearest occurrence ``ref[j:j + length]`` lies furthest from its own start
+    moves to the position, nearest ``j``, that follows a word equal to
+    ``ref[j - 1]`` or precedes one equal to ``ref[j + length]`` (the start or
+    the end of ``current`` when the occurrence starts or ends the reference).
+    ``lead`` is the bound pass's row by kept prefix: a move whose row reaches
+    ``limit`` is not fed."""
+    masks, ref, n = columns.masks, columns.ref, len(current)
+    m, move, farthest, start = len(ref), None, 0, 0
+    while start < n - 1:
+        occurs, longest = columns.full, 0  # bit i: current[start:start + longest] occurs from ref[i] on
+        for length in range(1, min(MAX_SHIFT_LENGTH, n - start) + 1):
+            occurs &= masks.get(current[start + length - 1], 0) >> (length - 1)
+            if not occurs:
+                break
+            found, longest = occurs, length
+        if longest < 2:
+            start += 1
+            continue
+        # The nearest occurrence: the last at or before start, or the first after it if nearer.
+        below, above = found & ((2 << start) - 1), found >> (start + 1)
+        j = below.bit_length() - 1
+        if above and (not below or (above & -above).bit_length() < start - j):
+            j = start + (above & -above).bit_length()
+        if abs(j - start) > farthest:
+            farthest, move = abs(j - start), (start, longest, j)
+        start += longest
+    if move is None:
+        return limit
+    start, length, j = move
+    end = start + length
+    before, after = ref[j - 1] if j else None, ref[j + length] if j + length < m else None
+    anchored = [
+        p
+        for p in [*range(start), *range(end + 1, n + 1)]
+        if (current[p - 1] == before if p else j == 0) or (current[p] == after if p < n else after is None)
+    ]
+    if not anchored:
+        return limit
+    # The block starts at p in the shifted sequence when it moves left, at p - length when it moves right.
+    p = min(anchored, key=lambda p: abs((p if p < start else p - length) - j))
+    keep = min(start, p)
+    if lead[keep] >= limit:
+        return limit
+    block = current[start:end]
+    tokens = block + current[p:start] + current[end:] if p < start else current[end:p] + block + current[p:]
+    return min(columns.feed(prefix[keep], tokens, limit=limit)[2], limit)
+
+
 def _best_shift(
     current: list[str],
     columns: _ReferenceColumns,
@@ -275,11 +331,20 @@ def _best_shift(
     and loses at most one bit per word fed. A candidate's feed stops at the
     best distance by ``_ReferenceColumns.feed``'s cut-off. A cut feed's score
     already reaches the best distance, so it loses the strict ``<`` test as
-    the full feed would, and every pick stays the same."""
+    the full feed would, and every pick stays the same.
+
+    Before the loop, ``_seed_distance`` scores one shift that the loop also
+    scores. At distance ``s`` below the distance less one, the best
+    distance starts at ``s + 1``: the first candidate at or below ``s`` is
+    still the first best, since one at ``s`` exists, so no pick changes;
+    the bounds only prune from the start as they would once the loop met
+    it. A seed is not made when the distance is one above ``bound``, where
+    the loop stops at the first better candidate anyway. A seeded round
+    that picks nothing is an internal error."""
     prefix = columns.prefix_states(current)
-    best_distance = prefix[-1][2]
-    if best_distance <= bound:
-        return best_distance, None
+    distance = best_distance = prefix[-1][2]
+    if distance <= bound:
+        return distance, None
     n = len(current)
     reverse = current[::-1]
     suffix = columns.reversed.prefix_states(reverse)  # suffix[k]: the state after reverse[:k]
@@ -289,6 +354,8 @@ def _best_shift(
         (True, columns.reversed, reverse, suffix, tail, head[0][::-1]),
         (False, columns, current, prefix, head, tail[0][::-1]),
     )
+    if bound < distance - 1:  # else a move below the distance is at the bound, where the loop stops anyway
+        best_distance = min(distance, _seed_distance(current, columns, prefix, head[0], distance - 1) + 1)
     best_sequence = None
     masks = columns.masks
     x = None  # the word before the block
@@ -328,6 +395,8 @@ def _best_shift(
                         if d == bound:
                             return best_distance, best_sequence
         x = first
+    if best_sequence is None and best_distance < distance:
+        raise RuntimeError(f"TER found no shift below its seed's limit {best_distance}")
     return best_distance, best_sequence
 
 

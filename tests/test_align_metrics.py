@@ -357,23 +357,123 @@ def test_best_shift_passes_true_block_facts_to_the_twin_rules(monkeypatch):
     assert chains
 
 
+def _seed_lines():
+    """Lines for the round seed: 2-3-word and Zipfian vocabularies, blocks
+    moved to either end of the hypothesis and blocks that start or end the
+    reference moved inward; and, apart, lines whose moved block's
+    neighbours in the reference are missing from the hypothesis (no anchor
+    word)."""
+    rng = make_rng(37)
+    lines = [_moved_blocks_pair(rng, (8, 14), lambda r: r.choice("abc"[: r.randint(2, 3)])) for _ in range(150)]
+    lines += [_moved_blocks_pair(rng, (8, 16)) for _ in range(150)]
+    for _ in range(100):
+        ref = [_pareto_word(rng) for _ in range(rng.randint(8, 16))]
+        length = rng.randint(2, 5)
+        start = rng.choice([0, len(ref) - length, rng.randrange(1, len(ref) - length)])
+        block, rest = ref[start : start + length], ref[:start] + ref[start + length :]
+        pos = rng.choice([0, len(rest), rng.randint(0, len(rest))])
+        lines.append((rest[:pos] + block + rest[pos:], ref))
+    unanchored = []
+    for trial in range(100):
+        ref = [f"u{i}" for i in range(rng.randint(10, 16))]
+        start = rng.randrange(1, len(ref) - 4)
+        block, rest = ref[start : start + 3], ref[:start] + ref[start + 3 :]
+        rest[start - 1 : start + 1] = ["x", "y"]  # the block's neighbours in the reference
+        pos = len(rest) if trial % 2 else 0
+        unanchored.append((rest[:pos] + block + rest[pos:], ref))
+    return lines, unanchored
+
+
+def _shift_sentences(current, ref):
+    """Every sentence one shift of ``current`` builds, moving a block of at
+    most ``MAX_SHIFT_LENGTH`` words that occurs in ``ref``."""
+    sentences = set()
+    for start in range(len(current)):
+        for length in range(1, min(MAX_SHIFT_LENGTH, len(current) - start) + 1):
+            block = current[start : start + length]
+            if any(ref[j : j + length] == block for j in range(len(ref))):
+                sentences |= _moves(current, start, length)
+    return sentences
+
+
+def test_seed_scores_one_real_shift():
+    """A seed below its limit is the distance, by ``oracles.lev``, of the
+    one sentence it feeds, and that sentence is one shift of a block that
+    occurs in the reference and has at most ``MAX_SHIFT_LENGTH`` words. A
+    seed at its limit fed nothing below it; without an anchor word it feeds
+    nothing."""
+    lines, unanchored = _seed_lines()
+    fired = skipped = 0
+    for current, ref in lines + unanchored:
+        columns = _ReferenceColumns(ref)
+        prefix = columns.prefix_states(current)
+        lead = _prefix_bounds(columns, current, prefix)[0]
+        limit = prefix[-1][2]
+        fed = []
+
+        def recorded(state, tokens, feed=columns.feed, **kwargs):
+            fed.append(current[: prefix.index(state)] + tokens)
+            return feed(state, tokens, **kwargs)
+
+        columns.feed = recorded
+        seed = align_metrics._seed_distance(current, columns, prefix, lead, limit)
+        assert len(fed) <= 1
+        for sentence in fed:
+            assert tuple(sentence) in _shift_sentences(current, ref), (current, ref)
+            assert min(oracles.lev(sentence, ref), limit) == seed, (current, ref)
+        assert seed <= limit
+        fired += seed < limit
+        skipped += (current, ref) in unanchored and not fed
+    assert fired > len(lines) // 2
+    assert skipped > len(unanchored) // 2
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda rng: _moved_blocks_pair(rng, (16, 40)),
+        lambda rng: _probe_shaped_pair(rng, rng.randint(20, 60)),
+        lambda rng: _run_heavy_pair(rng, (12, 40)),
+    ],
+    ids=["moved-blocks", "probe-shaped", "run-heavy"],
+)
+def test_ter_without_the_seed_keeps_every_answer(monkeypatch, family):
+    """A seed only lowers the round's first limit, so ``ter`` gives the same
+    ``(edits, shifts)`` with the seed made to return the current distance."""
+    rng = make_rng(38)
+    pairs = [family(rng) for _ in range(40)]
+    seeded = [ter(hyp, ref) for hyp, ref in pairs]
+    monkeypatch.setattr(align_metrics, "_seed_distance", lambda current, columns, prefix, lead, limit: prefix[-1][2])
+    assert [ter(hyp, ref) for hyp, ref in pairs] == seeded
+
+
+def test_seed_below_every_shift_is_an_internal_error(monkeypatch):
+    """The seed's own shift always wins its round, so a seed that no shift
+    reaches raises instead of returning a wrong edit count."""
+    monkeypatch.setattr(align_metrics, "_seed_distance", lambda current, columns, prefix, lead, limit: -1)
+    with pytest.raises(RuntimeError, match="seed"):
+        ter(["c", "d", "e", "a", "b"], ["a", "b", "c", "d", "f"])
+
+
 def test_ter_pins_pairs_too_long_for_the_oracles():
     """(edits, shifts) recorded before feeds stopped at a limit, on the pairs
     where they stop most: re-spoken sentences of 60-100 words with moved
     blocks, probe-shaped pairs of 80 and 100 words, 60-word pairs over a
     3-word vocabulary, and 60-100-word pairs of long runs of one word; and,
     recorded before chains stopped at their remainder's bound, two
-    probe-shaped pairs of 150 words. The seed is fixed, not ``make_rng``'s,
-    because the answers are pinned."""
+    probe-shaped pairs of 150 words; and, recorded before each round was
+    seeded with one shift, two probe-shaped pairs of 200 words. The seed is
+    fixed, not ``make_rng``'s, because the answers are pinned."""
     rng = random.Random("long TER pairs")
     pairs = [_moved_blocks_pair(rng, (60, 100)) for _ in range(4)]
     pairs += [_probe_shaped_pair(rng, length) for length in (80, 100)]
     pairs += [_moved_blocks_pair(rng, (60, 60), lambda r: r.choice("abc")) for _ in range(2)]
     pairs += [_run_heavy_pair(rng, (60, 100)) for _ in range(4)]
     pairs += [_probe_shaped_pair(rng, 150) for _ in range(2)]
+    pairs += [_probe_shaped_pair(rng, 200) for _ in range(2)]
     results = [ter(hyp, ref) for hyp, ref in pairs]
     expected = [(2, 1), (1, 1), (2, 1), (4, 2), (11, 2), (12, 2), (2, 2), (4, 1), (3, 3), (2, 1), (2, 1), (3, 1)]
-    expected += [(17, 2), (17, 2)]
+    expected += [(17, 2), (17, 2), (22, 2), (22, 2)]
     assert [(result.edits, result.shifts) for result in results] == expected
 
 
