@@ -5,6 +5,7 @@ RIBES with its rank-correlation primitives."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +45,15 @@ def multiset_edit_bound(a: Sequence[str], b: Sequence[str]) -> int:
     return surplus + max(len(b) - len(a), 0)
 
 
+def _masks(seq: Sequence[str]) -> dict[str, int]:
+    """Each token of ``seq`` with the mask of its positions: bit ``j`` is set
+    where ``seq[j]`` is that token."""
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(seq):
+        masks[tok] = masks.get(tok, 0) | 1 << j
+    return masks
+
+
 class _ReferenceColumns:
     """Bit-parallel word edit distance against one fixed reference (Myers 1999,
     in Hyyrö's 2001 formulation for global distance).
@@ -56,9 +66,7 @@ class _ReferenceColumns:
 
     def __init__(self, ref: Sequence[str]):
         self.ref = ref
-        self.masks: dict[str, int] = {}
-        for i, tok in enumerate(ref):
-            self.masks[tok] = self.masks.get(tok, 0) | (1 << i)
+        self.masks = _masks(ref)
         self.high = 1 << (len(ref) - 1)
         self.full = (self.high << 1) - 1
         self.initial = (self.full, 0, len(ref))
@@ -526,7 +534,7 @@ def _exact_stage_matching(
         left[d] = hyp_counts[tok]
     needed = {tok: min(count, len(occurrences[tok])) for tok, count in hyp_counts.items()}
     rank = {j: t for occ in occurrences.values() for t, j in enumerate(occ)}
-    bits = {tok: sum(1 << j for j in occ) for tok, occ in occurrences.items()}
+    bits = _masks(ref)
     # Bit j of ``used`` is set when ref[j] is matched, of ``tail`` when ref[j]
     # is among the last k occurrences of a word that still needs k matches
     # (at first every k is at least 1: the word occurs on both sides).
@@ -761,16 +769,18 @@ def _check_rank_input(positions: Sequence[int]) -> None:
 
 
 def kendall_nkt(positions: Sequence[int]) -> float:
-    """Kendall's tau over the position list, rescaled to [0, 1]."""
+    """Kendall's tau over the position list, rescaled to [0, 1]. Each position
+    is inserted into the sorted list of those before it, where ``bisect_left``
+    counts the earlier, smaller ones: its concordant pairs."""
     _check_rank_input(positions)
     n = len(positions)
     pairs = n * (n - 1) // 2
-    concordant = sum(
-        1
-        for i in range(n)
-        for j in range(i + 1, n)
-        if positions[j] > positions[i]
-    )
+    concordant = 0
+    earlier: list[int] = []
+    for p in positions:
+        k = bisect_left(earlier, p)
+        concordant += k
+        earlier.insert(k, p)
     tau = (2 * concordant - pairs) / pairs
     return (tau + 1.0) / 2.0
 
@@ -792,9 +802,10 @@ def spearman_nsr(positions: Sequence[int]) -> float:
     return (rho + 1.0) / 2.0
 
 
-def _narrow(seq: Sequence[str], positions: list[int], offset: int, token: str) -> list[int]:
-    """The positions ``j`` whose context also has ``token`` at ``j + offset``."""
-    return [j for j in positions if 0 <= j + offset < len(seq) and seq[j + offset] == token]
+def _narrow(positions: int, mask: int, offset: int) -> int:
+    """The positions ``j`` of the mask ``positions`` whose context has the word
+    of ``mask`` at ``j + offset``."""
+    return positions & (mask >> offset if offset > 0 else mask << -offset)
 
 
 def word_rank_alignment(hyp: TokenSequence, ref: TokenSequence) -> list[int]:
@@ -803,20 +814,20 @@ def word_rank_alignment(hyp: TokenSequence, ref: TokenSequence) -> list[int]:
     Words unique in both sides align directly; repeated words are
     disambiguated by growing the context one word at a time, right before
     left at each width, until the context occurs exactly once in both
-    sentences. Each side's word -> positions table is built once; from it,
-    each side keeps only the list of positions whose context still matches,
-    so memory stays linear in the sentence length. Words whose
-    ambiguity survives are left unaligned, and every reference position is
-    used at most once.
+    sentences. Each side's word -> position mask table is built once; from
+    it, each side keeps one mask of the positions whose context still
+    matches, narrowed by one shift and one ``&`` per step, so memory stays
+    linear in the sentence length. Words whose ambiguity survives are left
+    unaligned, and every reference position is used at most once.
     """
     if hyp == ref:
         return list(range(len(hyp)))
-    hyp_positions, ref_positions = _positions(hyp), _positions(ref)
-    used: set[int] = set()
+    hyp_masks, ref_masks = _masks(hyp), _masks(ref)
+    used = 0
     worder: list[int] = []
     for i, word in enumerate(hyp):
-        hyp_right = hyp_left = hyp_positions[word]
-        ref_right = ref_left = ref_positions.get(word, [])
+        hyp_right = hyp_left = hyp_masks[word]
+        ref_right = ref_left = ref_masks.get(word, 0)
         position = None
         # Width 0 is the word itself, whose positions the tables hold; the left
         # context starts at width 1.
@@ -825,19 +836,21 @@ def word_rank_alignment(hyp: TokenSequence, ref: TokenSequence) -> list[int]:
                 break
             if i + width < len(hyp):
                 if width:
-                    hyp_right = _narrow(hyp, hyp_right, width, hyp[i + width])
-                    ref_right = _narrow(ref, ref_right, width, hyp[i + width])
-                if len(hyp_right) == 1 and len(ref_right) == 1:
-                    position = ref_right[0]
+                    tok = hyp[i + width]
+                    hyp_right = _narrow(hyp_right, hyp_masks[tok], width)
+                    ref_right = _narrow(ref_right, ref_masks.get(tok, 0), width)
+                if hyp_right.bit_count() == 1 and ref_right.bit_count() == 1:
+                    position = ref_right.bit_length() - 1
                     break
             if 0 < width <= i:
-                hyp_left = _narrow(hyp, hyp_left, -width, hyp[i - width])
-                ref_left = _narrow(ref, ref_left, -width, hyp[i - width])
-                if len(hyp_left) == 1 and len(ref_left) == 1:
-                    position = ref_left[0]
+                tok = hyp[i - width]
+                hyp_left = _narrow(hyp_left, hyp_masks[tok], -width)
+                ref_left = _narrow(ref_left, ref_masks.get(tok, 0), -width)
+                if hyp_left.bit_count() == 1 and ref_left.bit_count() == 1:
+                    position = ref_left.bit_length() - 1
                     break
-        if position is not None and position not in used:
-            used.add(position)
+        if position is not None and not used >> position & 1:
+            used |= 1 << position
             worder.append(position)
     return worder
 

@@ -13,10 +13,7 @@ in parallel as long as the reduction keeps segment order.
 from __future__ import annotations
 
 import math
-import operator
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Mapping, Sequence
 
 from .resources import LanguageResources
@@ -213,12 +210,18 @@ def segment_stats(
     token was rewritten.
 
     Hypothesis n-grams clip against one table of each n-gram's highest count
-    in any single reference.
+    in any single reference; one pass over each further reference table adds
+    its counts to the first and raises those highest counts.
     """
     top = max(config.max_n, config.nist_max_n)
-    ref_tables = [ngram_table(ref, top) for ref in refs]
-    ref_counts = ref_tables[0] if len(ref_tables) == 1 else sum(ref_tables, Counter())
-    get = reduce(operator.or_, ref_tables).get  # with one reference, its own table
+    ref_counts, *others = [ngram_table(ref, top) for ref in refs]
+    most = dict(ref_counts) if others else ref_counts
+    for table in others:
+        for gram, count in table.items():
+            ref_counts[gram] = ref_counts.get(gram, 0) + count
+            if count > most.get(gram, 0):
+                most[gram] = count
+    get = most.get
     clipped: dict[Gram, int] = {}
     matches = [0] * top
     for gram, count in ngram_table(hyp, top).items():

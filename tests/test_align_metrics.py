@@ -928,6 +928,15 @@ def test_rank_stats_all_permutations_match_brute_force():
             assert 0.0 <= spearman_nsr(perm) <= 1.0
 
 
+def test_kendall_matches_brute_force_on_long_lists():
+    # Distinct positions with gaps, as unaligned words leave them; the counts
+    # are integers, so the floats agree exactly.
+    rng = make_rng(53)
+    for size in [2, 3, 2000] + [rng.randint(2, 2000) for _ in range(8)]:
+        positions = rng.sample(range(3 * size), size)
+        assert kendall_nkt(positions) == oracles.kendall_nkt_brute(positions), size
+
+
 def test_spearman_handles_non_contiguous_positions():
     # rank-transformed: gaps in reference positions do not matter
     assert spearman_nsr([0, 5, 9]) == spearman_nsr([0, 1, 2])
@@ -1066,6 +1075,45 @@ def test_word_rank_alignment_matches_scan_oracle_on_long_lines():
             assert word_rank_alignment(h, r) == expected
             if length <= 300:  # the n-gram tables grow with the square of the length
                 assert expected == oracles.word_rank_alignment(h, r)
+
+
+def _three_word_lines(rng: random.Random, length: int) -> tuple[list[str], tuple[list[str], ...]]:
+    """A hypothesis of ``length`` tokens over three words, with three
+    references: an independent draw, a rotation and a copy with five edits."""
+    hyp = [rng.choice("abc") for _ in range(length)]
+    drawn = [rng.choice("abc") for _ in range(length)]
+    cut = rng.randrange(1, length)
+    edited = list(hyp)
+    for _ in range(5):
+        at = rng.randrange(len(edited))
+        edited[at : at + rng.randint(0, 1)] = rng.choice(([], ["a"], ["b"], ["c"]))
+    return hyp, (drawn, hyp[cut:] + hyp[:cut], edited)
+
+
+def test_word_rank_alignment_on_long_repeated_word_lines():
+    # Position masks of these lines span many machine words.
+    rng = make_rng(52)
+    for length in (60, 120, 300, 1000):
+        hyp, refs = _three_word_lines(rng, length)
+        for ref in refs:
+            expected = oracles.word_rank_alignment_scan(hyp, ref)
+            assert word_rank_alignment(hyp, ref) == expected, length
+            if length <= 300:  # the n-gram tables grow with the square of the length
+                assert expected == oracles.word_rank_alignment(hyp, ref), length
+
+
+def test_ribes_on_long_repeated_word_lines_keeps_its_recorded_fields():
+    # Recorded from the list-narrowing alignment and pairwise Kendall count;
+    # a fixed generator keeps the lines the same at every test seed.
+    hyp, refs = _three_word_lines(random.Random(3), 1000)
+    recorded = [
+        (0.47685235164993345, 0.46146778688724766, 0.3952477700882318),
+        (0.955013013013013, 0.9325869325869326, 0.955013013013013),
+        (1.0, 1.0, 0.9992491547703852),
+    ]
+    for ref, fields in zip(refs, recorded):
+        result = ribes(hyp, ref)
+        assert (result.nkt, result.nsr, result.score) == fields
 
 
 def test_word_rank_alignment_memory_is_linear():
