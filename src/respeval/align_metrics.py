@@ -430,6 +430,8 @@ def ter(hyp: TokenSequence, ref: TokenSequence) -> TerScore:
             break
         current = shifted
         shifts += 1
+        if distance == bound:  # no shift goes below the multiset bound
+            break
     edits = shifts + distance
     return TerScore(edits=edits, shifts=shifts, ref_length=len(ref), ter=edits / len(ref))
 
@@ -671,7 +673,7 @@ def meteor_align(
         (STAGE_STEM, resources.stems_of, resources.stems_of, resources.stems),
         (STAGE_SYNONYM, resources.synonyms_of, lambda tok: (tok,), resources.synonyms),
     ):
-        if not active:
+        if not active or len(all_matches) == min(len(hyp), len(ref)):  # a side is fully matched
             continue
         matched_hyp = {h for h, _, _ in all_matches}
         matched_ref = {r for _, r, _ in all_matches}

@@ -38,6 +38,8 @@ def brevity_penalty(c: int, r: float) -> float:
 
 def closest_ref_length(c: int, ref_lengths: Sequence[int]) -> int:
     """Reference length nearest to ``c``; ties resolved to the shorter one."""
+    if len(ref_lengths) == 1:
+        return ref_lengths[0]
     return min(ref_lengths, key=lambda rl: (abs(rl - c), rl))
 
 
@@ -228,18 +230,19 @@ def segment_stats(
         if most := get(gram):
             clipped[gram] = matched = count if count < most else most
             matches[len(gram) - 1] += matched
-    effective, factors = _annotate(hyp, refs, config.resources, config.synonym_score)
     weighted = None
-    if effective != hyp:
-        occurrences: dict[Gram, list[float]] = {}
-        for n in range(1, config.max_n + 1):
-            for i in range(len(hyp) - n + 1):
-                occurrences.setdefault(tuple(effective[i : i + n]), []).append(math.prod(factors[i : i + n]))
-        weighted = {
-            gram: tuple(sorted(weights, reverse=True)[:matched])
-            for gram, weights in occurrences.items()
-            if (matched := min(len(weights), get(gram, 0)))
-        }
+    if config.resources.synonyms:  # without synonyms no token is rewritten
+        effective, factors = _annotate(hyp, refs, config.resources, config.synonym_score)
+        if effective != hyp:
+            occurrences: dict[Gram, list[float]] = {}
+            for n in range(1, config.max_n + 1):
+                for i in range(len(hyp) - n + 1):
+                    occurrences.setdefault(tuple(effective[i : i + n]), []).append(math.prod(factors[i : i + n]))
+            weighted = {
+                gram: tuple(sorted(weights, reverse=True)[:matched])
+                for gram, weights in occurrences.items()
+                if (matched := min(len(weights), get(gram, 0)))
+            }
     lens = tuple(len(ref) for ref in refs)
     return SegmentStats(len(hyp), lens, clipped, tuple(matches), ref_counts, weighted)
 
@@ -281,20 +284,23 @@ def _combine(nums: Sequence[float], dens: Sequence[int], c: int, r: int) -> Ngra
     """The score of per-order credits ``nums`` over hypothesis n-gram totals
     ``dens``: the bases combine through the running log-mean ``C_i = exp(s / i)``
     and take the brevity penalty, which is 0 for an empty hypothesis."""
-    bases = tuple(min(num / den, 1.0) if den > 0 else None for num, den in zip(nums, dens))
-    log_sum = 0.0
-    included = 0
+    bases: list[float | None] = []
     cumulative: list[float | None] = []
-    for base in bases:
-        if base is None:
+    log_sum = core = 0.0
+    included = 0
+    for num, den in zip(nums, dens):
+        if den <= 0:
+            bases.append(None)
             cumulative.append(None)
             continue
+        base = min(num / den, 1.0)
+        bases.append(base)
         log_sum += math.log(base) if base > 0 else -math.inf
         included += 1
-        cumulative.append(math.exp(log_sum / included) if log_sum > -math.inf else 0.0)
-    core = next((cum for cum in reversed(cumulative) if cum is not None), 0.0)
+        core = math.exp(log_sum / included) if log_sum > -math.inf else 0.0
+        cumulative.append(core)
     bp = brevity_penalty(c, r) if c else 0.0
-    return NgramScore(max(0.0, min(1.0, bp * core)), bases, tuple(cumulative), bp, c, r)
+    return NgramScore(max(0.0, min(1.0, bp * core)), tuple(bases), tuple(cumulative), bp, c, r)
 
 
 def ngram_scores(
@@ -312,8 +318,10 @@ def ngram_scores(
     """
     max_n, nist_n, bonus = config.max_n, config.nist_max_n, config.rare_words_score
     ref_counts = _pooled_ref_counts(stats, nist_n)
-    rare = rare_reference_words(ref_counts, config.rare_words_percent)
     total_ref_tokens = sum(sum(rec.ref_lens) for rec in stats)
+    # No more distinct reference words than tokens: no rare word if the tokens give none.
+    percent = config.rare_words_percent
+    rare = rare_reference_words(ref_counts, percent) if int(total_ref_tokens * percent) else frozenset()
     totals = [0] * max(max_n, nist_n)
     bleu_nums = [0.0] * max_n
     ebleu_nums = [0.0] * max_n
@@ -338,8 +346,8 @@ def ngram_scores(
                 for gram, weights in rec.ebleu_weights.items():
                     credit = sum(weights) if rare.isdisjoint(gram) else sum(w * bonus for w in weights)
                     earned[len(gram) - 1] += credit
-        for i in range(len(totals)):
-            total = max(rec.hyp_len - i, 0)
+        for i in range(min(rec.hyp_len, len(totals))):  # higher orders would add 0
+            total = rec.hyp_len - i
             totals[i] += total
             if i < max_n:
                 bleu_nums[i] += min(rec.matches[i], total)
@@ -355,7 +363,9 @@ def ngram_scores(
     if config.smooth:  # BLEU only
         bleu_nums = [num + 1 if den > 0 else num for num, den in zip(bleu_nums, dens)]
         dens = [den + 1 if den > 0 else den for den in dens]
-    bleu_score = _combine(bleu_nums, dens, c, r)
+        bleu_score = _combine(bleu_nums, dens, c, r)
+    else:  # equal credits over the same totals: BLEU's record is EBLEU's
+        bleu_score = ebleu_score if bleu_nums == ebleu_nums else _combine(bleu_nums, dens, c, r)
 
     nist_score = 0.0
     if c and r_bar > 0:

@@ -54,17 +54,15 @@ class LanguageResources:
         return frozenset((word,)) if stems is None else stems
 
 
-def _data_lines(path: str | Path):
+def _data_lines(path: str | Path) -> list[tuple[int, str]]:
     """The stripped, NFC-normalized data lines of ``path`` with their numbers.
 
     The text is normalized whole: whitespace and line ends stay whitespace and
     line ends and never compose with a neighbour, so every word comes out as
     if normalized on its own. CR LF, CR and LF each end a line."""
     text = unicodedata.normalize("NFC", read_text(path)).replace("\r\n", "\n").replace("\r", "\n")
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+    lines = [raw.strip() for raw in text.split("\n")]
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line and line[0] != "#"]
 
 
 def _load_tab_table(

@@ -16,7 +16,6 @@ import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -107,12 +106,12 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> TokenSeq
 
 def ngram_table(seq: TokenSequence, max_n: int) -> NGramCounts:
     """Count the n-grams of ``seq`` of every order from 1 to ``max_n`` into one
-    table, in one ``Counter`` pass that inserts them order by order; a gram's
-    order is its length."""
+    table, in one ``Counter`` pass over a list that holds them order by order;
+    a gram's order is its length."""
     if max_n < 1:
         raise RespevalInputError(f"n-gram order must be >= 1, got {max_n}")
     orders = range(1, min(max_n, len(seq)) + 1)
-    return Counter(chain.from_iterable(zip(*[seq[i:] for i in range(n)]) for n in orders))
+    return Counter([gram for n in orders for gram in zip(*[seq[i:] for i in range(n)])])
 
 
 def line_at(text: str, pos: int) -> int:

@@ -236,6 +236,33 @@ def test_ter_matches_greedy_oracle():
         assert (result.edits, result.shifts) == oracles.ter_greedy(hyp, ref), (hyp, ref)
 
 
+def test_ter_stops_after_a_shift_that_reaches_the_multiset_bound(monkeypatch):
+    """No shift goes below the multiset bound, so a shift that reaches it
+    ends the search: a pair whose one shift reaches the bound makes one
+    ``_best_shift`` call, and ``ter`` still equals the greedy oracle on
+    reorderings of the reference, with and without a substituted word."""
+    best_shift, calls = align_metrics._best_shift, []
+
+    def counted(current, columns, bound):
+        calls.append(bound)
+        return best_shift(current, columns, bound)
+
+    monkeypatch.setattr(align_metrics, "_best_shift", counted)
+    result = ter(["c", "d", "a", "b", "e", "f", "g", "h"], list("abcdefgh"))
+    assert (result.edits, result.shifts, calls) == (1, 1, [0])
+    rng = make_rng(54)
+    at_bound = 0
+    for _ in range(300):
+        ref = [rng.choice("abcdef") for _ in range(rng.randint(1, 9))]
+        hyp = rng.sample(ref, len(ref))
+        if rng.random() < 0.5:
+            hyp[rng.randrange(len(hyp))] = rng.choice("abcdefg")
+        result = ter(hyp, ref)
+        assert (result.edits, result.shifts) == oracles.ter_greedy(hyp, ref), (hyp, ref)
+        at_bound += result.shifts > 0 and result.edits - result.shifts == multiset_edit_bound(hyp, ref)
+    assert at_bound > 100
+
+
 def test_ter_bound_keeps_the_unpruned_answer():
     rng = make_rng(25)
     pairs = [_moved_blocks_pair(rng, (20, 60)) for _ in range(3)]
@@ -687,6 +714,32 @@ def _cut_short_synonym_pair():
 def test_align_cut_short_stage_keeps_a_maximum_matching():
     hyp, ref, resources = _cut_short_synonym_pair()
     assert meteor_align(hyp, ref, resources).matched_unigrams == 22
+
+
+def test_align_skips_the_later_stages_once_a_side_is_fully_matched(monkeypatch):
+    """When the exact stage matches every word of the shorter side, no stem
+    or synonym stage can add a match: neither runs, the alignment is the
+    exact stage's, and it equals the brute-force stage oracle."""
+    best_stage_matching, stages = align_metrics._best_stage_matching, []
+
+    def counted(candidates, prior):
+        stages.append(candidates)
+        return best_stage_matching(candidates, prior)
+
+    monkeypatch.setattr(align_metrics, "_best_stage_matching", counted)
+    rng = make_rng(55)
+    words = ("a", "b", "c", "d", "e", "f")
+    for _ in range(400):
+        vocab = words[: rng.randint(1, 6)]
+        longer = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
+        shorter = rng.sample(longer, rng.randint(0, len(longer)))
+        hyp, ref = (shorter, longer) if rng.random() < 0.5 else (longer, shorter)
+        stems, synonyms = _random_resources(rng, vocab)
+        resources = LanguageResources(synonyms=synonyms, stems=stems)
+        alignment = meteor_align(hyp, ref, resources)
+        assert list(alignment.matches) == oracles.meteor_align_brute(hyp, ref, stems, synonyms), (hyp, ref)
+        assert alignment == meteor_align(hyp, ref)
+    assert stages == []
 
 
 def test_align_cut_short_stage_is_not_exhaustive():

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+from pathlib import Path
 
 import pytest
 
@@ -528,3 +530,49 @@ def test_segment_records_equal_the_gram_by_gram_oracle():
         assert _ordered(*fields) == _ordered(*expected), (hyp, refs, config)
         rewritten += ngram_metrics._annotate(hyp, refs, config.resources, 0.9)[0] != hyp
     assert rewritten > 100
+
+
+PINNED_REDUCTIONS = Path(__file__).parent / "data" / "ngram_scores_pinned.txt"
+
+
+def _pinned_cases():
+    """Forty corpora with their configs: smoothing on and off, synonym
+    rewrites and none, rare-word shares that leave no rare word and that
+    leave some, 1-3 references, an empty hypothesis among others, and
+    ``max_n`` above and below ``nist_max_n``. The seed is fixed, not
+    ``make_rng``'s, because the answers are pinned."""
+    synonyms = {"cat": frozenset({"dog", "kitten"}), "dog": frozenset({"cat"}), "kitten": frozenset({"cat"})}
+    synonyms |= {"big": frozenset({"large"}), "large": frozenset({"big"})}
+    vocab = VOCAB + ("large", "kitten")
+    rng = random.Random("pinned n-gram reductions")
+    for i in range(40):
+        size, n_refs = 1 + i % 4, 1 + i // 4 % 3
+        hyps = [random_segment(rng, 12, vocab) for _ in range(size)]
+        if i % 7 == 3:
+            hyps.append([])
+        refss = [[random_segment(rng, 12) for _ in range(n_refs)] for _ in hyps]
+        max_n, nist_n = ((4, 5), (5, 3), (2, 2), (3, 6), (1, 4))[i % 5]
+        config = NgramConfig(
+            max_n=max_n,
+            nist_max_n=nist_n,
+            smooth=i % 2 == 1,
+            rare_words_percent=(0.0, 0.05, 0.3)[i % 3],
+            rare_words_score=(1.1, 1.5)[i // 3 % 2],
+            resources=LanguageResources(synonyms=synonyms) if i // 2 % 2 == 0 else LanguageResources(),
+        )
+        yield hyps, refss, config
+
+
+def test_ngram_scores_keep_their_recorded_floats():
+    """Every field of BLEU's and EBLEU's ``NgramScore`` and the NIST float,
+    as ``repr``, recorded before the reductions skipped work that cannot
+    change an answer."""
+    got, rewritten, rare = [], 0, 0
+    for hyps, refss, config in _pinned_cases():
+        stats = corpus_stats(hyps, refss, config)
+        got.append(repr(ngram_scores(stats, config)))
+        rewritten += any(rec.ebleu_weights is not None for rec in stats)
+        pooled = ngram_metrics._pooled_ref_counts(stats, config.nist_max_n)
+        rare += bool(rare_reference_words(pooled, config.rare_words_percent))
+    assert got == PINNED_REDUCTIONS.read_text(encoding="utf-8").splitlines()
+    assert rewritten >= 5 and rare >= 5

@@ -91,6 +91,24 @@ def test_resource_line_whose_only_tab_is_at_an_end(tmp_path, line):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("vocabulary", [None, {"w7", "s9"}])
+@pytest.mark.parametrize("loader", [resources.load_stems, resources.load_synonyms])
+def test_resource_error_after_many_good_lines_names_its_own_line(tmp_path, loader, vocabulary):
+    """With a byte-order mark and CR LF line ends, an indented comment after
+    1,000 good lines is skipped, and the line with no tab after it is
+    reported at its own number, whether or not a vocabulary is given."""
+    good = [f"w{i}\ts{i}" for i in range(1000)] + ["  # bez tabulatora", ""]
+    path = tmp_path / "table.tsv"
+    path.write_bytes(("\ufeff" + "\r\n".join(good) + "\r\n").encode("utf-8"))
+    full, table = loader(path), loader(path, vocabulary)
+    assert len(full) == (2000 if loader is resources.load_synonyms else 1000)
+    assert all(table.get(word) == full.get(word) for word in vocabulary or full)
+    path.write_bytes(("\ufeff" + "\r\n".join(good + ["bez tabulatora", "w\ts"]) + "\r\n").encode("utf-8"))
+    with pytest.raises(RespevalInputError, match="expected 'word<TAB>") as exc:
+        loader(path, vocabulary)
+    assert (exc.value.path, exc.value.line) == (path, 1003)
+
+
 # Words of the random bundles: heads, a word found only as a synonym or stem,
 # composed and decomposed spellings of one word, and tokens found in no file.
 HEADS = ("kot", "pies", "\u017caba", "z\u0307aba", "dom")
