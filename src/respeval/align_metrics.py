@@ -255,21 +255,18 @@ def _prefix_bounds(
 
 
 def _seed_distance(
-    current: list[str], columns: _ReferenceColumns, prefix: list[tuple[int, int, int]], lead: list[int], limit: int
+    current: list[str], columns: _ReferenceColumns, prefix: list[tuple[int, int, int]], limit: int
 ) -> int:
     """The distance of one shift of ``current`` that ``_best_shift`` also
     scores, if below ``limit``; else ``limit``.
 
     ``current`` is tiled left to right into the longest blocks of 2 to
     ``MAX_SHIFT_LENGTH`` words that occur in the reference. The block whose
-    nearest occurrence ``ref[j:j + length]`` lies furthest from its own start
-    moves to the position, nearest ``j``, that follows a word equal to
-    ``ref[j - 1]`` or precedes one equal to ``ref[j + length]`` (the start or
-    the end of ``current`` when the occurrence starts or ends the reference).
-    ``lead`` is the bound pass's row by kept prefix: a move whose row reaches
-    ``limit`` is not fed."""
-    masks, ref, n = columns.masks, columns.ref, len(current)
-    m, move, farthest, start = len(ref), None, 0, 0
+    first occurrence ``ref[j:j + length]`` lies furthest from its own start
+    moves to start at ``j``, or to the end when ``current`` is too short for
+    that; a block already at the end gives no seed."""
+    masks, n = columns.masks, len(current)
+    move, farthest, start = None, 0, 0
     while start < n - 1:
         occurs, longest = columns.full, 0  # bit i: current[start:start + longest] occurs from ref[i] on
         for length in range(1, min(MAX_SHIFT_LENGTH, n - start) + 1):
@@ -280,11 +277,7 @@ def _seed_distance(
         if longest < 2:
             start += 1
             continue
-        # The nearest occurrence: the last at or before start, or the first after it if nearer.
-        below, above = found & ((2 << start) - 1), found >> (start + 1)
-        j = below.bit_length() - 1
-        if above and (not below or (above & -above).bit_length() < start - j):
-            j = start + (above & -above).bit_length()
+        j = (found & -found).bit_length() - 1
         if abs(j - start) > farthest:
             farthest, move = abs(j - start), (start, longest, j)
         start += longest
@@ -292,22 +285,13 @@ def _seed_distance(
         return limit
     start, length, j = move
     end = start + length
-    before, after = ref[j - 1] if j else None, ref[j + length] if j + length < m else None
-    anchored = [
-        p
-        for p in [*range(start), *range(end + 1, n + 1)]
-        if (current[p - 1] == before if p else j == 0) or (current[p] == after if p < n else after is None)
-    ]
-    if not anchored:
-        return limit
     # The block starts at p in the shifted sequence when it moves left, at p - length when it moves right.
-    p = min(anchored, key=lambda p: abs((p if p < start else p - length) - j))
-    keep = min(start, p)
-    if lead[keep] >= limit:
+    p = j if j < start else min(j + length, n)
+    if p == end:
         return limit
     block = current[start:end]
     tokens = block + current[p:start] + current[end:] if p < start else current[end:p] + block + current[p:]
-    return min(columns.feed(prefix[keep], tokens, limit=limit)[2], limit)
+    return min(columns.feed(prefix[min(start, p)], tokens, limit=limit)[2], limit)
 
 
 def _best_shift(
@@ -346,11 +330,9 @@ def _best_shift(
     distance starts at ``s + 1``: the first candidate at or below ``s`` is
     still the first best, since one at ``s`` exists, so no pick changes;
     the bounds only prune from the start as they would once the loop met
-    it. A seed is not made when the distance is one above ``bound``, where
-    the loop stops at the first better candidate anyway. A seeded round
-    that picks nothing is an internal error."""
+    it. A seeded round that picks nothing is an internal error."""
     prefix = columns.prefix_states(current)
-    distance = best_distance = prefix[-1][2]
+    distance = prefix[-1][2]
     if distance <= bound:
         return distance, None
     n = len(current)
@@ -362,8 +344,7 @@ def _best_shift(
         (True, columns.reversed, reverse, suffix, tail, head[0][::-1]),
         (False, columns, current, prefix, head, tail[0][::-1]),
     )
-    if bound < distance - 1:  # else a move below the distance is at the bound, where the loop stops anyway
-        best_distance = min(distance, _seed_distance(current, columns, prefix, head[0], distance - 1) + 1)
+    best_distance = _seed_distance(current, columns, prefix, distance - 1) + 1
     best_sequence = None
     masks = columns.masks
     x = None  # the word before the block
@@ -392,7 +373,7 @@ def _best_shift(
                 last = block_end + len(chain) - 1
                 destinations = range(last, block_end, -1) if mirrored else range(block_end + 1, last + 1)
                 for rest in destinations:
-                    if trail[rest] >= best_distance or lead[keep] >= best_distance:
+                    if trail[rest] >= best_distance:
                         continue
                     d = cols.feed(chain[rest - block_end], block + seq[rest:], limit=best_distance)[2]
                     if d < best_distance:
