@@ -255,43 +255,60 @@ def _prefix_bounds(
 
 
 def _seed_distance(
-    current: list[str], columns: _ReferenceColumns, prefix: list[tuple[int, int, int]], limit: int
-) -> int:
-    """The distance of one shift of ``current`` that ``_best_shift`` also
-    scores, if below ``limit``; else ``limit``.
+    current: list[str], columns: _ReferenceColumns, prefix: list[tuple[int, int, int]], bound: int, limit: int
+) -> tuple[int, list[str] | None]:
+    """Probes a few shifts of ``current`` that ``_best_shift`` also scores:
+    ``(bound, sequence)`` for the first probe whose distance is ``bound``,
+    else ``(seed, None)``, with ``seed`` the seed's distance if below
+    ``limit``, else ``limit``.
 
-    ``current`` is tiled left to right into the longest blocks of 2 to
-    ``MAX_SHIFT_LENGTH`` words that occur in the reference. The block whose
-    first occurrence ``ref[j:j + length]`` lies furthest from its own start
-    moves to start at ``j``, or to the end when ``current`` is too short for
-    that; a block already at the end gives no seed."""
+    ``current`` is tiled left to right into the longest blocks of 1 to
+    ``MAX_SHIFT_LENGTH`` words that occur in the reference. A tile's probe
+    moves it to start at its first occurrence ``ref[j:j + length]``, or to
+    the end when ``current`` is too short for that; a tile already there
+    gives none. The seed is the tile of 2 words or more whose first
+    occurrence lies furthest from its own start, and gives no probe either
+    if its move is none. It is fed first, then every other probe, left to
+    right.
+
+    A feed stopped at its limit returns a score that is not the distance,
+    and only a score below the limit is exact. So each probe is fed with
+    limit ``bound + 1``, and the seed, whose score also prunes the round,
+    with the higher of ``bound + 1`` and ``limit``."""
     masks, n = columns.masks, len(current)
-    move, farthest, start = None, 0, 0
-    while start < n - 1:
+    moves, seed, farthest, start = [], None, 0, 0
+    while start < n:
         occurs, longest = columns.full, 0  # bit i: current[start:start + longest] occurs from ref[i] on
         for length in range(1, min(MAX_SHIFT_LENGTH, n - start) + 1):
             occurs &= masks.get(current[start + length - 1], 0) >> (length - 1)
             if not occurs:
                 break
             found, longest = occurs, length
-        if longest < 2:
+        if not longest:
             start += 1
             continue
         j = (found & -found).bit_length() - 1
-        if abs(j - start) > farthest:
-            farthest, move = abs(j - start), (start, longest, j)
-        start += longest
-    if move is None:
-        return limit
-    start, length, j = move
-    end = start + length
-    # The block starts at p in the shifted sequence when it moves left, at p - length when it moves right.
-    p = j if j < start else min(j + length, n)
-    if p == end:
-        return limit
-    block = current[start:end]
-    tokens = block + current[p:start] + current[end:] if p < start else current[end:p] + block + current[p:]
-    return min(columns.feed(prefix[min(start, p)], tokens, limit=limit)[2], limit)
+        end = start + longest
+        # The block starts at p in the shifted sequence when it moves left, at p - length when it moves right.
+        p = j if j < start else min(j + longest, n)
+        if longest > 1 and abs(j - start) > farthest:
+            farthest, seed = abs(j - start), None if p == end else len(moves)
+        if p != end:
+            moves.append((start, end, p))
+        start = end
+    if seed is not None:
+        moves.insert(0, moves.pop(seed))
+    cut = bound + 1 if seed is None else max(limit, bound + 1)
+    for start, end, p in moves:
+        block = current[start:end]
+        tokens = block + current[p:start] + current[end:] if p < start else current[end:p] + block + current[p:]
+        keep = min(start, p)
+        d = columns.feed(prefix[keep], tokens, limit=cut)[2]
+        if d == bound:
+            return bound, current[:keep] + tokens
+        if seed is not None:  # the seed, fed first
+            limit, seed, cut = min(d, limit), None, bound + 1
+    return limit, None
 
 
 def _best_shift(
@@ -301,8 +318,10 @@ def _best_shift(
 ) -> tuple[int, list[str] | None]:
     """The distance of ``current`` and the first shifted sequence, in (start,
     length, position) order, with a strictly smaller distance than every
-    candidate before it; ``None`` if no shift lowers the distance. The search
-    stops at the first candidate that reaches ``bound``.
+    candidate before it; ``None`` if no shift lowers the distance. A round
+    that reaches ``bound`` returns ``bound`` and some shift at it, which
+    need not be the first: no shift goes below the multiset bound, so the
+    round is the last, and ``ter``'s count is the same whichever it applies.
 
     Moves run in two frames ``(columns, sequence, prefix states, bound pass
     by kept prefix, bounds by kept suffix)``: ``current`` and the reversed
@@ -325,16 +344,23 @@ def _best_shift(
     already reaches the best distance, so it loses the strict ``<`` test as
     the full feed would, and every pick stays the same.
 
-    Before the loop, ``_seed_distance`` scores one shift that the loop also
-    scores. At distance ``s`` below the distance less one, the best
-    distance starts at ``s + 1``: the first candidate at or below ``s`` is
-    still the first best, since one at ``s`` exists, so no pick changes;
-    the bounds only prune from the start as they would once the loop met
-    it. A seeded round that picks nothing is an internal error."""
+    Right after the prefix states, ``_seed_distance`` feeds its probes,
+    shifts that the loop also scores. The first probe that reaches
+    ``bound`` ends the round before the reversed states, the bound tables
+    and the loop are built. Otherwise, at a seed distance ``s`` below the
+    distance less one, the best distance starts at ``s + 1``: the first
+    candidate at or below ``s`` is still the first best, since one at ``s``
+    exists, so no pick changes; the bounds only prune from the start as they
+    would once the loop met it. The loop returns at the first candidate
+    that reaches ``bound``. A seeded round that picks nothing is an internal
+    error."""
     prefix = columns.prefix_states(current)
     distance = prefix[-1][2]
     if distance <= bound:
         return distance, None
+    seed, probed = _seed_distance(current, columns, prefix, bound, distance - 1)
+    if probed is not None:
+        return bound, probed
     n = len(current)
     reverse = current[::-1]
     suffix = columns.reversed.prefix_states(reverse)  # suffix[k]: the state after reverse[:k]
@@ -344,7 +370,7 @@ def _best_shift(
         (True, columns.reversed, reverse, suffix, tail, head[0][::-1]),
         (False, columns, current, prefix, head, tail[0][::-1]),
     )
-    best_distance = _seed_distance(current, columns, prefix, distance - 1) + 1
+    best_distance = seed + 1
     best_sequence = None
     masks = columns.masks
     x = None  # the word before the block
@@ -398,6 +424,11 @@ def ter(hyp: TokenSequence, ref: TokenSequence) -> TerScore:
     strictly reduces the word edit distance, the first best such shift in
     (start, length, position) order is applied and counted as one edit; the
     remaining edit distance is then added.
+
+    No shift goes below ``multiset_edit_bound``, which shifts leave
+    unchanged. So a round whose shift reaches it is the last, and its pick
+    is free: every shift at the bound gives the same edits and shifts.
+    ``_best_shift`` takes the first probe there, and no later round runs.
     """
     if not ref:
         raise RespevalInputError("reference segment is empty")

@@ -231,18 +231,21 @@ def segment_stats(
             clipped[gram] = matched = count if count < most else most
             matches[len(gram) - 1] += matched
     weighted = None
-    if config.resources.synonyms:  # without synonyms no token is rewritten
+    synonyms = config.resources.synonyms
+    # A token is rewritten only when no reference holds it and one holds a synonym of it.
+    if synonyms and any(
+        tok in synonyms and not get((tok,)) and any(get((word,)) for word in synonyms[tok]) for tok in hyp
+    ):
         effective, factors = _annotate(hyp, refs, config.resources, config.synonym_score)
-        if effective != hyp:
-            occurrences: dict[Gram, list[float]] = {}
-            for n in range(1, config.max_n + 1):
-                for i in range(len(hyp) - n + 1):
-                    occurrences.setdefault(tuple(effective[i : i + n]), []).append(math.prod(factors[i : i + n]))
-            weighted = {
-                gram: tuple(sorted(weights, reverse=True)[:matched])
-                for gram, weights in occurrences.items()
-                if (matched := min(len(weights), get(gram, 0)))
-            }
+        occurrences: dict[Gram, list[float]] = {}
+        for n in range(1, config.max_n + 1):
+            for i in range(len(hyp) - n + 1):
+                occurrences.setdefault(tuple(effective[i : i + n]), []).append(math.prod(factors[i : i + n]))
+        weighted = {
+            gram: tuple(sorted(weights, reverse=True)[:matched])
+            for gram, weights in occurrences.items()
+            if (matched := min(len(weights), get(gram, 0)))
+        }
     lens = tuple(len(ref) for ref in refs)
     return SegmentStats(len(hyp), lens, clipped, tuple(matches), ref_counts, weighted)
 

@@ -450,64 +450,199 @@ def _seed_sentence(current, ref):
     return rest[:pos] + block + rest[pos:]
 
 
+def _probe_sentences(current, ref):
+    """The sentences the probes feed, in order, by brute force: of
+    ``current``'s left-to-right tiling into the longest blocks of 1 to
+    ``MAX_SHIFT_LENGTH`` words that occur in ``ref``, each block moved to
+    start at its first occurrence ``ref[j:]``, or to the end when
+    ``current`` is too short for that, unless that leaves ``current`` as it
+    is; the seed's block, of 2 words or more and furthest from its first
+    occurrence, first, and unless its own move is none."""
+    n, start, tiles = len(current), 0, []
+    while start < n:
+        occurrences = [
+            [j for j in range(len(ref)) if ref[j : j + length] == current[start : start + length]]
+            for length in range(1, min(MAX_SHIFT_LENGTH, n - start) + 1)
+        ]
+        longest = sum(map(bool, occurrences))
+        if longest:
+            tiles.append((start, longest, occurrences[longest - 1][0]))
+        start += longest or 1
+    seed = max((tile for tile in tiles if tile[1] > 1), key=lambda tile: abs(tile[2] - tile[0]), default=None)
+    if seed is not None and seed[2] != seed[0]:
+        tiles.remove(seed)
+        tiles.insert(0, seed)
+    sentences = []
+    for start, length, j in tiles:
+        block, rest = current[start : start + length], current[:start] + current[start + length :]
+        pos = min(j, n - length)
+        if pos != start:
+            sentences.append(rest[:pos] + block + rest[pos:])
+    return sentences
+
+
 def test_seed_scores_one_real_shift():
-    """A seed feeds the one sentence ``_seed_sentence`` builds, and nothing
-    when that is ``None``. That sentence is one shift of a block that occurs
-    in the reference and has at most ``MAX_SHIFT_LENGTH`` words, and a seed
-    below its limit is its distance by ``oracles.lev``. Lines whose moved
-    block has no neighbour of its reference occurrence in the hypothesis
-    are seeded too."""
+    """The probes feed the sentences ``_probe_sentences`` builds, in order,
+    the seed's (``_seed_sentence``) first, up to the first whose distance is
+    the multiset bound, which is returned; with none there, every probe is
+    fed. Each probe is one shift of a block that occurs in the reference
+    and has at most ``MAX_SHIFT_LENGTH`` words. The seed is fed with the
+    higher of its limit and the bound plus one, the other probes with the
+    bound plus one, and a score below its feed's limit is the distance by
+    ``oracles.lev``. Without a hit, the seed's score below its limit is
+    returned. Lines whose moved block has no neighbour of its reference
+    occurrence in the hypothesis are seeded too."""
     lines, unanchored = _seed_lines()
-    fired = fired_unanchored = 0
+    fired = fired_unanchored = hits = 0
     for current, ref in lines + unanchored:
         columns = _ReferenceColumns(ref)
         prefix = columns.prefix_states(current)
-        limit = prefix[-1][2]
+        limit, bound = prefix[-1][2], multiset_edit_bound(current, ref)
         fed = []
 
         def recorded(state, tokens, feed=columns.feed, **kwargs):
-            fed.append(current[: prefix.index(state)] + tokens)
-            return feed(state, tokens, **kwargs)
+            after = feed(state, tokens, **kwargs)
+            fed.append((current[: len(current) - len(tokens)] + tokens, kwargs["limit"], after[2]))
+            return after
 
         columns.feed = recorded
-        seed = align_metrics._seed_distance(current, columns, prefix, limit)
-        expected = _seed_sentence(current, ref)
-        assert fed == ([] if expected is None else [expected]), (current, ref)
-        for sentence in fed:
-            assert tuple(sentence) in _shift_sentences(current, ref), (current, ref)
-            assert min(oracles.lev(sentence, ref), limit) == seed, (current, ref)
-        assert seed <= limit
-        fired += seed < limit
-        fired_unanchored += (current, ref) in unanchored and seed < limit
+        distance, probed = align_metrics._seed_distance(current, columns, prefix, bound, limit)
+        probes, seed = _probe_sentences(current, ref), _seed_sentence(current, ref)
+        sentences = [sentence for sentence, _, _ in fed]
+        assert sentences == probes[: len(fed)], (current, ref)
+        at_bound = [oracles.lev(sentence, ref) == bound for sentence in probes]
+        assert at_bound[: len(fed) - 1] == [False] * (len(fed) - 1), (current, ref)
+        if probed is None:
+            assert sentences == probes and not any(at_bound), (current, ref)
+        else:
+            hits += 1
+            assert (distance, probed) == (bound, sentences[-1]) and at_bound[len(fed) - 1], (current, ref)
+        shifts = _shift_sentences(current, ref)
+        for k, (sentence, fed_limit, score) in enumerate(fed):
+            assert tuple(sentence) in shifts, (current, ref)
+            seeded = k == 0 and seed is not None
+            assert fed_limit == (max(limit, bound + 1) if seeded else bound + 1), (current, ref)
+            if score < fed_limit:
+                assert score == oracles.lev(sentence, ref), (current, ref)
+        if seed is None:
+            assert distance == limit or probed is not None, (current, ref)
+        else:
+            assert fed[0][0] == seed, (current, ref)
+            if probed is None:
+                assert distance == min(oracles.lev(seed, ref), limit), (current, ref)
+        assert distance <= limit
+        fired += distance < limit
+        fired_unanchored += (current, ref) in unanchored and distance < limit
     assert fired > len(lines) // 2
     assert fired_unanchored == len(unanchored)
+    assert len(lines) // 4 < hits < len(lines + unanchored)
 
 
-@pytest.mark.parametrize(
-    "family",
-    [
-        lambda rng: _moved_blocks_pair(rng, (16, 40)),
-        lambda rng: _probe_shaped_pair(rng, rng.randint(20, 60)),
-        lambda rng: _run_heavy_pair(rng, (12, 40)),
-    ],
-    ids=["moved-blocks", "probe-shaped", "run-heavy"],
-)
+def test_probe_at_the_bound_is_found_below_the_seeds_old_limit():
+    """A probe whose distance is the multiset bound ends the round, also when
+    the bound is the distance less one, the limit the seed was fed with
+    before probes: a feed stopped there would score the limit, not telling
+    a shift at the bound from one above it. The first and last lines' hits
+    are the seed; the second's, whose one longer block stays where it is, a
+    1-word probe."""
+    cases = [  # (current, ref, distance less bound, the probe's answer)
+        (["b", "c", "d", "x"], list("abcd"), 1, (1, ["x", "b", "c", "d"])),
+        (list("bacdefgh"), list("abcdefgh"), 2, (0, list("abcdefgh"))),
+        (["c", "d", "e", "a", "b"], list("abcdf"), 4, (1, ["a", "b", "c", "d", "e"])),
+    ]
+    for current, ref, gap, expected in cases:
+        columns = _ReferenceColumns(ref)
+        prefix = columns.prefix_states(current)
+        distance, bound = prefix[-1][2], multiset_edit_bound(current, ref)
+        assert distance - bound == gap
+        assert align_metrics._seed_distance(current, columns, prefix, bound, distance - 1) == expected
+        assert align_metrics._best_shift(current, columns, bound) == expected
+
+
+def _probes_off(current, columns, prefix, bound, limit):
+    """``_seed_distance`` finding nothing: no probe at the bound, no seed below ``limit``."""
+    return limit, None
+
+
+def test_probe_hit_builds_no_bound_tables(monkeypatch):
+    """A round that a probe ends builds neither bound table: the adjacent
+    block swap calls ``_prefix_bounds`` zero times, and twice with the
+    probes made to find nothing."""
+    prefix_bounds, calls = align_metrics._prefix_bounds, []
+
+    def counted(*args):
+        calls.append(args)
+        return prefix_bounds(*args)
+
+    monkeypatch.setattr(align_metrics, "_prefix_bounds", counted)
+    hyp, ref = ["c", "d", "a", "b", "e", "f", "g", "h"], list("abcdefgh")
+    result = ter(hyp, ref)
+    assert (result.edits, result.shifts, len(calls)) == (1, 1, 0)
+    monkeypatch.setattr(align_metrics, "_seed_distance", _probes_off)
+    result = ter(hyp, ref)
+    assert (result.edits, result.shifts, len(calls)) == (1, 1, 2)
+
+
+_PAIR_FAMILIES = {
+    "moved-blocks": lambda rng: _moved_blocks_pair(rng, (16, 40)),
+    "probe-shaped": lambda rng: _probe_shaped_pair(rng, rng.randint(20, 60)),
+    "run-heavy": lambda rng: _run_heavy_pair(rng, (12, 40)),
+}
+
+
+@pytest.mark.parametrize("family", _PAIR_FAMILIES.values(), ids=_PAIR_FAMILIES.keys())
 def test_ter_without_the_seed_keeps_every_answer(monkeypatch, family):
-    """A seed only lowers the round's first limit, so ``ter`` gives the same
-    ``(edits, shifts)`` with the seed made to return its limit, as it does
-    when it finds nothing below it."""
+    """The probes only end a last round early and the seed only lowers the
+    round's first limit, so ``ter`` gives the same ``(edits, shifts)`` with
+    the probes made to find nothing, as it does when none is at the bound
+    and the seed is not below its limit."""
     rng = make_rng(38)
     pairs = [family(rng) for _ in range(40)]
     seeded = [ter(hyp, ref) for hyp, ref in pairs]
-    monkeypatch.setattr(align_metrics, "_seed_distance", lambda current, columns, prefix, limit: limit)
+    monkeypatch.setattr(align_metrics, "_seed_distance", _probes_off)
     assert [ter(hyp, ref) for hyp, ref in pairs] == seeded
+
+
+def _short_random_pair(rng):
+    return tuple([rng.choice("abcd") for _ in range(rng.randint(1, 12))] for _ in range(2))
+
+
+@pytest.mark.parametrize(
+    "family, count",
+    [(family, 40) for family in _PAIR_FAMILIES.values()] + [(_short_random_pair, 300)],
+    ids=[*_PAIR_FAMILIES, "random-short"],
+)
+def test_ter_without_probe_hits_keeps_every_answer(monkeypatch, family, count):
+    """Whichever shift at the multiset bound a last round applies, ``ter``
+    counts the same: with every probe hit turned off (a bound of -1, which
+    no probe reaches, while the seed keeps its limit) the round runs its
+    full search and gives the same ``(edits, shifts)``. Hits do end rounds
+    on these pairs."""
+    rng = make_rng(56)
+    pairs = [family(rng) for _ in range(count)]
+    seed_distance, hits = align_metrics._seed_distance, []
+
+    def counted(current, columns, prefix, bound, limit):
+        found = seed_distance(current, columns, prefix, bound, limit)
+        hits.append(found[1] is not None)
+        return found
+
+    monkeypatch.setattr(align_metrics, "_seed_distance", counted)
+    probed = [ter(hyp, ref) for hyp, ref in pairs]
+    assert any(hits)
+    monkeypatch.setattr(
+        align_metrics,
+        "_seed_distance",
+        lambda current, columns, prefix, bound, limit: seed_distance(current, columns, prefix, -1, limit),
+    )
+    assert [ter(hyp, ref) for hyp, ref in pairs] == probed
 
 
 def test_seed_below_every_shift_is_an_internal_error(monkeypatch):
     """A seed below the distance is the distance of a shift the round also
     scores, so every seeded round picks a shift at or below it; a seed that
     no shift reaches raises instead of returning a wrong edit count."""
-    monkeypatch.setattr(align_metrics, "_seed_distance", lambda current, columns, prefix, limit: -1)
+    monkeypatch.setattr(align_metrics, "_seed_distance", lambda current, columns, prefix, bound, limit: (-1, None))
     with pytest.raises(RuntimeError, match="seed"):
         ter(["c", "d", "e", "a", "b"], ["a", "b", "c", "d", "f"])
 

@@ -532,6 +532,50 @@ def test_segment_records_equal_the_gram_by_gram_oracle():
     assert rewritten > 100
 
 
+def test_segments_with_no_rewrite_keep_every_float():
+    """``segment_stats`` annotates a segment only when a hypothesis token
+    that no reference holds has a synonym that one does. Against records
+    built gram by gram with every segment annotated
+    (``oracles.segment_record_oracle``), on random synonym tables where many
+    missing tokens have synonyms only outside the references, every BLEU,
+    NIST and EBLEU float is the same, per segment and pooled."""
+    rng = make_rng(57)
+    words = [f"w{i}" for i in range(8)]
+    skipped = rewritten = 0
+    for _ in range(400):
+        synonyms: dict[str, set[str]] = {}
+        for a, b in (rng.sample(words, 2) for _ in range(rng.randint(1, 6))):
+            synonyms.setdefault(a, set()).add(b)
+            synonyms.setdefault(b, set()).add(a)
+        hyps = [random_segment(rng, 9, words) for _ in range(rng.randint(1, 4))]
+        refss = [[random_segment(rng, 9, words[: rng.randint(2, 8)]) for _ in range(rng.randint(1, 3))] for _ in hyps]
+        config = NgramConfig(
+            max_n=rng.randint(1, 5),
+            nist_max_n=rng.randint(1, 5),
+            smooth=rng.random() < 0.5,
+            synonym_score=rng.choice((0.5, 0.9)),
+            rare_words_percent=rng.choice((0.0, 0.3)),
+            resources=LanguageResources(synonyms={w: frozenset(s) for w, s in synonyms.items()}),
+        )
+        stats = corpus_stats(hyps, refss, config)
+        annotated = [
+            ngram_metrics.SegmentStats(
+                *oracles.segment_record_oracle(
+                    hyp, refs, config.max_n, config.nist_max_n, synonyms, config.synonym_score
+                )
+            )
+            for hyp, refs in zip(hyps, refss)
+        ]
+        assert repr(ngram_scores(stats, config)) == repr(ngram_scores(annotated, config))
+        for hyp, refs, rec, want in zip(hyps, refss, stats, annotated):
+            assert repr(ngram_scores([rec], config)) == repr(ngram_scores([want], config))
+            assert rec.ebleu_weights == want.ebleu_weights
+            missing = [tok for tok in hyp if all(tok not in ref for ref in refs)]
+            skipped += rec.ebleu_weights is None and any(tok in synonyms for tok in missing)
+            rewritten += rec.ebleu_weights is not None
+    assert skipped > 100 and rewritten > 100
+
+
 PINNED_REDUCTIONS = Path(__file__).parent / "data" / "ngram_scores_pinned.txt"
 
 
