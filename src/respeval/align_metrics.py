@@ -255,28 +255,22 @@ def _prefix_bounds(
 
 
 def _seed_distance(
-    current: list[str], columns: _ReferenceColumns, prefix: list[tuple[int, int, int]], bound: int, limit: int
+    current: list[str], columns: _ReferenceColumns, prefix: list[tuple[int, int, int]], bound: int, best: int
 ) -> tuple[int, list[str] | None]:
     """Probes a few shifts of ``current`` that ``_best_shift`` also scores:
     ``(bound, sequence)`` for the first probe whose distance is ``bound``,
-    else ``(seed, None)``, with ``seed`` the seed's distance if below
-    ``limit``, else ``limit``.
+    else ``(best, None)``, with ``best``, the round's distance when called,
+    lowered to one above the least probe distance below it.
 
     ``current`` is tiled left to right into the longest blocks of 1 to
     ``MAX_SHIFT_LENGTH`` words that occur in the reference. A tile's probe
     moves it to start at its first occurrence ``ref[j:j + length]``, or to
     the end when ``current`` is too short for that; a tile already there
-    gives none. The seed is the tile of 2 words or more whose first
-    occurrence lies furthest from its own start, and gives no probe either
-    if its move is none. It is fed first, then every other probe, left to
-    right.
-
-    A feed stopped at its limit returns a score that is not the distance,
-    and only a score below the limit is exact. So each probe is fed with
-    limit ``bound + 1``, and the seed, whose score also prunes the round,
-    with the higher of ``bound + 1`` and ``limit``."""
+    gives none. The probes run farthest first, by ``|j - start|``, ties
+    left to right. Each is fed with limit ``best``, so a score below it is
+    exact, and ``best > bound`` catches a probe at the bound."""
     masks, n = columns.masks, len(current)
-    moves, seed, farthest, start = [], None, 0, 0
+    moves, start = [], 0
     while start < n:
         occurs, longest = columns.full, 0  # bit i: current[start:start + longest] occurs from ref[i] on
         for length in range(1, min(MAX_SHIFT_LENGTH, n - start) + 1):
@@ -291,24 +285,20 @@ def _seed_distance(
         end = start + longest
         # The block starts at p in the shifted sequence when it moves left, at p - length when it moves right.
         p = j if j < start else min(j + longest, n)
-        if longest > 1 and abs(j - start) > farthest:
-            farthest, seed = abs(j - start), None if p == end else len(moves)
         if p != end:
-            moves.append((start, end, p))
+            moves.append((-abs(j - start), start, end, p))
         start = end
-    if seed is not None:
-        moves.insert(0, moves.pop(seed))
-    cut = bound + 1 if seed is None else max(limit, bound + 1)
-    for start, end, p in moves:
+    moves.sort()  # farthest first, ties left to right
+    for _, start, end, p in moves:
         block = current[start:end]
         tokens = block + current[p:start] + current[end:] if p < start else current[end:p] + block + current[p:]
         keep = min(start, p)
-        d = columns.feed(prefix[keep], tokens, limit=cut)[2]
+        d = columns.feed(prefix[keep], tokens, limit=best)[2]
         if d == bound:
             return bound, current[:keep] + tokens
-        if seed is not None:  # the seed, fed first
-            limit, seed, cut = min(d, limit), None, bound + 1
-    return limit, None
+        if d < best:
+            best = d + 1
+    return best, None
 
 
 def _best_shift(
@@ -345,20 +335,19 @@ def _best_shift(
     the full feed would, and every pick stays the same.
 
     Right after the prefix states, ``_seed_distance`` feeds its probes,
-    shifts that the loop also scores. The first probe that reaches
-    ``bound`` ends the round before the reversed states, the bound tables
-    and the loop are built. Otherwise, at a seed distance ``s`` below the
-    distance less one, the best distance starts at ``s + 1``: the first
-    candidate at or below ``s`` is still the first best, since one at ``s``
-    exists, so no pick changes; the bounds only prune from the start as they
-    would once the loop met it. The loop returns at the first candidate
-    that reaches ``bound``. A seeded round that picks nothing is an internal
+    shifts that the loop also scores. A probe at ``bound`` ends the round
+    before the reversed states, the bound tables and the loop are built.
+    Otherwise the best distance starts at what it returns, ``s + 1`` for
+    the least probe distance ``s`` if below the distance less one: the
+    first candidate at or below ``s`` is still the first best, since one at
+    ``s`` exists, so no pick changes. The loop returns at the first candidate that
+    reaches ``bound``. A seeded round that picks nothing is an internal
     error."""
     prefix = columns.prefix_states(current)
     distance = prefix[-1][2]
     if distance <= bound:
         return distance, None
-    seed, probed = _seed_distance(current, columns, prefix, bound, distance - 1)
+    best_distance, probed = _seed_distance(current, columns, prefix, bound, distance)
     if probed is not None:
         return bound, probed
     n = len(current)
@@ -370,7 +359,6 @@ def _best_shift(
         (True, columns.reversed, reverse, suffix, tail, head[0][::-1]),
         (False, columns, current, prefix, head, tail[0][::-1]),
     )
-    best_distance = seed + 1
     best_sequence = None
     masks = columns.masks
     x = None  # the word before the block

@@ -423,55 +423,25 @@ def _shift_sentences(current, ref):
     return sentences
 
 
-def _seed_sentence(current, ref):
-    """The sentence the round seed feeds, by brute force, or ``None``: of
-    ``current``'s left-to-right tiling into the longest blocks of 2 to
-    ``MAX_SHIFT_LENGTH`` words that occur in ``ref``, the first block whose
-    first occurrence ``ref[j:]`` lies furthest from its start, moved to
-    start at ``j``, or to the end when ``current`` is too short for that."""
-    n, farthest, move, start = len(current), 0, None, 0
-    while start < n - 1:
-        occurrences = [
-            [j for j in range(len(ref)) if ref[j : j + length] == current[start : start + length]]
-            for length in range(1, min(MAX_SHIFT_LENGTH, n - start) + 1)
-        ]
-        longest = sum(map(bool, occurrences))  # an occurring block's prefixes occur too
-        if longest < 2:
-            start += 1
-            continue
-        j = occurrences[longest - 1][0]
-        if abs(j - start) > farthest:
-            farthest, move = abs(j - start), (start, longest, min(j, n - longest))
-        start += longest
-    if move is None or move[2] == move[0]:
-        return None
-    start, length, pos = move
-    block, rest = current[start : start + length], current[:start] + current[start + length :]
-    return rest[:pos] + block + rest[pos:]
-
-
 def _probe_sentences(current, ref):
     """The sentences the probes feed, in order, by brute force: of
     ``current``'s left-to-right tiling into the longest blocks of 1 to
     ``MAX_SHIFT_LENGTH`` words that occur in ``ref``, each block moved to
     start at its first occurrence ``ref[j:]``, or to the end when
     ``current`` is too short for that, unless that leaves ``current`` as it
-    is; the seed's block, of 2 words or more and furthest from its first
-    occurrence, first, and unless its own move is none."""
+    is; the blocks farthest from their first occurrence first, ties left to
+    right."""
     n, start, tiles = len(current), 0, []
     while start < n:
         occurrences = [
             [j for j in range(len(ref)) if ref[j : j + length] == current[start : start + length]]
             for length in range(1, min(MAX_SHIFT_LENGTH, n - start) + 1)
         ]
-        longest = sum(map(bool, occurrences))
+        longest = sum(map(bool, occurrences))  # an occurring block's prefixes occur too
         if longest:
             tiles.append((start, longest, occurrences[longest - 1][0]))
         start += longest or 1
-    seed = max((tile for tile in tiles if tile[1] > 1), key=lambda tile: abs(tile[2] - tile[0]), default=None)
-    if seed is not None and seed[2] != seed[0]:
-        tiles.remove(seed)
-        tiles.insert(0, seed)
+    tiles.sort(key=lambda tile: -abs(tile[2] - tile[0]))
     sentences = []
     for start, length, j in tiles:
         block, rest = current[start : start + length], current[:start] + current[start + length :]
@@ -483,21 +453,23 @@ def _probe_sentences(current, ref):
 
 def test_seed_scores_one_real_shift():
     """The probes feed the sentences ``_probe_sentences`` builds, in order,
-    the seed's (``_seed_sentence``) first, up to the first whose distance is
-    the multiset bound, which is returned; with none there, every probe is
-    fed. Each probe is one shift of a block that occurs in the reference
-    and has at most ``MAX_SHIFT_LENGTH`` words. The seed is fed with the
-    higher of its limit and the bound plus one, the other probes with the
-    bound plus one, and a score below its feed's limit is the distance by
-    ``oracles.lev``. Without a hit, the seed's score below its limit is
-    returned. Lines whose moved block has no neighbour of its reference
-    occurrence in the hypothesis are seeded too."""
+    up to the first whose distance is the multiset bound, which is returned;
+    with none there, every probe is fed. Each probe is one shift of a block
+    that occurs in the reference and has at most ``MAX_SHIFT_LENGTH`` words.
+    Each is fed with the running best: the round's distance, lowered to one
+    above each probe distance below it; a score below its feed's limit is
+    the distance by ``oracles.lev``. Without a hit, the last running best is
+    returned. Lines already at the bound run no round and are skipped. Lines
+    whose moved block has no neighbour of its reference occurrence in the
+    hypothesis are seeded too."""
     lines, unanchored = _seed_lines()
     fired = fired_unanchored = hits = 0
     for current, ref in lines + unanchored:
         columns = _ReferenceColumns(ref)
         prefix = columns.prefix_states(current)
         limit, bound = prefix[-1][2], multiset_edit_bound(current, ref)
+        if limit == bound:  # no shift lowers the distance: the round feeds no probe
+            continue
         fed = []
 
         def recorded(state, tokens, feed=columns.feed, **kwargs):
@@ -507,7 +479,7 @@ def test_seed_scores_one_real_shift():
 
         columns.feed = recorded
         distance, probed = align_metrics._seed_distance(current, columns, prefix, bound, limit)
-        probes, seed = _probe_sentences(current, ref), _seed_sentence(current, ref)
+        probes = _probe_sentences(current, ref)
         sentences = [sentence for sentence, _, _ in fed]
         assert sentences == probes[: len(fed)], (current, ref)
         at_bound = [oracles.lev(sentence, ref) == bound for sentence in probes]
@@ -517,19 +489,16 @@ def test_seed_scores_one_real_shift():
         else:
             hits += 1
             assert (distance, probed) == (bound, sentences[-1]) and at_bound[len(fed) - 1], (current, ref)
-        shifts = _shift_sentences(current, ref)
-        for k, (sentence, fed_limit, score) in enumerate(fed):
+        shifts, best = _shift_sentences(current, ref), limit
+        for sentence, fed_limit, score in fed:
             assert tuple(sentence) in shifts, (current, ref)
-            seeded = k == 0 and seed is not None
-            assert fed_limit == (max(limit, bound + 1) if seeded else bound + 1), (current, ref)
+            assert fed_limit == best, (current, ref)
+            exact = oracles.lev(sentence, ref)
             if score < fed_limit:
-                assert score == oracles.lev(sentence, ref), (current, ref)
-        if seed is None:
-            assert distance == limit or probed is not None, (current, ref)
-        else:
-            assert fed[0][0] == seed, (current, ref)
-            if probed is None:
-                assert distance == min(oracles.lev(seed, ref), limit), (current, ref)
+                assert score == exact, (current, ref)
+            best = min(best, exact + 1)
+        if probed is None:
+            assert distance == best, (current, ref)
         assert distance <= limit
         fired += distance < limit
         fired_unanchored += (current, ref) in unanchored and distance < limit
@@ -540,28 +509,32 @@ def test_seed_scores_one_real_shift():
 
 def test_probe_at_the_bound_is_found_below_the_seeds_old_limit():
     """A probe whose distance is the multiset bound ends the round, also when
-    the bound is the distance less one, the limit the seed was fed with
-    before probes: a feed stopped there would score the limit, not telling
-    a shift at the bound from one above it. The first and last lines' hits
-    are the seed; the second's, whose one longer block stays where it is, a
-    1-word probe."""
-    cases = [  # (current, ref, distance less bound, the probe's answer)
-        (["b", "c", "d", "x"], list("abcd"), 1, (1, ["x", "b", "c", "d"])),
-        (list("bacdefgh"), list("abcdefgh"), 2, (0, list("abcdefgh"))),
-        (["c", "d", "e", "a", "b"], list("abcdf"), 4, (1, ["a", "b", "c", "d", "e"])),
+    the bound is the distance less one: each probe is fed with a limit above
+    the bound, as a feed stopped at the bound would score the limit, not
+    telling a shift at the bound from one above it. The first and third
+    hits are the farthest probe; the second is a 1-word probe, tied with
+    the longer block's and left of it. Without a hit, the round starts at
+    one above the least probe: ``b d c z c``, at distance 4 from ``c b c c
+    d``, has no block of two words there and four probes that score 2, 2, 3
+    and 3, so its loop starts at 3."""
+    cases = [  # (current, ref, distance less bound, the probes' answer, the round's answer)
+        (["b", "c", "d", "x"], list("abcd"), 1, (1, ["x", "b", "c", "d"]), None),
+        (list("bacdefgh"), list("abcdefgh"), 2, (0, list("abcdefgh")), None),
+        (["c", "d", "e", "a", "b"], list("abcdf"), 4, (1, ["a", "b", "c", "d", "e"]), None),
+        (list("bdczc"), list("cbccd"), 3, (3, None), (2, list("bczcd"))),
     ]
-    for current, ref, gap, expected in cases:
+    for current, ref, gap, probed, picked in cases:
         columns = _ReferenceColumns(ref)
         prefix = columns.prefix_states(current)
         distance, bound = prefix[-1][2], multiset_edit_bound(current, ref)
         assert distance - bound == gap
-        assert align_metrics._seed_distance(current, columns, prefix, bound, distance - 1) == expected
-        assert align_metrics._best_shift(current, columns, bound) == expected
+        assert align_metrics._seed_distance(current, columns, prefix, bound, distance) == probed
+        assert align_metrics._best_shift(current, columns, bound) == (picked or probed)
 
 
-def _probes_off(current, columns, prefix, bound, limit):
-    """``_seed_distance`` finding nothing: no probe at the bound, no seed below ``limit``."""
-    return limit, None
+def _probes_off(current, columns, prefix, bound, best):
+    """``_seed_distance`` finding nothing: no probe at the bound or below ``best`` less one."""
+    return best, None
 
 
 def test_probe_hit_builds_no_bound_tables(monkeypatch):
@@ -592,10 +565,10 @@ _PAIR_FAMILIES = {
 
 @pytest.mark.parametrize("family", _PAIR_FAMILIES.values(), ids=_PAIR_FAMILIES.keys())
 def test_ter_without_the_seed_keeps_every_answer(monkeypatch, family):
-    """The probes only end a last round early and the seed only lowers the
-    round's first limit, so ``ter`` gives the same ``(edits, shifts)`` with
-    the probes made to find nothing, as it does when none is at the bound
-    and the seed is not below its limit."""
+    """The probes only end a last round early and lower the round's first
+    limit, so ``ter`` gives the same ``(edits, shifts)`` with the probes
+    made to find nothing, as it does when none is at the bound or below the
+    distance less one."""
     rng = make_rng(38)
     pairs = [family(rng) for _ in range(40)]
     seeded = [ter(hyp, ref) for hyp, ref in pairs]
@@ -615,15 +588,15 @@ def _short_random_pair(rng):
 def test_ter_without_probe_hits_keeps_every_answer(monkeypatch, family, count):
     """Whichever shift at the multiset bound a last round applies, ``ter``
     counts the same: with every probe hit turned off (a bound of -1, which
-    no probe reaches, while the seed keeps its limit) the round runs its
-    full search and gives the same ``(edits, shifts)``. Hits do end rounds
-    on these pairs."""
+    no probe reaches, while the probes still lower the limit) the round
+    runs its full search and gives the same ``(edits, shifts)``. Hits do
+    end rounds on these pairs."""
     rng = make_rng(56)
     pairs = [family(rng) for _ in range(count)]
     seed_distance, hits = align_metrics._seed_distance, []
 
-    def counted(current, columns, prefix, bound, limit):
-        found = seed_distance(current, columns, prefix, bound, limit)
+    def counted(current, columns, prefix, bound, best):
+        found = seed_distance(current, columns, prefix, bound, best)
         hits.append(found[1] is not None)
         return found
 
@@ -633,16 +606,17 @@ def test_ter_without_probe_hits_keeps_every_answer(monkeypatch, family, count):
     monkeypatch.setattr(
         align_metrics,
         "_seed_distance",
-        lambda current, columns, prefix, bound, limit: seed_distance(current, columns, prefix, -1, limit),
+        lambda current, columns, prefix, bound, best: seed_distance(current, columns, prefix, -1, best),
     )
     assert [ter(hyp, ref) for hyp, ref in pairs] == probed
 
 
 def test_seed_below_every_shift_is_an_internal_error(monkeypatch):
-    """A seed below the distance is the distance of a shift the round also
-    scores, so every seeded round picks a shift at or below it; a seed that
-    no shift reaches raises instead of returning a wrong edit count."""
-    monkeypatch.setattr(align_metrics, "_seed_distance", lambda current, columns, prefix, bound, limit: (-1, None))
+    """A seeded start below the distance is one above the distance of a shift
+    the round also scores, so every seeded round picks a shift below it; a
+    start that no shift goes below raises instead of returning a wrong edit
+    count."""
+    monkeypatch.setattr(align_metrics, "_seed_distance", lambda current, columns, prefix, bound, best: (-1, None))
     with pytest.raises(RuntimeError, match="seed"):
         ter(["c", "d", "e", "a", "b"], ["a", "b", "c", "d", "f"])
 
