@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -500,6 +499,15 @@ def _positions(seq: Sequence[str]) -> dict[str, list[int]]:
     return positions
 
 
+def _unwind(link: tuple) -> list[tuple[int, int]]:
+    """The ``(h, r)`` pairs of a chain of ``(h, r, parent)`` links ending in ``()``, in hyp order."""
+    pairs = []
+    while link:
+        h, r, link = link
+        pairs.append((h, r))
+    return pairs[::-1]
+
+
 def _exact_stage_matching(
     hyp: TokenSequence, ref: TokenSequence
 ) -> tuple[list[tuple[int, int]], bool]:
@@ -528,46 +536,39 @@ def _exact_stage_matching(
     nodes = [(h, tok) for h, tok in enumerate(hyp) if tok in occurrences]
     if len({tok for _, tok in nodes}) == len(nodes) and all(len(occurrences[tok]) == 1 for _, tok in nodes):
         return [(h, occurrences[tok][0]) for h, tok in nodes], True
-    hyp_counts: Counter = Counter()
-    left = [0] * len(nodes)  # occurrences of the node's word from the node on
-    for d in reversed(range(len(nodes))):
-        tok = nodes[d][1]
-        hyp_counts[tok] += 1
-        left[d] = hyp_counts[tok]
-    needed = {tok: min(count, len(occurrences[tok])) for tok, count in hyp_counts.items()}
-    rank = {j: t for occ in occurrences.values() for t, j in enumerate(occ)}
-    bits = _masks(ref)
+    hyp_bits, bits = _masks(hyp), _masks(ref)
+    needed = {tok: min(hyp_bits[tok].bit_count(), len(occurrences[tok])) for _, tok in nodes}
     # Bit j of ``used`` is set when ref[j] is matched, of ``tail`` when ref[j]
     # is among the last k occurrences of a word that still needs k matches
     # (at first every k is at least 1: the word occurs on both sides).
     tail = sum(1 << j for tok, k in needed.items() for j in occurrences[tok][-k:])
-    best: list[tuple[int, int]] = []
+    best: tuple = ()
     best_crossings = math.inf
     visited = 0
-    # A state: (depth, crossings, bound, used, tail, matches so far).
+    # A state: (depth, crossings, bound, used, tail, link to its last match).
     stack: list[tuple] = [(0, 0, 0, 0, tail, ())]
     while stack:
         visited += 1
         if visited > METEOR_NODE_CAP and best_crossings < math.inf:
-            return best, False
-        depth, crossings, bound, used, tail, chosen = stack.pop()
+            return _unwind(best), False
+        depth, crossings, bound, used, tail, link = stack.pop()
         if crossings + bound >= best_crossings:
             continue
         if depth == len(nodes):
-            best, best_crossings = list(chosen), crossings
+            best, best_crossings = link, crossings
             continue
         h, tok = nodes[depth]
         occ = occurrences[tok]
         mine = used & bits[tok]
         missing = needed[tok] - mine.bit_count()
         # Pushed last-tried first: leaving h unmatched, then later occurrences.
-        if left[depth] > missing:
-            stack.append((depth + 1, crossings, bound, used, tail, chosen))
+        if (hyp_bits[tok] >> h).bit_count() > missing:
+            stack.append((depth + 1, crossings, bound, used, tail, link))
         if missing:
             dropped = occ[len(occ) - missing]
             bound -= (used >> (dropped + 1)).bit_count()
             tail ^= 1 << dropped
-            first = rank[mine.bit_length() - 1] + 1 if mine else 0
+            first = (bits[tok] & ((1 << mine.bit_length()) - 1)).bit_count()
             for r in reversed(occ[first : len(occ) - missing + 1]):
                 stack.append(
                     (
@@ -576,10 +577,10 @@ def _exact_stage_matching(
                         bound + (tail & ((1 << r) - 1)).bit_count(),
                         used | 1 << r,
                         tail,
-                        chosen + ((h, r),),
+                        (h, r, link),
                     )
                 )
-    return best, True
+    return _unwind(best), True
 
 
 def _best_stage_matching(
@@ -609,28 +610,28 @@ def _best_stage_matching(
         [(r, sum(1 for ph, pr in prior if (ph - h) * (pr - r) < 0)) for r in reversed(candidates[h])]
         for h in hyp_nodes
     ]
-    best: list[tuple[int, int]] | None = None
+    best: tuple | None = None
     best_crossings = math.inf
     visited = 0
-    # A state: (hyp node index, crossings, used ref indices as bits, matches so far).
+    # A state: (hyp node index, crossings, used ref indices as bits, link to its last match).
     stack: list[tuple] = [(0, 0, 0, ())]
     while stack:
         visited += 1
         if visited > METEOR_NODE_CAP:
-            return (fallback if best is None else best), False
-        idx, crossings, used, chosen = stack.pop()
-        if len(chosen) + (len(hyp_nodes) - idx) < target or crossings >= best_crossings:
+            return (fallback if best is None else _unwind(best)), False
+        idx, crossings, used, link = stack.pop()
+        if used.bit_count() + (len(hyp_nodes) - idx) < target or crossings >= best_crossings:
             continue
         if idx == len(hyp_nodes):
-            best, best_crossings = list(chosen), crossings
+            best, best_crossings = link, crossings
             continue
         h = hyp_nodes[idx]
-        stack.append((idx + 1, crossings, used, chosen))
+        stack.append((idx + 1, crossings, used, link))
         for r, prior_crossings in options[idx]:
             if not used >> r & 1:
                 delta = prior_crossings + (used >> (r + 1)).bit_count()
-                stack.append((idx + 1, crossings + delta, used | 1 << r, chosen + ((h, r),)))
-    return best, True
+                stack.append((idx + 1, crossings + delta, used | 1 << r, (h, r, link)))
+    return _unwind(best), True
 
 
 def _count_chunks(matches: tuple[tuple[int, int, str], ...]) -> int:

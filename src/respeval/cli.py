@@ -399,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # internal/numeric failure
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}".removesuffix(": "), file=sys.stderr)
         return EXIT_FAILURE
 
 

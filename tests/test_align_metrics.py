@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -1101,6 +1102,62 @@ def test_meteor_pl_from_plain_alignment_keeps_each_stage_cut_off():
     plain, pl = _meteor_pair_from_one_alignment(hyp, ref, resources, 1.0)
     assert (plain, pl) == (meteor(hyp, ref), meteor(hyp, ref, resources))
     assert not plain.alignment.exhaustive and not pl.alignment.exhaustive
+
+
+PINNED_ALIGNMENTS = Path(__file__).parent / "data" / "meteor_align_pinned.txt"
+
+
+def _pinned_alignment_cases():
+    """Five hundred pairs of 0-40 tokens over 1-6 letters, with random stems
+    and synonyms. The seed is fixed, not ``make_rng``'s, because the answers
+    are pinned."""
+    rng = random.Random("pinned METEOR alignments")
+    words = ("a", "b", "c", "d", "e", "f")
+    for _ in range(500):
+        vocab = words[: rng.randint(1, 6)]
+        hyp = [rng.choice(vocab) for _ in range(rng.randint(0, 40))]
+        ref = [rng.choice(vocab) for _ in range(rng.randint(0, 40))]
+        stems, synonyms = _random_resources(rng, vocab)
+        yield hyp, ref, LanguageResources(synonyms=synonyms, stems=stems)
+
+
+def _alignment_line(alignment):
+    """The chunks, ``exhaustive`` as 1 or 0, then each match as
+    ``h.r.xx``, with the first two letters of its stage."""
+    matches = (f"{h}.{r}.{stage[:2]}" for h, r, stage in alignment.matches)
+    return " ".join((str(alignment.chunks), str(int(alignment.exhaustive)), *matches))
+
+
+def test_meteor_align_keeps_its_recorded_capped_alignments(monkeypatch):
+    """Every alignment at node caps 30, 200 and 2,000, recorded before the
+    searches linked each state to its parent's matches: the searches visit
+    the same nodes in the same order, also where the cap cuts them short."""
+    cases = list(_pinned_alignment_cases())
+    got = []
+    for cap in (30, 200, 2_000):
+        monkeypatch.setattr(align_metrics, "METEOR_NODE_CAP", cap)
+        got += [_alignment_line(meteor_align(hyp, ref, resources)) for hyp, ref, resources in cases]
+    assert got == PINNED_ALIGNMENTS.read_text(encoding="utf-8").splitlines()
+    cut_short = [line.split()[1] == "0" for line in got]
+    assert sum(cut_short[:500]) > sum(cut_short[500:1000]) > sum(cut_short[1000:]) > 100
+
+
+def test_meteor_align_memory_on_a_long_line(monkeypatch):
+    # One 2,000-token line of ordinary text, words weighted 1/rank, with 10 %
+    # of them deleted, as a re-speaker omits words. A state that copies every
+    # match so far peaks at 65.7 MiB here; one link a state peaks near 4.3 MiB.
+    monkeypatch.setattr(align_metrics, "METEOR_NODE_CAP", 2_000)
+    rng = random.Random(5)
+    ref = rng.choices([f"w{i}" for i in range(2000)], [1 / rank for rank in range(1, 2001)], k=2000)
+    hyp = [tok for tok in ref if rng.random() >= 0.1]
+    tracemalloc.start()
+    try:
+        alignment = meteor_align(hyp, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (alignment.matched_unigrams, alignment.chunks, alignment.exhaustive) == (1830, 1207, False)
+    assert peak < 16 * 2**20
 
 
 # --- rank statistics ----------------------------------------------------------------

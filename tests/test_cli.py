@@ -92,6 +92,21 @@ def test_score_missing_reference_file(transcript_pair, capsys):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize(
+    ("exc", "message"),
+    [(MemoryError(), "internal error: MemoryError"), (ArithmeticError("overflow"), "internal error: ArithmeticError: overflow")],
+)
+def test_score_internal_error_names_the_exception(transcript_pair, monkeypatch, capsys, exc, message):
+    # A failure with no message, such as running out of memory on one very
+    # long line, still says what went wrong; it exits 1, not 2.
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(respeval.cli, "score_transcript", fail)
+    hyp, ref = transcript_pair
+    assert run(capsys, "score", str(hyp), str(ref)) == (1, "", message + "\n")
+
+
 def test_score_misaligned_files(tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"
