@@ -491,14 +491,6 @@ def _kuhn_max_matching(candidates: dict[int, list[int]]) -> list[tuple[int, int]
     return sorted((h, r) for r, h in match_of_ref.items())
 
 
-def _positions(seq: Sequence[str]) -> dict[str, list[int]]:
-    """Each token of ``seq`` with its positions, ascending."""
-    positions: dict[str, list[int]] = {}
-    for j, tok in enumerate(seq):
-        positions.setdefault(tok, []).append(j)
-    return positions
-
-
 def _unwind(link: tuple) -> list[tuple[int, int]]:
     """The ``(h, r)`` pairs of a chain of ``(h, r, parent)`` links ending in ``()``, in hyp order."""
     pairs = []
@@ -532,7 +524,9 @@ def _exact_stage_matching(
     matching that pairs those occurrences is the only maximum matching, and
     it is returned without a search.
     """
-    occurrences = _positions(ref)
+    occurrences: dict[str, list[int]] = {}  # each ref word's positions, ascending
+    for j, tok in enumerate(ref):
+        occurrences.setdefault(tok, []).append(j)
     nodes = [(h, tok) for h, tok in enumerate(hyp) if tok in occurrences]
     if len({tok for _, tok in nodes}) == len(nodes) and all(len(occurrences[tok]) == 1 for _, tok in nodes):
         return [(h, occurrences[tok][0]) for h, tok in nodes], True
@@ -545,7 +539,8 @@ def _exact_stage_matching(
     best: tuple = ()
     best_crossings = math.inf
     visited = 0
-    # A state: (depth, crossings, bound, used, tail, link to its last match).
+    # A state: (depth, crossings, bound, its parent's ``used``, tail, link to its
+    # last match); expanding it ORs in the link's match (a skip's is set already).
     stack: list[tuple] = [(0, 0, 0, 0, tail, ())]
     while stack:
         visited += 1
@@ -557,6 +552,8 @@ def _exact_stage_matching(
         if depth == len(nodes):
             best, best_crossings = link, crossings
             continue
+        if link:
+            used |= 1 << link[1]
         h, tok = nodes[depth]
         occ = occurrences[tok]
         mine = used & bits[tok]
@@ -575,7 +572,7 @@ def _exact_stage_matching(
                         depth + 1,
                         crossings + (used >> (r + 1)).bit_count(),
                         bound + (tail & ((1 << r) - 1)).bit_count(),
-                        used | 1 << r,
+                        used,
                         tail,
                         (h, r, link),
                     )
@@ -613,13 +610,16 @@ def _best_stage_matching(
     best: tuple | None = None
     best_crossings = math.inf
     visited = 0
-    # A state: (hyp node index, crossings, used ref indices as bits, link to its last match).
+    # A state: (hyp node index, crossings, its parent's used ref indices as bits,
+    # link to its last match); popping it ORs in the link's match, before the prune.
     stack: list[tuple] = [(0, 0, 0, ())]
     while stack:
         visited += 1
         if visited > METEOR_NODE_CAP:
             return (fallback if best is None else _unwind(best)), False
         idx, crossings, used, link = stack.pop()
+        if link:
+            used |= 1 << link[1]
         if used.bit_count() + (len(hyp_nodes) - idx) < target or crossings >= best_crossings:
             continue
         if idx == len(hyp_nodes):
@@ -630,7 +630,7 @@ def _best_stage_matching(
         for r, prior_crossings in options[idx]:
             if not used >> r & 1:
                 delta = prior_crossings + (used >> (r + 1)).bit_count()
-                stack.append((idx + 1, crossings + delta, used | 1 << r, (h, r, link)))
+                stack.append((idx + 1, crossings + delta, used, (h, r, link)))
     return _unwind(best), True
 
 

@@ -269,17 +269,15 @@ def corpus_stats(
     return [segment_stats(hyp, refs, config) for hyp, refs in zip(hyp_corpus, ref_corpus)]
 
 
-def _pooled_ref_counts(stats: Sequence[SegmentStats], max_n: int) -> Mapping[Gram, int]:
-    """Reference n-gram counts of orders 1 to ``max_n`` summed over ``stats``;
-    a lone record's own table, which may hold higher orders too."""
+def _pooled_ref_counts(stats: Sequence[SegmentStats]) -> Mapping[Gram, int]:
+    """Every order of the records' reference n-gram counts, summed over ``stats``."""
     if len(stats) == 1:
         return stats[0].ref_counts
     pooled: dict[Gram, int] = {}
     get = pooled.get
     for rec in stats:
         for gram, count in rec.ref_counts.items():
-            if len(gram) <= max_n:
-                pooled[gram] = get(gram, 0) + count
+            pooled[gram] = get(gram, 0) + count
     return pooled
 
 
@@ -320,7 +318,7 @@ def ngram_scores(
     over the records, which ``cli.score_transcript`` takes at sentence level.
     """
     max_n, nist_n, bonus = config.max_n, config.nist_max_n, config.rare_words_score
-    ref_counts = _pooled_ref_counts(stats, nist_n)
+    ref_counts = _pooled_ref_counts(stats)
     total_ref_tokens = sum(sum(rec.ref_lens) for rec in stats)
     # No more distinct reference words than tokens: no rare word if the tokens give none.
     percent = config.rare_words_percent

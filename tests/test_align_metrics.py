@@ -1142,13 +1142,21 @@ def test_meteor_align_keeps_its_recorded_capped_alignments(monkeypatch):
     assert sum(cut_short[:500]) > sum(cut_short[500:1000]) > sum(cut_short[1000:]) > 100
 
 
-def test_meteor_align_memory_on_a_long_line(monkeypatch):
-    # One 2,000-token line of ordinary text, words weighted 1/rank, with 10 %
-    # of them deleted, as a re-speaker omits words. A state that copies every
-    # match so far peaks at 65.7 MiB here; one link a state peaks near 4.3 MiB.
+@pytest.mark.parametrize(
+    "tokens, expected, peak_mib",
+    [(2000, (1830, 1207, False), 16), (4000, (3603, 2651, False), 14)],
+    ids=["2000-tokens", "4000-tokens"],
+)
+def test_meteor_align_memory_on_a_long_line(monkeypatch, tokens, expected, peak_mib):
+    # One line of ordinary text, words weighted 1/rank, with 10 % of them
+    # deleted, as a re-speaker omits words. A state that copies every match so
+    # far peaks at 65.7 MiB at 2,000 tokens. One link a state, each pushed
+    # sibling with its own n-bit ``used``, peaks at 4.3 and 18.9 MiB at 2,000
+    # and 4,000 tokens; siblings that share their parent's ``used`` peak at 3.0
+    # and 10.4 MiB (Python 3.11).
     monkeypatch.setattr(align_metrics, "METEOR_NODE_CAP", 2_000)
     rng = random.Random(5)
-    ref = rng.choices([f"w{i}" for i in range(2000)], [1 / rank for rank in range(1, 2001)], k=2000)
+    ref = rng.choices([f"w{i}" for i in range(2000)], [1 / rank for rank in range(1, 2001)], k=tokens)
     hyp = [tok for tok in ref if rng.random() >= 0.1]
     tracemalloc.start()
     try:
@@ -1156,8 +1164,8 @@ def test_meteor_align_memory_on_a_long_line(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (alignment.matched_unigrams, alignment.chunks, alignment.exhaustive) == (1830, 1207, False)
-    assert peak < 16 * 2**20
+    assert (alignment.matched_unigrams, alignment.chunks, alignment.exhaustive) == expected
+    assert peak < peak_mib * 2**20
 
 
 # --- rank statistics ----------------------------------------------------------------

@@ -616,7 +616,7 @@ def test_ngram_scores_keep_their_recorded_floats():
         stats = corpus_stats(hyps, refss, config)
         got.append(repr(ngram_scores(stats, config)))
         rewritten += any(rec.ebleu_weights is not None for rec in stats)
-        pooled = ngram_metrics._pooled_ref_counts(stats, config.nist_max_n)
+        pooled = ngram_metrics._pooled_ref_counts(stats)
         rare += bool(rare_reference_words(pooled, config.rare_words_percent))
     assert got == PINNED_REDUCTIONS.read_text(encoding="utf-8").splitlines()
     assert rewritten >= 5 and rare >= 5
